@@ -56,7 +56,6 @@ _CONFIG_PARSERS = {
     "x0": _parse_vector,
     "p0": lambda s: float(s) if "," not in s else _parse_vector(s),
     "a": _parse_matrix,
-    "b": _parse_matrix,
     "c": _parse_matrix,
 }
 

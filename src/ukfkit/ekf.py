@@ -7,10 +7,8 @@ On a linear system every quantity coincides with the Kalman filter's.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .kf import KfStep, kf_gain, kf_update
-from .numerics import FilterDiverged, symmetrize
+from .kf import KfStep, kf_correct
+from .numerics import symmetrize
 from .statespace import (
     StateEstimate,
     SystemModel,
@@ -30,10 +28,5 @@ def ekf_step(model: SystemModel, est: StateEstimate, u=None, y=None) -> tuple[St
     c = jacobian_measurement(model, prior_mean, k + 1)
     p_z = symmetrize(c @ prior_cov @ c.T + model.R(k + 1))
     p_ez = prior_cov @ c.T
-    gain = kf_gain(p_z, p_ez, where=f"ekf step {k + 1}")
     predicted_y = measure(model, prior_mean, k + 1)
-    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y, where=f"ekf step {k + 1}")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise FilterDiverged(f"ekf produced a non-finite estimate at step {k + 1}")
-    record = KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
-    return StateEstimate(mean, cov, k + 1), record
+    return kf_correct("ekf", k + 1, prior_mean, prior_cov, p_z, p_ez, y, predicted_y)

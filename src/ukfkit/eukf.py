@@ -14,14 +14,17 @@ gain is not the Kalman gain.  Both variants here repair that:
   C Q C^T and Q C^T terms explicitly (C = measurement Jacobian at the
   propagated sigma mean).
 
-With Q = 0 both coincide with the classical UKF.
+Both share the classical UKF's unscented prior (:func:`ukf.unscented_prior`)
+and the Kalman update (:func:`kf.kf_correct`); each step differs from
+``ukf_step`` only in its sigma scale and its three covariance lines.  With
+Q = 0 both coincide with the classical UKF.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kf import KfStep, kf_gain, kf_update
+from .kf import KfStep, kf_correct
 from .numerics import rcond_check, symmetrize
 from .statespace import (
     StateEstimate,
@@ -29,7 +32,7 @@ from .statespace import (
     jacobian_dynamics,
     jacobian_measurement,
 )
-from .ukf import deviations, make_sigma_set, ukf_weights
+from .ukf import unscented_prior
 
 Array = np.ndarray
 
@@ -59,21 +62,13 @@ def eukfa_step(
 ) -> tuple[StateEstimate, KfStep]:
     """UKF cycle with noise-inflated sigma points and no additive Q in the prior."""
     k = est.step
-    weights = ukf_weights(alpha, model.l_x)
     scale = eukfa_sigma_scale(model, est, u)
-    sig = make_sigma_set(model, est.mean, scale, weights, u, k, where=f"eukfa step {k}")
-    prior_mean = sig.propagated @ weights.w
-    predicted_y = sig.outputs @ weights.w
-    xdev = deviations(sig.propagated, weights)
-    ydev = deviations(sig.outputs, weights)
-    wx = xdev * weights.w
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, scale, alpha, u, "eukfa")
+    wx = xdev * w
     p_prior = symmetrize(wx @ xdev.T)
-    p_z = symmetrize((ydev * weights.w) @ ydev.T + model.R(k + 1))
+    p_z = symmetrize((ydev * w) @ ydev.T + model.R(k + 1))
     p_ez = wx @ ydev.T
-    gain = kf_gain(p_z, p_ez, where=f"eukfa step {k + 1}")
-    mean, cov = kf_update(prior_mean, p_prior, gain, p_ez, y, predicted_y, where=f"eukfa step {k + 1}")
-    record = KfStep(prior_mean, p_prior, gain, p_z, p_ez, mean, cov)
-    return StateEstimate(mean, cov, k + 1), record
+    return kf_correct("eukfa", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)
 
 
 def eukfc_step(
@@ -81,20 +76,12 @@ def eukfc_step(
 ) -> tuple[StateEstimate, KfStep]:
     """UKF cycle with the C Q C^T and Q C^T corrections added to the output covariances."""
     k = est.step
-    weights = ukf_weights(alpha, model.l_x)
-    sig = make_sigma_set(model, est.mean, est.cov, weights, u, k, where=f"eukfc step {k}")
-    prior_mean = sig.propagated @ weights.w
-    predicted_y = sig.outputs @ weights.w
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, u, "eukfc")
     c = jacobian_measurement(model, prior_mean, k + 1)
     q = model.Q(k)
     qct = q @ c.T
-    xdev = deviations(sig.propagated, weights)
-    ydev = deviations(sig.outputs, weights)
-    wx = xdev * weights.w
+    wx = xdev * w
     p_prior = symmetrize(wx @ xdev.T + q)
-    p_z = symmetrize((ydev * weights.w) @ ydev.T + c @ qct + model.R(k + 1))
+    p_z = symmetrize((ydev * w) @ ydev.T + c @ qct + model.R(k + 1))
     p_ez = wx @ ydev.T + qct
-    gain = kf_gain(p_z, p_ez, where=f"eukfc step {k + 1}")
-    mean, cov = kf_update(prior_mean, p_prior, gain, p_ez, y, predicted_y, where=f"eukfc step {k + 1}")
-    record = KfStep(prior_mean, p_prior, gain, p_z, p_ez, mean, cov)
-    return StateEstimate(mean, cov, k + 1), record
+    return kf_correct("eukfc", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)

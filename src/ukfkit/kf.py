@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import solve_spd, spd_sqrt_factor, symmetrize
+from .numerics import FilterDiverged, solve_spd, spd_sqrt_factor, symmetrize
 from .statespace import LinearSystem, StateEstimate
 
 Array = np.ndarray
@@ -88,13 +88,28 @@ def evaluate_gain_cov(prior_cov: Array, p_z: Array, p_ez: Array, gain: Array) ->
     return symmetrize(prior_cov + gain @ p_z @ gain.T - cross - cross.T)
 
 
+def kf_correct(
+    name: str, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
+) -> tuple[StateEstimate, KfStep]:
+    """Gain, update and record for filter `name` consuming the step-k measurement y.
+
+    A y that is not finite and shaped like `predicted_y` raises ValueError;
+    a non-finite posterior raises FilterDiverged.  Both name filter and step.
+    """
+    where = f"{name} step {k}"
+    y = np.asarray(y, dtype=float)
+    if y.shape != predicted_y.shape or not np.isfinite(y).all():
+        raise ValueError(f"{where}: expected a finite measurement of shape {predicted_y.shape}, got {y!r}")
+    gain = kf_gain(p_z, p_ez, where)
+    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y, where)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise FilterDiverged(f"{name} produced a non-finite estimate at step {k}")
+    return StateEstimate(mean, cov, k), KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
+
+
 def kf_step(sys: LinearSystem, est: StateEstimate, u=None, y=None) -> tuple[StateEstimate, KfStep]:
     """One full predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
     prior_mean, prior_cov = kf_predict(sys, est, u)
     p_z, p_ez = kf_innovation(sys, prior_cov, k + 1)
-    gain = kf_gain(p_z, p_ez, where=f"kf step {k + 1}")
-    predicted_y = sys.C(k + 1) @ prior_mean
-    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y, where=f"kf step {k + 1}")
-    record = KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
-    return StateEstimate(mean, cov, k + 1), record
+    return kf_correct("kf", k + 1, prior_mean, prior_cov, p_z, p_ez, y, sys.C(k + 1) @ prior_mean)

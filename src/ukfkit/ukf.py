@@ -6,9 +6,11 @@ is the current posterior mean.  The combination weights are
 
     w[0] = (alpha^2 - 1) / alpha^2,    w[i] = 1 / (2 alpha^2 l_x),
 
-which sum to one for any alpha > 0.  Covariances come from the weighted
-outer products of the propagated deviations, plus the additive noise
-terms; gain and updates then mirror the Kalman filter's covariance form.
+which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
+share :func:`unscented_prior` and the Kalman update :func:`kf.kf_correct`;
+they differ only in the sigma scale and the covariance terms.  Here the
+covariances are weighted outer products of the propagated deviations, with
+Q added to the prior and R to the output covariance.
 
 alpha < 1 makes the center weight negative and the estimated covariances
 can lose definiteness; that surfaces as NotPositiveDefinite with the step
@@ -17,48 +19,24 @@ index rather than being repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kf import KfStep, kf_gain, kf_update
+from .kf import KfStep, kf_correct
 from .numerics import FilterDiverged, spd_sqrt_factor, symmetrize
 from .statespace import StateEstimate, SystemModel, measure_batch, step_dynamics_batch
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class UkfWeights:
-    """Sigma-point combination weights for a given alpha and state dimension."""
-
-    alpha: float
-    l_x: int
-    w: Array
-
-    @property
-    def w_diag(self) -> Array:
-        return np.diag(self.w)
-
-
-@dataclass(frozen=True)
-class SigmaSet:
-    """Sigma points, their dynamics images, and their measurement images."""
-
-    points: Array  # l_x x (2 l_x + 1), column 0 is the center
-    propagated: Array  # f applied column-wise
-    outputs: Array  # g applied to the propagated columns
-    weights: UkfWeights
-
-
-def ukf_weights(alpha: float, l_x: int) -> UkfWeights:
+def ukf_weights(alpha: float, l_x: int) -> Array:
+    """Weight vector [w0, w1 .. w_{2 l_x}] for a given alpha and state dimension."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if l_x < 1:
         raise ValueError(f"state dimension must be at least 1, got {l_x}")
     w = np.full(2 * l_x + 1, 1.0 / (2.0 * alpha**2 * l_x))
     w[0] = (alpha**2 - 1.0) / alpha**2
-    return UkfWeights(alpha=alpha, l_x=l_x, w=w)
+    return w
 
 
 def sigma_points(center: Array, scale: Array, alpha: float, where: str = "") -> Array:
@@ -81,36 +59,36 @@ def propagate_sigma(model: SystemModel, points: Array, u=None, k: int = 0) -> tu
     return xprop, yprop
 
 
-def deviations(m: Array, weights: UkfWeights) -> Array:
+def deviations(m: Array, w: Array) -> Array:
     """Subtract the weighted column mean M @ w from every column."""
     m = np.asarray(m, dtype=float)
-    return m - (m @ weights.w)[:, None]
+    return m - (m @ w)[:, None]
 
 
 def ukf_covariances(
-    xdev: Array, ydev: Array, weights: UkfWeights, q: Array, r: Array
+    xdev: Array, ydev: Array, w: Array, q: Array, r: Array
 ) -> tuple[Array, Array, Array]:
     """Unscented estimates (P_prior, P_z, P_ez) from centered deviations."""
-    wx = xdev * weights.w
-    wy = ydev * weights.w
+    wx = xdev * w
+    wy = ydev * w
     p_prior = symmetrize(wx @ xdev.T + q)
     p_z = symmetrize(wy @ ydev.T + r)
     p_ez = wx @ ydev.T
     return p_prior, p_z, p_ez
 
 
-def make_sigma_set(
-    model: SystemModel,
-    center: Array,
-    scale: Array,
-    weights: UkfWeights,
-    u=None,
-    k: int = 0,
-    where: str = "",
-) -> SigmaSet:
-    pts = sigma_points(center, scale, weights.alpha, where)
-    xprop, yprop = propagate_sigma(model, pts, u, k)
-    return SigmaSet(points=pts, propagated=xprop, outputs=yprop, weights=weights)
+def unscented_prior(
+    model: SystemModel, est: StateEstimate, scale: Array, alpha: float, u, name: str
+) -> tuple[Array, Array, Array, Array, Array]:
+    """Sigma points of `scale` around est.mean, pushed through f and g.
+
+    Returns (prior mean, predicted output, state deviations, output deviations, weights).
+    """
+    k = est.step
+    w = ukf_weights(alpha, model.l_x)
+    points = sigma_points(est.mean, scale, alpha, where=f"{name} step {k}")
+    xprop, yprop = propagate_sigma(model, points, u, k)
+    return xprop @ w, yprop @ w, deviations(xprop, w), deviations(yprop, w), w
 
 
 def ukf_step(
@@ -118,14 +96,6 @@ def ukf_step(
 ) -> tuple[StateEstimate, KfStep]:
     """One UKF predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
-    weights = ukf_weights(alpha, model.l_x)
-    sig = make_sigma_set(model, est.mean, est.cov, weights, u, k, where=f"ukf step {k}")
-    prior_mean = sig.propagated @ weights.w
-    predicted_y = sig.outputs @ weights.w
-    xdev = deviations(sig.propagated, weights)
-    ydev = deviations(sig.outputs, weights)
-    p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, weights, model.Q(k), model.R(k + 1))
-    gain = kf_gain(p_z, p_ez, where=f"ukf step {k + 1}")
-    mean, cov = kf_update(prior_mean, p_prior, gain, p_ez, y, predicted_y, where=f"ukf step {k + 1}")
-    record = KfStep(prior_mean, p_prior, gain, p_z, p_ez, mean, cov)
-    return StateEstimate(mean, cov, k + 1), record
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, u, "ukf")
+    p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, w, model.Q(k), model.R(k + 1))
+    return kf_correct("ukf", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)

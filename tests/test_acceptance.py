@@ -177,7 +177,7 @@ def test_numerics_suite():
             pts = sigma_points(center, p, alpha)
             w = ukf_weights(alpha, n)
             dev = pts - center[:, None]
-            recon = (dev * w.w) @ dev.T
+            recon = (dev * w) @ dev.T
             worst_recon = max(worst_recon, float(np.linalg.norm(recon - p) / np.linalg.norm(p)))
 
     worst_jac = 0.0

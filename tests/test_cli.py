@@ -52,6 +52,14 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+def test_config_file_rejects_input_matrix_key(tmp_path, capsys):
+    cfg_file = tmp_path / "with_b.cfg"
+    cfg_file.write_text("model = custom\na = 0.5\nb = 1; 2\nc = 1\n")
+    code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "unknown config key 'b'" in capsys.readouterr().err
+
+
 def test_custom_model_via_config(tmp_path):
     cfg_file = tmp_path / "custom.cfg"
     cfg_file.write_text(
@@ -118,10 +126,10 @@ def test_divergent_truth_exits_nonzero(tmp_path, capsys):
 def test_diverged_filter_exits_nonzero(tmp_path, capsys, monkeypatch):
     import ukfkit.harness as harness
 
-    def always_fail(model, lin, est, u, y, alpha):
+    def always_fail(model, est, u, y, alpha):
         raise harness.FilterDiverged("synthetic failure")
 
-    monkeypatch.setitem(harness._STEPPERS, "ukf", always_fail)
+    monkeypatch.setattr(harness, "ukf_step", always_fail)
     out = tmp_path / "d.csv"
     code = main(["run", "--model", "linear-ex2", "--steps", "5", "--filters", "kf,ukf", "--out", str(out)])
     assert code == 1

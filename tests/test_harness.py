@@ -117,15 +117,15 @@ def test_relerr_definition_with_and_without_enkf():
 
 def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
     calls = {"n": 0}
-    original = harness._STEPPERS["ukf"]
+    original = harness.ukf_step
 
-    def flaky(model, lin, est, u, y, alpha):
+    def flaky(model, est, u, y, alpha):
         calls["n"] += 1
         if calls["n"] >= 5:
             raise FilterDiverged("synthetic failure")
-        return original(model, lin, est, u, y, alpha)
+        return original(model, est, u, y, alpha)
 
-    monkeypatch.setitem(harness._STEPPERS, "ukf", flaky)
+    monkeypatch.setattr(harness, "ukf_step", flaky)
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=5, filters=("kf", "ukf"))
     records = run_experiment(cfg)
     for rec in records[:4]:
@@ -214,6 +214,18 @@ def test_verify_propositions_exempts_zero_q_from_separation(monkeypatch):
     assert report.distinctness_failures == 0
     assert report.identity_failures == 0  # identities hold trivially at Q = 0
     assert report.passed
+
+
+def test_verify_reports_each_variants_own_worst_deviation():
+    # On this seed one random system (cond(A) ~ 6.6e3) pushes eukfa past the
+    # 1e-9 gate while eukfc stays near round-off; each line must say so.
+    report = verify_propositions(seed=34013, trials=10, checks=("equivalence",))
+    for variant in ("eukfa", "eukfc"):
+        worst = getattr(report, f"worst_{variant}_rel")
+        assert (getattr(report, f"{variant}_failures") > 0) == (worst > 1e-9)
+    lines = report.summary().splitlines()
+    assert f"{report.worst_eukfa_rel:.3e}" in next(line for line in lines if line.startswith("eukf-a"))
+    assert f"{report.worst_eukfc_rel:.3e}" in next(line for line in lines if line.startswith("eukf-c"))
 
 
 def test_verify_propositions_check_selection():

@@ -3,8 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ukfkit.harness import random_detectable_system, random_spd
-from ukfkit.kf import evaluate_gain_cov, kf_gain, kf_innovation, kf_predict, kf_step, kf_update
+from ukfkit.ekf import ekf_step
+from ukfkit.eukf import eukfa_step, eukfc_step
+from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_innovation, kf_predict, kf_step, kf_update
+from ukfkit.numerics import FilterDiverged
 from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1
+from ukfkit.ukf import ukf_step
 
 # Hand-derived one-step quantities for the first benchmark system
 # (A = [[2.4, 2.1], [0, -0.7]], C = [-0.4, -0.9], Q = I, R = 1, P0 = I):
@@ -146,3 +150,29 @@ def test_joseph_form_consistency():
         joseph = ikc @ rec.prior_cov @ ikc.T + rec.gain @ r @ rec.gain.T
         err = np.linalg.norm(rec.posterior_cov - joseph) / np.linalg.norm(joseph)
         assert err < 1e-9
+
+
+LY2_SYSTEM = LinearSystem(
+    A=np.array([[0.9, 0.2], [0.0, 0.7]]), C=np.eye(2), Q=0.1 * np.eye(2), R=0.2 * np.eye(2)
+)
+COVARIANCE_FORM_STEPS = {
+    "kf": lambda est, y: kf_step(LY2_SYSTEM, est, None, y),
+    "ekf": lambda est, y: ekf_step(LY2_SYSTEM.to_model(), est, None, y),
+    "ukf": lambda est, y: ukf_step(LY2_SYSTEM.to_model(), est, None, y),
+    "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM.to_model(), est, None, y),
+    "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM.to_model(), est, None, y),
+}
+
+
+@pytest.mark.parametrize("y", [np.array([0.5]), None, np.array([0.5, np.nan])], ids=["short", "none", "nan"])
+@pytest.mark.parametrize("name", list(COVARIANCE_FORM_STEPS))
+def test_bad_measurement_raises_value_error_naming_filter_and_step(name, y):
+    est = StateEstimate(np.array([1.0, -1.0]), np.eye(2), 4)
+    with pytest.raises(ValueError, match=f"{name} step 5"):
+        COVARIANCE_FORM_STEPS[name](est, y)
+
+
+def test_non_finite_posterior_raises_filter_diverged():
+    prior_mean = np.array([np.inf, 0.0])
+    with pytest.raises(FilterDiverged, match="kf .*step 3"):
+        kf_correct("kf", 3, prior_mean, np.eye(2), np.eye(1), np.zeros((2, 1)), np.zeros(1), np.zeros(1))

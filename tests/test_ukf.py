@@ -18,13 +18,12 @@ from ukfkit.ukf import (
 
 def test_weights_alpha_one():
     w = ukf_weights(1.0, 2)
-    assert_allclose(w.w, [0.0, 0.25, 0.25, 0.25, 0.25], rtol=0)
+    assert_allclose(w, [0.0, 0.25, 0.25, 0.25, 0.25], rtol=0)
 
 
 def test_weights_alpha_three_halves():
     w = ukf_weights(1.5, 3)
-    assert_allclose(w.w, [5.0 / 9.0] + [1.0 / 13.5] * 6, rtol=1e-15)
-    assert_allclose(w.w_diag, np.diag(w.w), rtol=0)
+    assert_allclose(w, [5.0 / 9.0] + [1.0 / 13.5] * 6, rtol=1e-15)
 
 
 def test_weights_sum_to_one():
@@ -32,7 +31,7 @@ def test_weights_sum_to_one():
     for _ in range(50):
         alpha = float(rng.uniform(0.2, 5.0))
         l_x = int(rng.integers(1, 8))
-        assert np.sum(ukf_weights(alpha, l_x).w) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(ukf_weights(alpha, l_x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_reject_bad_arguments():
@@ -57,7 +56,7 @@ def test_sigma_points_weighted_mean_is_center():
         center = rng.standard_normal(3)
         pts = sigma_points(center, random_spd(rng, 3), alpha)
         w = ukf_weights(alpha, 3)
-        assert_allclose(pts @ w.w, center, atol=1e-12)
+        assert_allclose(pts @ w, center, atol=1e-12)
 
 
 def test_sigma_points_reconstruct_covariance():
@@ -70,7 +69,7 @@ def test_sigma_points_reconstruct_covariance():
             pts = sigma_points(center, p, alpha)
             w = ukf_weights(alpha, n)
             dev = pts - center[:, None]
-            recon = (dev * w.w) @ dev.T
+            recon = (dev * w) @ dev.T
             assert np.linalg.norm(recon - p) / np.linalg.norm(p) < 1e-10
 
 
@@ -118,7 +117,7 @@ def test_deviations_center_and_annihilate():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((3, 5))
     w3 = ukf_weights(0.9, 2)
-    assert_allclose(deviations(m, w3) @ w3.w, np.zeros(3), atol=1e-14)
+    assert_allclose(deviations(m, w3) @ w3, np.zeros(3), atol=1e-14)
 
 
 def test_deviations_linear_closed_form():
