@@ -91,6 +91,10 @@ def _run_and_export(cfg: ExperimentConfig, out) -> int:
     print(f"wrote {len(records)} steps x {len(last.metrics)} filters to {out}")
     if dead:
         print(f"error: filter(s) diverged before the end of the run: {', '.join(dead)}", file=sys.stderr)
+        for rec in records:
+            for name, m in rec.metrics.items():
+                if m.failure:
+                    print(f"error: {name} failed at step {rec.step}: {m.failure}", file=sys.stderr)
         return 1
     return 0
 

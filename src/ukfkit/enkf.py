@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kf import KfStep, kf_gain
+from .kf import KfStep, check_measurement, kf_gain
 from .numerics import FilterDiverged, symmetrize
 from .statespace import (
     StateEstimate,
@@ -75,7 +75,7 @@ def enkf_step(
     """Propagate, then assimilate the step-(k+1) measurement with perturbed observations."""
     k = ens.step
     n = ens.size
-    y = np.asarray(y, dtype=float)
+    y = check_measurement(y, (model.l_y,), f"enkf step {k + 1}")
 
     w = noise_factor(model.Q(k), where=f"enkf step {k}") @ philox_stream(
         ens.seed, k + 1, KIND_PROCESS

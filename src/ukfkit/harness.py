@@ -6,7 +6,8 @@ records the posterior covariance trace, the posterior output error
 z_{k|k} = y_k - g(x_hat_{k|k}), the posterior error norm against the
 simulated truth, and the trace error relative to the ensemble filter when
 one is running.  A filter that fails mid-run is flagged as diverged and
-reported as NaN from that step on; the other filters continue.
+reported as NaN from that step on, and its record at the failing step keeps
+the exception type and message; the other filters continue.
 """
 
 from __future__ import annotations
@@ -100,13 +101,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FilterMetrics:
-    """Per-filter scalars for one step; NaN once the filter has diverged."""
+    """Per-filter scalars for one step; NaN once the filter has diverged.
+
+    `failure` is "ExceptionType: message" at the step where the filter
+    failed, and empty at every other step.
+    """
 
     trace: float
     relerr: float
     output_error: float
     error_norm: float
     diverged: bool
+    failure: str = ""
 
 
 @dataclass(frozen=True)
@@ -222,19 +228,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     for k in range(1, cfg.steps + 1):
         y = meas[k]
         step_rec: dict[str, KfStep] = {}
+        failures: dict[str, str] = {}  # filters that fail at this step
         for name in cfg.filters:
             if diverged[name]:
                 continue
             try:
                 filter_state[name], step_rec[name] = _advance(name, model, lin, filter_state[name], y, cfg.alpha)
-            except _STEP_ERRORS:
+            except _STEP_ERRORS as exc:
                 diverged[name] = True
+                failures[name] = f"{type(exc).__name__}: {exc}"
         tr_enkf = float(np.trace(step_rec["enkf"].posterior_cov)) if "enkf" in step_rec else None
         metrics = {}
         for name in cfg.filters:
             rec = step_rec.get(name)
             if rec is None:
-                metrics[name] = FilterMetrics(nan, nan, nan, nan, True)
+                metrics[name] = FilterMetrics(nan, nan, nan, nan, True, failures.get(name, ""))
                 continue
             tr = float(np.trace(rec.posterior_cov))
             z = y - measure(model, rec.posterior_mean, k)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FilterDiverged, solve_spd, spd_sqrt_factor, symmetrize
+from .numerics import FilterDiverged, solve_spd, symmetrize
 from .statespace import LinearSystem, StateEstimate
 
 Array = np.ndarray
@@ -72,13 +72,15 @@ def kf_update(
     cross_cov: Array,
     y: Array,
     predicted_y: Array,
-    where: str = "",
 ) -> tuple[Array, Array]:
-    """Measurement update: mean += K (y - y_hat), cov = P+ - K P_ez^T."""
+    """Measurement update: mean += K (y - y_hat), cov = P+ - K P_ez^T.
+
+    The formula only; :func:`kf_correct` checks that the result is finite
+    and SPD.
+    """
     y = np.asarray(y, dtype=float)
     mean = prior_mean + gain @ (y - predicted_y)
     cov = symmetrize(prior_cov - gain @ cross_cov.T)
-    spd_sqrt_factor(cov, where)  # surface SPD loss here, with context
     return mean, cov
 
 
@@ -88,23 +90,34 @@ def evaluate_gain_cov(prior_cov: Array, p_z: Array, p_ez: Array, gain: Array) ->
     return symmetrize(prior_cov + gain @ p_z @ gain.T - cross - cross.T)
 
 
+def check_measurement(y, shape: tuple[int, ...], where: str) -> Array:
+    """y as a float array; ValueError naming `where` unless it is finite with the given shape."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != shape or not np.isfinite(y).all():
+        raise ValueError(f"{where}: expected a finite measurement of shape {shape}, got {y!r}")
+    return y
+
+
 def kf_correct(
     name: str, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
 ) -> tuple[StateEstimate, KfStep]:
     """Gain, update and record for filter `name` consuming the step-k measurement y.
 
     A y that is not finite and shaped like `predicted_y` raises ValueError;
-    a non-finite posterior raises FilterDiverged.  Both name filter and step.
+    a non-finite posterior raises FilterDiverged, and one that is not SPD
+    NotPositiveDefinite.  All three name filter and step.  The SPD check
+    factors l_x * P and leaves the factor on the returned estimate, where
+    the next sigma-point step reuses it.
     """
     where = f"{name} step {k}"
-    y = np.asarray(y, dtype=float)
-    if y.shape != predicted_y.shape or not np.isfinite(y).all():
-        raise ValueError(f"{where}: expected a finite measurement of shape {predicted_y.shape}, got {y!r}")
+    y = check_measurement(y, predicted_y.shape, where)
     gain = kf_gain(p_z, p_ez, where)
-    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y, where)
+    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise FilterDiverged(f"{name} produced a non-finite estimate at step {k}")
-    return StateEstimate(mean, cov, k), KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
+    est = StateEstimate(mean, cov, k)
+    est.sigma_factor(where)
+    return est, KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
 
 
 def kf_step(sys: LinearSystem, est: StateEstimate, u=None, y=None) -> tuple[StateEstimate, KfStep]:

@@ -6,12 +6,21 @@ attempting a Cholesky factorization.  A factorization that fails gets one
 retry with a trace-scaled diagonal jitter; anything worse raises
 :class:`NotPositiveDefinite` instead of being silently repaired, because a
 covariance that far gone usually means the filter has diverged.
+
+The factorization stays on ``np.linalg.cholesky`` rather than scipy's
+``dpotrf``: the numpy and scipy wheels bundle different OpenBLAS builds
+(0.3.31 in numpy 2.4, 0.3.30 in scipy 1.17), whose factors differ in the
+last bit on about 2% of random SPD matrices, so switching would change CSV
+bytes.  The triangular solves call LAPACK ``dtrtrs`` directly, with the
+arguments ``scipy.linalg.solve_triangular`` passes, so the results are the
+same bits without that wrapper's per-call validation, which costs many
+times the small solve itself.  :func:`solve_spd` keeps the finiteness check.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 
 class NotPositiveDefinite(Exception):
@@ -27,7 +36,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    s = m + m.T
+    s *= 0.5
+    return s
 
 
 def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
@@ -55,10 +66,24 @@ def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
 
 def solve_spd(m: np.ndarray, b: np.ndarray, where: str = "") -> np.ndarray:
     """Solve M @ X = B for SPD M via its Cholesky factor, never an inverse."""
-    factor = spd_sqrt_factor(m, where)
+    m = np.asarray(m, dtype=float)
     b = np.asarray(b, dtype=float)
-    y = solve_triangular(factor, b, lower=True)
-    return solve_triangular(factor.T, y, lower=False)
+    if not (np.isfinite(m).all() and np.isfinite(b).all()):
+        raise ValueError(f"SPD solve input must not contain infs or NaNs ({where})")
+    factor = spd_sqrt_factor(m, where)
+    if b.ndim not in (1, 2) or b.shape[0] != factor.shape[0]:
+        raise ValueError(f"shapes of m {m.shape} and b {b.shape} are incompatible")
+    upper = factor.T  # F-ordered, as dtrtrs expects
+    # L y = b; a 1x1 factor is F-ordered itself, which scipy solves untransposed.
+    if factor.flags.f_contiguous:
+        y, info = dtrtrs(factor, b, lower=1, trans=0)
+    else:
+        y, info = dtrtrs(upper, b, lower=0, trans=1)
+    if info == 0:
+        x, info = dtrtrs(upper, y, lower=0, trans=0)  # L^T x = y
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed with dtrtrs info {info} ({where})")
+    return x
 
 
 def rcond_check(m: np.ndarray, threshold: float = 1e-12) -> bool:

@@ -149,11 +149,17 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Posterior mean and covariance at a step: (x_hat_{k|k}, P_{k|k}, k)."""
+    """Posterior mean and covariance at a step: (x_hat_{k|k}, P_{k|k}, k).
+
+    The factor chol(l_x * cov) is cached on the estimate the first time
+    :meth:`sigma_factor` computes it; the cache takes no part in ``==`` or
+    ``repr``.  Treat mean and cov as read-only once the factor is cached.
+    """
 
     mean: Array
     cov: Array
     step: int = 0
+    _sigma_factor: Optional[Array] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -166,6 +172,16 @@ class StateEstimate:
             raise ValueError(f"step must be nonnegative, got {self.step}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    def sigma_factor(self, where: str = "") -> Array:
+        """Lower Cholesky factor of l_x * cov, the unscaled sigma-point spread.
+
+        Computed once per estimate; raises NotPositiveDefinite, naming
+        `where`, when cov is not SPD.
+        """
+        if self._sigma_factor is None:
+            object.__setattr__(self, "_sigma_factor", spd_sqrt_factor(self.mean.size * self.cov, where))
+        return self._sigma_factor
 
 
 def _check_state(model: SystemModel, x: Array) -> Array:

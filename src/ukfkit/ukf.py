@@ -42,10 +42,14 @@ def ukf_weights(alpha: float, l_x: int) -> Array:
 def sigma_points(center: Array, scale: Array, alpha: float, where: str = "") -> Array:
     """Columns [c, c + p_i, c - p_i] with p_i from alpha * chol(l_x * scale)."""
     center = np.asarray(center, dtype=float)
-    l_x = center.size
-    p_sigma = alpha * spd_sqrt_factor(l_x * np.asarray(scale, dtype=float), where)
+    return _spread(center, spd_sqrt_factor(center.size * np.asarray(scale, dtype=float), where), alpha)
+
+
+def _spread(center: Array, factor: Array, alpha: float) -> Array:
+    """Columns [c, c + p_i, c - p_i] with p_i the columns of alpha * factor."""
+    p_sigma = alpha * factor
     c = center[:, None]
-    return np.hstack([c, c + p_sigma, c - p_sigma])
+    return np.concatenate((c, c + p_sigma, c - p_sigma), axis=1)
 
 
 def propagate_sigma(model: SystemModel, points: Array, u=None, k: int = 0) -> tuple[Array, Array]:
@@ -82,11 +86,16 @@ def unscented_prior(
 ) -> tuple[Array, Array, Array, Array, Array]:
     """Sigma points of `scale` around est.mean, pushed through f and g.
 
+    When `scale` is est.cov itself, the estimate's cached factor is used.
     Returns (prior mean, predicted output, state deviations, output deviations, weights).
     """
     k = est.step
+    where = f"{name} step {k}"
     w = ukf_weights(alpha, model.l_x)
-    points = sigma_points(est.mean, scale, alpha, where=f"{name} step {k}")
+    if scale is est.cov:
+        points = _spread(est.mean, est.sigma_factor(where), alpha)
+    else:
+        points = sigma_points(est.mean, scale, alpha, where)
     xprop, yprop = propagate_sigma(model, points, u, k)
     return xprop @ w, yprop @ w, deviations(xprop, w), deviations(yprop, w), w
 

@@ -123,6 +123,16 @@ def test_divergent_truth_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_diverged_filter_reports_step_and_reason(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code = main(["run", "--model", "linear-ex1", "--steps", "60", "--seed", "1", "--alpha", "0.2",
+                 "--filters", "kf,ukf", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: ukf failed at step 40: NotPositiveDefinite: matrix of dimension 2" in err
+    assert err.count("failed at step") == 1
+
+
 def test_diverged_filter_exits_nonzero(tmp_path, capsys, monkeypatch):
     import ukfkit.harness as harness
 

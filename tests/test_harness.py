@@ -137,6 +137,18 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
         assert math.isfinite(rec.metrics["kf"].trace)
 
 
+def test_divergence_keeps_first_failing_step_and_reason():
+    # alpha = 0.2 makes the center weight strongly negative; the UKF covariance
+    # on the first benchmark system loses definiteness at step 40.
+    cfg = ExperimentConfig(model="linear-ex1", steps=60, seed=1, alpha=0.2, filters=("kf", "ukf"))
+    records = run_experiment(cfg)
+    failed = [(rec.step, rec.metrics["ukf"].failure) for rec in records if rec.metrics["ukf"].failure]
+    assert failed == [(40, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 40)")]
+    assert not records[38].metrics["ukf"].diverged
+    assert all(rec.metrics["ukf"].diverged for rec in records[39:])
+    assert not any(rec.metrics["kf"].diverged or rec.metrics["kf"].failure for rec in records)
+
+
 def test_export_csv_schema_and_round_trip(tmp_path):
     cfg = ExperimentConfig(model="linear-ex2", steps=12, seed=6, filters=("kf", "ukf", "eukfc"))
     records = run_experiment(cfg)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from ukfkit.harness import random_detectable_system, random_spd
 from ukfkit.ekf import ekf_step
+from ukfkit.enkf import enkf_init, enkf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_innovation, kf_predict, kf_step, kf_update
 from ukfkit.numerics import FilterDiverged
@@ -155,21 +156,22 @@ def test_joseph_form_consistency():
 LY2_SYSTEM = LinearSystem(
     A=np.array([[0.9, 0.2], [0.0, 0.7]]), C=np.eye(2), Q=0.1 * np.eye(2), R=0.2 * np.eye(2)
 )
-COVARIANCE_FORM_STEPS = {
+FILTER_STEPS = {
     "kf": lambda est, y: kf_step(LY2_SYSTEM, est, None, y),
     "ekf": lambda est, y: ekf_step(LY2_SYSTEM.to_model(), est, None, y),
     "ukf": lambda est, y: ukf_step(LY2_SYSTEM.to_model(), est, None, y),
     "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM.to_model(), est, None, y),
     "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM.to_model(), est, None, y),
+    "enkf": lambda est, y: enkf_step(LY2_SYSTEM.to_model(), enkf_init(est, 10, 0), None, y),
 }
 
 
 @pytest.mark.parametrize("y", [np.array([0.5]), None, np.array([0.5, np.nan])], ids=["short", "none", "nan"])
-@pytest.mark.parametrize("name", list(COVARIANCE_FORM_STEPS))
+@pytest.mark.parametrize("name", list(FILTER_STEPS))
 def test_bad_measurement_raises_value_error_naming_filter_and_step(name, y):
     est = StateEstimate(np.array([1.0, -1.0]), np.eye(2), 4)
     with pytest.raises(ValueError, match=f"{name} step 5"):
-        COVARIANCE_FORM_STEPS[name](est, y)
+        FILTER_STEPS[name](est, y)
 
 
 def test_non_finite_posterior_raises_filter_diverged():

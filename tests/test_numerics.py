@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 
 from ukfkit.numerics import NotPositiveDefinite, rcond_check, solve_spd, spd_sqrt_factor, symmetrize
 
@@ -87,6 +91,44 @@ def test_solve_spd_inverse_identity():
     rng = np.random.default_rng(4)
     m = _random_spd(rng, 5)
     assert_allclose(solve_spd(m, m), np.eye(5), atol=1e-10)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", ["m", "b"])
+def test_solve_spd_rejects_non_finite_input(bad, value):
+    m, b = 2.0 * np.eye(2), np.ones((2, 1))
+    if bad == "m":
+        m[0, 0] = value
+    else:
+        b[1, 0] = value
+    with pytest.raises(ValueError):
+        solve_spd(m, b)
+
+
+def _solve_spd_reference(m, b):
+    """Two scipy triangular solves on the same Cholesky factor."""
+    factor = spd_sqrt_factor(m)
+    y = solve_triangular(factor, b, lower=True)
+    return solve_triangular(factor.T, y, lower=False)
+
+
+@st.composite
+def _spd_system(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    g = draw(hnp.arrays(float, (n, n), elements=entries))
+    b_shape = draw(st.sampled_from([(n,), (n, 1), (n, 2), (n, 3)]))
+    b = draw(hnp.arrays(float, b_shape, elements=entries))
+    return g @ g.T + 0.1 * np.eye(n), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spd_system())
+def test_solve_spd_is_bitwise_the_two_solve_triangular_reference(system):
+    m, b = system
+    x = solve_spd(m, b)
+    assert x.shape == b.shape
+    assert_array_equal(x, _solve_spd_reference(m, b))
 
 
 def test_rcond_check():

@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from ukfkit.harness import random_detectable_system, random_spd
+from ukfkit.eukf import eukfc_step
+from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
 from ukfkit.kf import evaluate_gain_cov, kf_step
-from ukfkit.numerics import FilterDiverged
+from ukfkit.numerics import FilterDiverged, spd_sqrt_factor
 from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
 from ukfkit.ukf import (
     deviations,
@@ -224,3 +227,34 @@ def test_gain_cost_never_beats_kalman_gain():
             tr_ukf = np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain))
             assert tr_kf <= tr_ukf + 1e-10
             est = est_next
+
+
+@pytest.mark.parametrize("step", [ukf_step, eukfc_step], ids=["ukf", "eukfc"])
+@pytest.mark.parametrize("system", ["lorenz", "linear-4x2"])
+def test_cached_sigma_factor_steps_bitwise_like_a_fresh_estimate(step, system):
+    if system == "lorenz":
+        model = make_lorenz()
+    else:
+        model = random_detectable_system(np.random.default_rng(11), l_x=4, l_y=2).to_model()
+    _, meas = simulate_truth(model, np.ones(model.l_x), 12, seed=3)
+    est = StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0)
+    for k in range(1, 13):
+        fresh = StateEstimate(est.mean, est.cov, est.step)  # no cached factor
+        cached_next, cached_rec = step(model, est, None, meas[k])
+        fresh_next, fresh_rec = step(model, fresh, None, meas[k])
+        assert_array_equal(cached_rec.gain, fresh_rec.gain)
+        assert_array_equal(cached_next.mean, fresh_next.mean)
+        assert_array_equal(cached_next.cov, fresh_next.cov)
+        assert_array_equal(cached_next.sigma_factor(), spd_sqrt_factor(model.l_x * cached_next.cov))
+        est = cached_next
+
+
+def test_sigma_factor_cache_is_outside_equality_repr_and_init():
+    est, _ = ukf_step(make_lorenz(), StateEstimate(np.ones(3), np.eye(3), 0), None, np.array([1.0]))
+    assert est._sigma_factor is not None
+    bare = copy.copy(est)
+    object.__setattr__(bare, "_sigma_factor", None)
+    assert est == bare
+    assert repr(est) == repr(bare)
+    with pytest.raises(TypeError):
+        StateEstimate(est.mean, est.cov, est.step, est.sigma_factor())
