@@ -9,18 +9,21 @@ the gain.
 Randomness is counter-based: every draw comes from a Philox stream keyed
 by (seed, step, draw kind), so member draws are independent of execution
 order and a rerun with the same seed is bit-identical no matter how the
-propagation is parallelized.
+propagation is parallelized.  The member-sized work arrays (noise
+products, deviations, innovation) are allocated once per ensemble chain
+and handed from each step to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kf import KfStep, check_measurement, kf_gain
 from .numerics import FilterDiverged, symmetrize
 from .statespace import (
+    NoiseFactorCache,
     StateEstimate,
     SystemModel,
     measure_batch,
@@ -46,13 +49,31 @@ def philox_stream(seed: int, step: int, kind: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _Scratch:
+    """Work arrays and noise factors reused from one ensemble step to the next."""
+
+    def __init__(self, l_x: int, l_y: int, n: int):
+        self.state = np.empty((l_x, n))  # process noise, then deviations and correction
+        self.output = np.empty((l_y, n))  # output deviations, then the innovation
+        self.q = NoiseFactorCache()
+        self.r = NoiseFactorCache()
+
+    def fits(self, l_x: int, l_y: int, n: int) -> bool:
+        return self.state.shape == (l_x, n) and self.output.shape == (l_y, n)
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """Column-stacked ensemble members plus the stream bookkeeping."""
+    """Column-stacked ensemble members plus the stream bookkeeping.
+
+    A stepped ensemble also holds the work arrays of the step that made it,
+    for its next step to take over; they take no part in ``==`` or ``repr``.
+    """
 
     members: Array  # l_x x N
     seed: int
     step: int
+    _scratch: list[_Scratch] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -72,23 +93,42 @@ def enkf_init(est: StateEstimate, n: int, seed: int) -> Ensemble:
 def enkf_step(
     model: SystemModel, ens: Ensemble, u=None, y=None
 ) -> tuple[Ensemble, StateEstimate, KfStep]:
-    """Propagate, then assimilate the step-(k+1) measurement with perturbed observations."""
+    """Propagate, then assimilate the step-(k+1) measurement with perturbed observations.
+
+    The new members are formed in the array f returns, or in a C-ordered
+    copy of it when it shares memory with ens.members (which is never
+    written to), is read-only or is not C-contiguous.
+    """
     k = ens.step
     n = ens.size
-    y = check_measurement(y, (model.l_y,), f"enkf step {k + 1}")
+    l_x, l_y = model.l_x, model.l_y
+    y = check_measurement(y, (l_y,), f"enkf step {k + 1}")
+    # Take the work arrays over from ens (list.pop is atomic), so that a
+    # second step of ens, from this thread or another, allocates its own.
+    try:
+        scratch = ens._scratch.pop()
+    except IndexError:
+        scratch = None
+    if scratch is None or not scratch.fits(l_x, l_y, n):
+        scratch = _Scratch(l_x, l_y, n)
 
-    w = noise_factor(model.Q(k), where=f"enkf step {k}") @ philox_stream(
-        ens.seed, k + 1, KIND_PROCESS
-    ).standard_normal((model.l_x, n))
-    xf = step_dynamics_batch(model, ens.members, u, k) + w
+    w = np.matmul(
+        scratch.q(model.Q(k), where=f"enkf step {k}"),
+        philox_stream(ens.seed, k + 1, KIND_PROCESS).standard_normal((l_x, n)),
+        out=scratch.state,
+    )
+    xf = step_dynamics_batch(model, ens.members, u, k)
+    if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
+        xf = np.array(xf, order="C")
+    xf += w
     if not np.all(np.isfinite(xf)):
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
     yf = measure_batch(model, xf, k + 1)
 
     xbar = xf.mean(axis=1)
     ybar = yf.mean(axis=1)
-    xdev = xf - xbar[:, None]
-    ydev = yf - ybar[:, None]
+    xdev = np.subtract(xf, xbar[:, None], out=scratch.state)
+    ydev = np.subtract(yf, ybar[:, None], out=scratch.output)
     # einsum keeps a fixed summation order, so the reductions do not depend
     # on BLAS threading and reruns are bit-identical across thread counts.
     denom = float(n - 1)
@@ -97,16 +137,24 @@ def enkf_step(
     p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R(k + 1))
     gain = kf_gain(p_z, p_ez, where=f"enkf step {k + 1}")
 
-    vr = noise_factor(model.R(k + 1), where=f"enkf step {k + 1}") @ philox_stream(
-        ens.seed, k + 1, KIND_OBS
-    ).standard_normal((model.l_y, n))
-    xa = xf + gain @ (y[:, None] + vr - yf)
+    # xa = xf + K (y + v - yf), formed in xf, which this step owns.
+    innovation = np.matmul(
+        scratch.r(model.R(k + 1), where=f"enkf step {k + 1}"),
+        philox_stream(ens.seed, k + 1, KIND_OBS).standard_normal((l_y, n)),
+        out=scratch.output,
+    )
+    np.add(y[:, None], innovation, out=innovation)
+    innovation -= yf
+    xf += np.matmul(gain, innovation, out=scratch.state)
+    xa = xf
     if not np.all(np.isfinite(xa)):
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
 
     mean = xa.mean(axis=1)
-    adev = xa - mean[:, None]
+    adev = np.subtract(xa, mean[:, None], out=scratch.state)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
     est = StateEstimate(mean, cov, k + 1)
     record = KfStep(xbar, prior_cov, gain, p_z, p_ez, mean, cov)
-    return Ensemble(members=xa, seed=ens.seed, step=k + 1), est, record
+    nxt = Ensemble(members=xa, seed=ens.seed, step=k + 1)
+    nxt._scratch.append(scratch)
+    return nxt, est, record

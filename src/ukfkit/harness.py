@@ -26,6 +26,7 @@ from .kf import KfStep, evaluate_gain_cov, kf_step
 from .numerics import FilterDiverged, NotPositiveDefinite, rcond_check
 from .statespace import (
     LinearSystem,
+    NoiseFactorCache,
     StateEstimate,
     SystemModel,
     make_linear_ex1,
@@ -34,7 +35,6 @@ from .statespace import (
     make_vdp,
     measure,
     noise_cov,
-    noise_factor,
     step_dynamics,
 )
 from .ukf import ukf_step
@@ -131,16 +131,17 @@ def simulate_truth(
     states = np.empty((horizon + 1, model.l_x))
     meas = np.empty((horizon + 1, model.l_y))
     states[0] = x0
+    q_factor, r_factor = NoiseFactorCache(), NoiseFactorCache()
     for k in range(horizon + 1):
         x = states[k]
         if not np.all(np.isfinite(x)):
             raise TruthDiverged(f"truth state became non-finite at step {k}")
-        v = noise_factor(model.R(k), where=f"truth step {k}") @ philox_stream(
+        v = r_factor(model.R(k), where=f"truth step {k}") @ philox_stream(
             seed, k, KIND_TRUTH_OBS
         ).standard_normal(model.l_y)
         meas[k] = measure(model, x, k) + v
         if k < horizon:
-            w = noise_factor(model.Q(k), where=f"truth step {k}") @ philox_stream(
+            w = q_factor(model.Q(k), where=f"truth step {k}") @ philox_stream(
                 seed, k, KIND_TRUTH_PROCESS
             ).standard_normal(model.l_x)
             states[k + 1] = step_dynamics(model, x, u, k) + w

@@ -62,6 +62,27 @@ def noise_factor(m: Array, where: str = "") -> Array:
     return spd_sqrt_factor(m, where)
 
 
+class NoiseFactorCache:
+    """:func:`noise_factor` of the last matrix passed in, reused while its bits stay the same.
+
+    A constant Q or R schedule is factored once per run.  The cache keys on
+    the matrix values, not on the object, so a schedule may also refill one
+    buffer in place and return it at every step.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._factor = None
+
+    def __call__(self, m: Array, where: str = "") -> Array:
+        m = np.asarray(m, dtype=float)
+        key = (m.shape, m.tobytes())
+        if key != self._key:
+            self._factor = noise_factor(m, where)
+            self._key = key
+        return self._factor
+
+
 @dataclass
 class SystemModel:
     """Nonlinear discrete-time model with noise covariances and Jacobians.
@@ -151,7 +172,8 @@ class LinearSystem:
 class StateEstimate:
     """Posterior mean and covariance at a step: (x_hat_{k|k}, P_{k|k}, k).
 
-    The factor chol(l_x * cov) is cached on the estimate the first time
+    Two estimates are equal when step, mean and cov are.  The factor
+    chol(l_x * cov) is cached on the estimate the first time
     :meth:`sigma_factor` computes it; the cache takes no part in ``==`` or
     ``repr``.  Treat mean and cov as read-only once the factor is cached.
     """
@@ -172,6 +194,15 @@ class StateEstimate:
             raise ValueError(f"step must be nonnegative, got {self.step}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.step == other.step
+            and np.array_equal(self.mean, other.mean)
+            and np.array_equal(self.cov, other.cov)
+        )
 
     def sigma_factor(self, where: str = "") -> Array:
         """Lower Cholesky factor of l_x * cov, the unscaled sigma-point spread.

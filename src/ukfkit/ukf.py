@@ -97,7 +97,9 @@ def unscented_prior(
     else:
         points = sigma_points(est.mean, scale, alpha, where)
     xprop, yprop = propagate_sigma(model, points, u, k)
-    return xprop @ w, yprop @ w, deviations(xprop, w), deviations(yprop, w), w
+    prior_mean, predicted_y = xprop @ w, yprop @ w
+    # The same subtraction as deviations(), without computing the means again.
+    return prior_mean, predicted_y, xprop - prior_mean[:, None], yprop - predicted_y[:, None], w
 
 
 def ukf_step(

@@ -1,8 +1,13 @@
+import argparse
 import csv
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ukfkit.cli import load_config_file, main
+from ukfkit.cli import _CONFIG_PARSERS, _config_from_args, load_config_file, main
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -145,3 +150,31 @@ def test_diverged_filter_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "diverged" in capsys.readouterr().err
     assert out.exists()  # partial results are still written
+
+
+_junk = st.text(st.characters(codec="utf-8"), max_size=40)
+_number_like = st.from_regex(r"[-+0-9.,;eE \tnaifNI_x]*", fullmatch=True)
+_line = st.one_of(
+    _junk,
+    st.builds(
+        "{} = {}".format,
+        st.one_of(st.sampled_from(sorted(_CONFIG_PARSERS)), _junk),
+        st.one_of(_number_like, _junk, st.sampled_from(["lorenz", "custom", "kf,ukf", "enkf", ""])),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_junk, st.lists(_line, max_size=8).map("\n".join)))
+def test_config_file_junk_raises_only_value_error(text):
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            load_config_file(path)
+            _config_from_args(argparse.Namespace(config=path, filters=None))
+        except ValueError:
+            pass
+    finally:
+        os.remove(path)

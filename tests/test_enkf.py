@@ -1,12 +1,23 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ukfkit.enkf import Ensemble, enkf_init, enkf_step, philox_stream
-from ukfkit.harness import simulate_truth
-from ukfkit.kf import kf_step
-from ukfkit.numerics import FilterDiverged
-from ukfkit.statespace import LinearSystem, StateEstimate, SystemModel, make_linear_ex2
+from ukfkit.enkf import KIND_OBS, KIND_PROCESS, Ensemble, enkf_init, enkf_step, philox_stream
+from ukfkit.harness import random_detectable_system, simulate_truth
+from ukfkit.kf import kf_gain, kf_step
+from ukfkit.numerics import FilterDiverged, symmetrize
+from ukfkit.statespace import (
+    LinearSystem,
+    StateEstimate,
+    SystemModel,
+    make_linear_ex2,
+    make_lorenz,
+    measure_batch,
+    noise_factor,
+    step_dynamics_batch,
+)
 
 
 def test_init_requires_at_least_two_members():
@@ -120,3 +131,113 @@ def test_step_advances_bookkeeping():
     assert ens2.step == 1 and est.step == 1
     assert rec.gain.shape == (2, 1)
     assert rec.innovation_cov.shape == (1, 1)
+
+
+def _serial_step(model, members, seed, k, y):
+    """One EnKF step written out with inline draws, as one plain expression per quantity."""
+    n = members.shape[1]
+    w = noise_factor(model.Q(k)) @ philox_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
+    xf = step_dynamics_batch(model, members, None, k) + w
+    yf = measure_batch(model, xf, k + 1)
+    xbar = xf.mean(axis=1)
+    xdev = xf - xbar[:, None]
+    ydev = yf - yf.mean(axis=1)[:, None]
+    denom = float(n - 1)
+    prior_cov = symmetrize(np.einsum("ik,jk->ij", xdev, xdev) / denom)
+    p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
+    p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R(k + 1))
+    gain = kf_gain(p_z, p_ez)
+    vr = noise_factor(model.R(k + 1)) @ philox_stream(seed, k + 1, KIND_OBS).standard_normal((model.l_y, n))
+    xa = xf + gain @ (y[:, None] + vr - yf)
+    mean = xa.mean(axis=1)
+    adev = xa - mean[:, None]
+    cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
+    return xa, (xbar, prior_cov, gain, p_z, p_ez, mean, cov)
+
+
+def _linear_4x2():
+    return random_detectable_system(np.random.default_rng(12), l_x=4, l_y=2).to_model()
+
+
+def _outputs(ens, est, rec):
+    return [ens.members, est.mean, est.cov, rec.prior_mean, rec.prior_cov, rec.gain,
+            rec.innovation_cov, rec.cross_cov, rec.posterior_mean, rec.posterior_cov]
+
+
+@pytest.mark.parametrize("make_model", [make_lorenz, _linear_4x2], ids=["lorenz-3x1", "linear-4x2"])
+def test_steps_equal_a_serial_reference(make_model):
+    model = make_model()
+    _, meas = simulate_truth(model, np.ones(model.l_x), 10, seed=4)
+    ens = enkf_init(StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), 500, seed=17)
+    members = ens.members
+    for k in range(10):
+        members, expected = _serial_step(model, members, ens.seed, k, meas[k + 1])
+        ens, est, rec = enkf_step(model, ens, None, meas[k + 1])
+        assert np.array_equal(ens.members, members)
+        for got, want in zip(_outputs(ens, est, rec)[3:], expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(est.mean, expected[5]) and np.array_equal(est.cov, expected[6])
+
+
+def _identity_model():
+    return SystemModel(l_x=2, l_y=1, f=lambda x, u, k: x, g=lambda x, k: x[:1], Q=0.1 * np.eye(2), R=np.eye(1))
+
+
+def _stepped(model, n, steps=3):
+    """An ensemble that has been stepped, so it holds work arrays from its last step."""
+    ens = enkf_init(StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), n, seed=8)
+    for k in range(1, steps + 1):
+        ens, _, _ = enkf_step(model, ens, None, np.full(1, 0.1 * k))
+    return ens
+
+
+@pytest.mark.parametrize("make_model", [make_lorenz, _identity_model], ids=["lorenz", "identity"])
+def test_stepping_one_ensemble_twice_repeats_and_leaves_it_alone(make_model):
+    model = make_model()
+    ens = _stepped(model, 300)
+    before = ens.members.copy()
+    y = np.array([0.7])
+    first = _outputs(*enkf_step(model, ens, None, y))
+    first_copy = [a.copy() for a in first]
+    second = _outputs(*enkf_step(model, ens, None, y))
+    assert np.array_equal(ens.members, before)
+    assert not np.shares_memory(first[0], ens.members)
+    for a, a_copy, b in zip(first, first_copy, second):
+        assert np.array_equal(a, a_copy)  # the second step did not write into the first's results
+        assert np.array_equal(a, b)
+
+
+def test_two_threads_stepping_one_ensemble_agree():
+    model = make_lorenz()
+    ens = _stepped(model, 20_000)
+    y = np.array([0.7])
+    expected = _outputs(*enkf_step(model, ens, None, y))
+    results = []
+    start = threading.Barrier(2)
+
+    def worker():
+        start.wait()
+        results.append([_outputs(*enkf_step(model, ens, None, y)) for _ in range(5)])
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == 2
+    for got in (out for run in results for out in run):
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
+def test_noise_refilled_in_place_is_refactored():
+    def chain(refill):
+        model = make_lorenz()
+        buf = np.empty((3, 3))
+        model.Q = (lambda k: np.copyto(buf, (1.0 + k) * np.eye(3)) or buf) if refill else (lambda k: (1.0 + k) * np.eye(3))
+        ens = enkf_init(StateEstimate(np.ones(3), np.eye(3), 0), 200, seed=3)
+        for k in range(1, 5):
+            ens, _, _ = enkf_step(model, ens, None, np.array([0.5]))
+        return ens.members
+
+    assert np.array_equal(chain(refill=True), chain(refill=False))

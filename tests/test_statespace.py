@@ -223,3 +223,59 @@ def test_state_estimate_validation():
     # covariance is symmetrized on construction
     skewed = StateEstimate([0.0, 0.0], [[1.0, 0.2], [0.0, 1.0]], 0)
     assert np.max(np.abs(skewed.cov - skewed.cov.T)) == 0.0
+
+
+def test_state_estimate_equality_compares_values():
+    a = StateEstimate(np.ones(2), np.eye(2), 0)
+    assert a == StateEstimate(np.ones(2), np.eye(2), 0)
+    assert a != StateEstimate(np.ones(2), np.eye(2), 1)
+    assert a != StateEstimate(np.array([1.0, 2.0]), np.eye(2), 0)
+    assert a != StateEstimate(np.ones(2), 2 * np.eye(2), 0)
+    assert a != StateEstimate(np.ones(3), np.eye(3), 0)
+    assert a != "not an estimate"
+
+
+def test_noise_factor_cache_refactors_only_new_values(monkeypatch):
+    from ukfkit import statespace
+
+    calls = []
+    monkeypatch.setattr(statespace, "noise_factor", lambda m, where="": calls.append(m) or np.linalg.cholesky(m))
+    cache = statespace.NoiseFactorCache()
+    q = 2.0 * np.eye(2)
+    first = cache(q)
+    assert cache(q) is first and cache(q.copy()) is first and len(calls) == 1
+    q[1, 1] = 3.0  # refilled in place
+    assert_allclose(cache(q), np.diag([np.sqrt(2.0), np.sqrt(3.0)]), rtol=0)
+    assert len(calls) == 2
+
+
+def _truth_runs(model, q_of_k):
+    """Truth runs with Q(k) = q_of_k(k) returned fresh, and refilled into one buffer."""
+    from ukfkit.harness import simulate_truth
+
+    model.Q = lambda k: q_of_k(k).copy()
+    fresh = simulate_truth(model, np.ones(3), 20, seed=1)
+    buf = np.empty((3, 3))
+    model.Q = lambda k: np.copyto(buf, q_of_k(k)) or buf
+    return fresh, simulate_truth(model, np.ones(3), 20, seed=1)
+
+
+def test_truth_run_factors_constant_noise_once(monkeypatch):
+    from ukfkit import statespace
+
+    calls = []
+    real = statespace.noise_factor
+    monkeypatch.setattr(statespace, "noise_factor", lambda m, where="": calls.append(where) or real(m, where))
+    model = make_lorenz()
+    q = model.Q(0)
+    fresh, refilled = _truth_runs(model, lambda k: q)
+    assert len(calls) == 4  # Q and R once per run, whether or not Q is a new object each step
+    for a, b in zip(fresh, refilled):
+        assert np.array_equal(a, b)
+
+
+def test_truth_run_refactors_noise_refilled_in_place():
+    model = make_lorenz()
+    fresh, refilled = _truth_runs(model, lambda k: (1.0 + 0.1 * k) * np.eye(3))
+    for a, b in zip(fresh, refilled):
+        assert np.array_equal(a, b)

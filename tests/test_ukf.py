@@ -16,6 +16,7 @@ from ukfkit.ukf import (
     ukf_covariances,
     ukf_step,
     ukf_weights,
+    unscented_prior,
 )
 
 
@@ -121,6 +122,17 @@ def test_deviations_center_and_annihilate():
     m = rng.standard_normal((3, 5))
     w3 = ukf_weights(0.9, 2)
     assert_allclose(deviations(m, w3) @ w3, np.zeros(3), atol=1e-14)
+
+
+def test_unscented_prior_deviations_are_bitwise_those_of_deviations():
+    model = make_lorenz()
+    est = StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, 1.5, None, "ukf")
+    xprop, yprop = propagate_sigma(model, sigma_points(est.mean, est.cov, 1.5), None, est.step)
+    assert_array_equal(prior_mean, xprop @ w)
+    assert_array_equal(predicted_y, yprop @ w)
+    assert_array_equal(xdev, deviations(xprop, w))
+    assert_array_equal(ydev, deviations(yprop, w))
 
 
 def test_deviations_linear_closed_form():
