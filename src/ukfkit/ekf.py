@@ -19,11 +19,11 @@ from .statespace import (
 )
 
 
-def ekf_step(model: SystemModel, est: StateEstimate, u=None, y=None) -> tuple[StateEstimate, KfStep]:
+def ekf_step(model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
     """One EKF predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
-    a = jacobian_dynamics(model, est.mean, u, k)
-    prior_mean = step_dynamics(model, est.mean, u, k)
+    a = jacobian_dynamics(model, est.mean, k)
+    prior_mean = step_dynamics(model, est.mean, k)
     prior_cov = symmetrize(a @ est.cov @ a.T + model.Q(k))
     c = jacobian_measurement(model, prior_mean, k + 1)
     p_z = symmetrize(c @ prior_cov @ c.T + model.R(k + 1))

@@ -90,9 +90,7 @@ def enkf_init(est: StateEstimate, n: int, seed: int) -> Ensemble:
     return Ensemble(members=members, seed=seed, step=est.step)
 
 
-def enkf_step(
-    model: SystemModel, ens: Ensemble, u=None, y=None
-) -> tuple[Ensemble, StateEstimate, KfStep]:
+def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     """Propagate, then assimilate the step-(k+1) measurement with perturbed observations.
 
     The new members are formed in the array f returns, or in a C-ordered
@@ -117,7 +115,7 @@ def enkf_step(
         philox_stream(ens.seed, k + 1, KIND_PROCESS).standard_normal((l_x, n)),
         out=scratch.state,
     )
-    xf = step_dynamics_batch(model, ens.members, u, k)
+    xf = step_dynamics_batch(model, ens.members, k)
     if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
         xf = np.array(xf, order="C")
     xf += w
@@ -153,8 +151,6 @@ def enkf_step(
     mean = xa.mean(axis=1)
     adev = np.subtract(xa, mean[:, None], out=scratch.state)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
-    est = StateEstimate(mean, cov, k + 1)
-    record = KfStep(xbar, prior_cov, gain, p_z, p_ez, mean, cov)
     nxt = Ensemble(members=xa, seed=ens.seed, step=k + 1)
     nxt._scratch.append(scratch)
-    return nxt, est, record
+    return nxt, KfStep(xbar, prior_cov, gain, p_z, p_ez, mean, cov)

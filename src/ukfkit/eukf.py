@@ -41,14 +41,14 @@ class SingularDynamicsJacobian(Exception):
     """The dynamics Jacobian is too ill-conditioned to invert."""
 
 
-def eukfa_sigma_scale(model: SystemModel, est: StateEstimate, u=None) -> Array:
+def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
     """Inflated sigma scale P + A^{-1} Q A^{-T} at the current estimate.
 
     A^{-1} is applied through two linear solves; a Jacobian with reciprocal
     condition number below 1e-12 raises SingularDynamicsJacobian.
     """
     k = est.step
-    a = jacobian_dynamics(model, est.mean, u, k)
+    a = jacobian_dynamics(model, est.mean, k)
     if not rcond_check(a, 1e-12):
         raise SingularDynamicsJacobian(f"dynamics Jacobian at step {k} is numerically singular")
     q = model.Q(k)
@@ -57,13 +57,11 @@ def eukfa_sigma_scale(model: SystemModel, est: StateEstimate, u=None) -> Array:
     return symmetrize(est.cov + inflation)
 
 
-def eukfa_step(
-    model: SystemModel, est: StateEstimate, u=None, y=None, alpha: float = 1.5
-) -> tuple[StateEstimate, KfStep]:
+def eukfa_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """UKF cycle with noise-inflated sigma points and no additive Q in the prior."""
     k = est.step
-    scale = eukfa_sigma_scale(model, est, u)
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, scale, alpha, u, "eukfa")
+    scale = eukfa_sigma_scale(model, est)
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, scale, alpha, "eukfa")
     wx = xdev * w
     p_prior = symmetrize(wx @ xdev.T)
     p_z = symmetrize((ydev * w) @ ydev.T + model.R(k + 1))
@@ -71,12 +69,10 @@ def eukfa_step(
     return kf_correct("eukfa", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)
 
 
-def eukfc_step(
-    model: SystemModel, est: StateEstimate, u=None, y=None, alpha: float = 1.5
-) -> tuple[StateEstimate, KfStep]:
+def eukfc_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """UKF cycle with the C Q C^T and Q C^T corrections added to the output covariances."""
     k = est.step
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, u, "eukfc")
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, "eukfc")
     c = jacobian_measurement(model, prior_mean, k + 1)
     q = model.Q(k)
     qct = q @ c.T

@@ -84,7 +84,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.alpha <= 0:
+        for key in ("alpha", "ts", "mu", "q", "r"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{key} must be finite, got {value}")
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         names = tuple(dict.fromkeys(f.strip().lower() for f in self.filters if f.strip()))
         unknown = [f for f in names if f not in FILTER_ORDER]
@@ -121,9 +125,7 @@ class FilterStepRecord:
     metrics: dict[str, FilterMetrics]
 
 
-def simulate_truth(
-    model: SystemModel, x0: Array, horizon: int, seed: int, u=None
-) -> tuple[Array, Array]:
+def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tuple[Array, Array]:
     """Sample one noisy trajectory and its measurements for steps 0..horizon."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -144,7 +146,7 @@ def simulate_truth(
             w = q_factor(model.Q(k), where=f"truth step {k}") @ philox_stream(
                 seed, k, KIND_TRUTH_PROCESS
             ).standard_normal(model.l_x)
-            states[k + 1] = step_dynamics(model, x, u, k) + w
+            states[k + 1] = step_dynamics(model, x, k) + w
     return states, meas
 
 
@@ -165,7 +167,6 @@ def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Optional[LinearSyst
             C=c,
             Q=noise_cov(cfg.q if cfg.q is not None else 1.0, a.shape[0]),
             R=noise_cov(cfg.r if cfg.r is not None else 1.0, c.shape[0]),
-            name="custom",
         )
         x0, p0 = np.zeros(lin.l_x), np.eye(lin.l_x)
     elif cfg.model == "vdp":
@@ -195,14 +196,13 @@ def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Optional[LinearSyst
 def _advance(name: str, model: SystemModel, lin, state, y: Array, alpha: float) -> tuple[object, KfStep]:
     """One step of the named filter: its next state and the step's record."""
     if name == "enkf":
-        ens, _, rec = enkf_step(model, state, None, y)
-        return ens, rec
+        return enkf_step(model, state, y)
     if name == "kf":
-        return kf_step(lin, state, None, y)
+        return kf_step(lin, state, y)
     if name == "ekf":
-        return ekf_step(model, state, None, y)
+        return ekf_step(model, state, y)
     # Looked up per call, so a patched module-level step function is used.
-    return {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name](model, state, None, y, alpha)
+    return {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name](model, state, y, alpha)
 
 
 _STEP_ERRORS = (
@@ -295,8 +295,8 @@ def example1_traces(alpha: float = 1.5) -> dict[str, float]:
     model = sys.to_model()
     est0 = StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0)
     y = np.zeros(1)  # covariances and gains do not depend on the measurement
-    _, kf_rec = kf_step(sys, est0, None, y)
-    _, ukf_rec = ukf_step(model, est0, None, y, alpha)
+    _, kf_rec = kf_step(sys, est0, y)
+    _, ukf_rec = ukf_step(model, est0, y, alpha)
     p_at_ukf = evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain)
     return {
         "tr_kf": float(np.trace(kf_rec.posterior_cov)),
@@ -325,7 +325,7 @@ def random_detectable_system(rng: np.random.Generator, l_x: Optional[int] = None
     q = gq @ gq.T / l_x + 0.1 * np.eye(l_x)
     gr = rng.standard_normal((l_y, l_y))
     r = gr @ gr.T / l_y + 0.1 * np.eye(l_y)
-    return LinearSystem(A=a, C=c, Q=q, R=r, name="random")
+    return LinearSystem(A=a, C=c, Q=q, R=r)
 
 
 def random_spd(rng: np.random.Generator, n: int) -> Array:
@@ -425,8 +425,8 @@ def verify_propositions(
         identity_ok, inequality_ok = True, True
         est = est0
         for _ in range(identity_steps):
-            est_next, kf_rec = kf_step(sys, est, None, y)
-            _, ukf_rec = ukf_step(model, est, None, y, 1.5)
+            est_next, kf_rec = kf_step(sys, est, y)
+            _, ukf_rec = ukf_step(model, est, y, 1.5)
             c = sys.C(est.step + 1)
             q = sys.Q(est.step)
             dev = max(
@@ -449,8 +449,8 @@ def verify_propositions(
         # Separate trajectories: the covariance traces must part ways.
         kf_est, ukf_est, gap = est0, est0, 0.0
         for _ in range(identity_steps):
-            kf_est, _ = kf_step(sys, kf_est, None, y)
-            ukf_est, _ = ukf_step(model, ukf_est, None, y, 1.5)
+            kf_est, _ = kf_step(sys, kf_est, y)
+            ukf_est, _ = ukf_step(model, ukf_est, y, 1.5)
             gap = max(gap, abs(float(np.trace(kf_est.cov)) - float(np.trace(ukf_est.cov))))
         # The separation claim only holds when Q is nonzero and visible
         # through C; systems outside those hypotheses are exempt.
@@ -471,14 +471,14 @@ def _check_equivalence(sys, model, est0, y, steps, alphas, report: PropositionRe
     kf_recs = []
     est = est0
     for _ in range(steps):
-        est, rec = kf_step(sys, est, None, y)
+        est, rec = kf_step(sys, est, y)
         kf_recs.append(rec)
     for stepper, variant in ((eukfa_step, "eukfa"), (eukfc_step, "eukfc")):
         worst = 0.0
         for alpha in alphas:
             est = est0
             for rec_ref in kf_recs:
-                est, rec = stepper(model, est, None, y, alpha)
+                est, rec = stepper(model, est, y, alpha)
                 dev = max(_rel_frob(rec.gain, rec_ref.gain), _rel_frob(rec.posterior_cov, rec_ref.posterior_cov))
                 worst = max(worst, dev)
         worst_attr, counter = f"worst_{variant}_rel", f"{variant}_failures"

@@ -1,6 +1,6 @@
 """Classical Kalman filter for linear systems, in covariance form.
 
-Prediction:   x+ = A x + B u,            P+ = A P A^T + Q
+Prediction:   x+ = A x,                  P+ = A P A^T + Q
 Innovation:   P_z = C P+ C^T + R,        P_ez = P+ C^T
 Gain:         K = P_ez P_z^{-1}
 Update:       x = x+ + K (y - C x+),     P = P+ - K P_ez^T
@@ -39,15 +39,13 @@ class KfStep:
     posterior_cov: Array
 
 
-def kf_predict(sys: LinearSystem, est: StateEstimate, u=None) -> tuple[Array, Array]:
-    """Propagate mean and covariance one step: (A x + B u, A P A^T + Q)."""
+def kf_predict(sys: LinearSystem, est: StateEstimate) -> tuple[Array, Array]:
+    """Propagate mean and covariance one step: (A x, A P A^T + Q)."""
     k = est.step
     a = sys.A(k)
     if est.mean.size != sys.l_x:
         raise ValueError(f"estimate dimension {est.mean.size}, system expects {sys.l_x}")
     mean = a @ est.mean
-    if sys.B is not None and u is not None:
-        mean = mean + sys.B(k) @ np.asarray(u, dtype=float)
     cov = symmetrize(a @ est.cov @ a.T + sys.Q(k))
     return mean, cov
 
@@ -120,9 +118,9 @@ def kf_correct(
     return est, KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
 
 
-def kf_step(sys: LinearSystem, est: StateEstimate, u=None, y=None) -> tuple[StateEstimate, KfStep]:
+def kf_step(sys: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
     """One full predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
-    prior_mean, prior_cov = kf_predict(sys, est, u)
+    prior_mean, prior_cov = kf_predict(sys, est)
     p_z, p_ez = kf_innovation(sys, prior_cov, k + 1)
     return kf_correct("kf", k + 1, prior_mean, prior_cov, p_z, p_ez, y, sys.C(k + 1) @ prior_mean)

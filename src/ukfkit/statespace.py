@@ -2,17 +2,15 @@
 
 A :class:`SystemModel` is the nonlinear form
 
-    x_{k+1} = f(x_k, u_k) + w_k,      w_k ~ N(0, Q_k),
-    y_k     = g(x_k)      + v_k,      v_k ~ N(0, R_k),
+    x_{k+1} = f(x_k, k) + w_k,      w_k ~ N(0, Q_k),
+    y_k     = g(x_k, k) + v_k,      v_k ~ N(0, R_k),
 
-with optional analytic Jacobians of f and g (finite differences are the
-fallback).  :class:`LinearSystem` is the special case f = A x + B u,
-g = C x with exact Jacobians A and C.
+with optional analytic Jacobians jac_f(x, k) and jac_g(x, k); central
+differences stand in for a missing one.  :class:`LinearSystem` is the
+special case f = A x, g = C x with exact Jacobians A and C.
 
-Model callables accept a single state of shape (l_x,) and, for the
-built-ins, also a column-stacked batch of shape (l_x, m); set
-``vectorized=False`` for models that only handle single states and the
-batch helpers fall back to a per-column loop.
+Model callables take a single state of shape (l_x,) and a column-stacked
+batch of shape (l_x, m); the batch helpers pass the whole batch in one call.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ MatrixLike = Union[Array, Callable[[int], Array]]
 
 def _as_schedule(value, name: str):
     """Normalize a constant matrix or a function of the step index k."""
-    if value is None:
-        return None
     if callable(value):
         return value
     mat = np.asarray(value, dtype=float)
@@ -93,16 +89,12 @@ class SystemModel:
 
     l_x: int
     l_y: int
-    f: Callable[[Array, Optional[Array], int], Array]
+    f: Callable[[Array, int], Array]
     g: Callable[[Array, int], Array]
     Q: MatrixLike
     R: MatrixLike
-    l_u: int = 0
-    jac_f: Optional[Callable[[Array, Optional[Array], int], Array]] = None
+    jac_f: Optional[Callable[[Array, int], Array]] = None
     jac_g: Optional[Callable[[Array, int], Array]] = None
-    fd_fallback: bool = True
-    vectorized: bool = True
-    name: str = ""
 
     def __post_init__(self):
         self.Q = _as_schedule(self.Q, "Q")
@@ -111,9 +103,9 @@ class SystemModel:
 
 @dataclass
 class LinearSystem:
-    """Linear model x_{k+1} = A x + B u + w, y = C x + v.
+    """Linear model x_{k+1} = A x + w, y = C x + v.
 
-    A, B, C, Q, R accept constant matrices or functions of k, normalized to
+    A, C, Q, R accept constant matrices or functions of k, normalized to
     callables on construction.  `to_model` produces the equivalent
     SystemModel with exact Jacobians.
     """
@@ -122,18 +114,14 @@ class LinearSystem:
     C: MatrixLike
     Q: MatrixLike
     R: MatrixLike
-    B: Optional[MatrixLike] = None
-    name: str = ""
     l_x: int = field(init=False)
     l_y: int = field(init=False)
-    l_u: int = field(init=False)
 
     def __post_init__(self):
         self.A = _as_schedule(self.A, "A")
         self.C = _as_schedule(self.C, "C")
         self.Q = _as_schedule(self.Q, "Q")
         self.R = _as_schedule(self.R, "R")
-        self.B = _as_schedule(self.B, "B")
         a0, c0 = self.A(0), self.C(0)
         if a0.shape[0] != a0.shape[1]:
             raise ValueError(f"A must be square, got shape {a0.shape}")
@@ -141,30 +129,17 @@ class LinearSystem:
             raise ValueError(f"C shape {c0.shape} does not match state dimension {a0.shape[0]}")
         self.l_x = a0.shape[0]
         self.l_y = c0.shape[0]
-        self.l_u = self.B(0).shape[1] if self.B is not None else 0
 
     def to_model(self) -> SystemModel:
-        def f(x, u, k):
-            out = self.A(k) @ x
-            if self.B is not None and u is not None:
-                bu = self.B(k) @ u
-                out = out + (bu if out.ndim == 1 else bu[:, None])
-            return out
-
-        def g(x, k):
-            return self.C(k) @ x
-
         return SystemModel(
             l_x=self.l_x,
             l_y=self.l_y,
-            l_u=self.l_u,
-            f=f,
-            g=g,
+            f=lambda x, k: self.A(k) @ x,
+            g=lambda x, k: self.C(k) @ x,
             Q=self.Q,
             R=self.R,
-            jac_f=lambda x, u, k: self.A(k),
+            jac_f=lambda x, k: self.A(k),
             jac_g=lambda x, k: self.C(k),
-            name=self.name,
         )
 
 
@@ -222,22 +197,10 @@ def _check_state(model: SystemModel, x: Array) -> Array:
     return x
 
 
-def _check_input(model: SystemModel, u) -> Optional[Array]:
-    if model.l_u == 0:
-        return None if u is None else np.asarray(u, dtype=float)
-    if u is None:
-        return np.zeros(model.l_u)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.l_u,):
-        raise ValueError(f"input shape {u.shape}, expected ({model.l_u},)")
-    return u
-
-
-def step_dynamics(model: SystemModel, x: Array, u=None, k: int = 0) -> Array:
-    """Noise-free dynamics f_k(x, u)."""
+def step_dynamics(model: SystemModel, x: Array, k: int = 0) -> Array:
+    """Noise-free dynamics f_k(x)."""
     x = _check_state(model, x)
-    u = _check_input(model, u)
-    out = np.asarray(model.f(x, u, k), dtype=float)
+    out = np.asarray(model.f(x, k), dtype=float)
     if out.shape != (model.l_x,):
         raise ValueError(f"f returned shape {out.shape}, expected ({model.l_x},)")
     return out
@@ -252,29 +215,22 @@ def measure(model: SystemModel, x: Array, k: int = 0) -> Array:
     return out
 
 
-def step_dynamics_batch(model: SystemModel, xs: Array, u=None, k: int = 0) -> Array:
-    """f applied to column-stacked states, vectorized when the model allows."""
+def step_dynamics_batch(model: SystemModel, xs: Array, k: int = 0) -> Array:
+    """f applied to column-stacked states in one call."""
     xs = np.asarray(xs, dtype=float)
-    u = _check_input(model, u)
-    if model.vectorized:
-        out = np.asarray(model.f(xs, u, k), dtype=float)
-        if out.shape != xs.shape:
-            raise ValueError(f"vectorized f returned shape {out.shape}, expected {xs.shape}")
-        return out
-    return np.column_stack([step_dynamics(model, xs[:, i], u, k) for i in range(xs.shape[1])])
+    out = np.asarray(model.f(xs, k), dtype=float)
+    if out.shape != xs.shape:
+        raise ValueError(f"batched f returned shape {out.shape}, expected {xs.shape}")
+    return out
 
 
 def measure_batch(model: SystemModel, xs: Array, k: int = 0) -> Array:
-    """g applied to column-stacked states, vectorized when the model allows."""
+    """g applied to column-stacked states in one call."""
     xs = np.asarray(xs, dtype=float)
-    if model.vectorized:
-        out = np.asarray(model.g(xs, k), dtype=float)
-        if out.shape != (model.l_y, xs.shape[1]):
-            raise ValueError(
-                f"vectorized g returned shape {out.shape}, expected {(model.l_y, xs.shape[1])}"
-            )
-        return out
-    return np.column_stack([measure(model, xs[:, i], k) for i in range(xs.shape[1])])
+    out = np.asarray(model.g(xs, k), dtype=float)
+    if out.shape != (model.l_y, xs.shape[1]):
+        raise ValueError(f"batched g returned shape {out.shape}, expected {(model.l_y, xs.shape[1])}")
+    return out
 
 
 def jacobian_fd(fn: Callable[[Array], Array], x: Array, h: Optional[float] = None) -> Array:
@@ -296,16 +252,13 @@ def jacobian_fd(fn: Callable[[Array], Array], x: Array, h: Optional[float] = Non
     return np.column_stack(cols)
 
 
-def jacobian_dynamics(model: SystemModel, x: Array, u=None, k: int = 0) -> Array:
-    """d f / d x at (x, u, k): analytic when attached, central differences otherwise."""
+def jacobian_dynamics(model: SystemModel, x: Array, k: int = 0) -> Array:
+    """d f / d x at (x, k): analytic when attached, central differences otherwise."""
     x = _check_state(model, x)
-    u = _check_input(model, u)
     if model.jac_f is not None:
-        jac = np.asarray(model.jac_f(x, u, k), dtype=float)
-    elif model.fd_fallback:
-        jac = jacobian_fd(lambda z: model.f(z, u, k), x)
+        jac = np.asarray(model.jac_f(x, k), dtype=float)
     else:
-        raise ValueError("model has no dynamics Jacobian and finite differences are disabled")
+        jac = jacobian_fd(lambda z: model.f(z, k), x)
     if jac.shape != (model.l_x, model.l_x):
         raise ValueError(f"dynamics Jacobian shape {jac.shape}, expected ({model.l_x}, {model.l_x})")
     return jac
@@ -316,10 +269,8 @@ def jacobian_measurement(model: SystemModel, x: Array, k: int = 0) -> Array:
     x = _check_state(model, x)
     if model.jac_g is not None:
         jac = np.asarray(model.jac_g(x, k), dtype=float)
-    elif model.fd_fallback:
-        jac = jacobian_fd(lambda z: model.g(z, k), x)
     else:
-        raise ValueError("model has no measurement Jacobian and finite differences are disabled")
+        jac = jacobian_fd(lambda z: model.g(z, k), x)
     if jac.shape != (model.l_y, model.l_x):
         raise ValueError(f"measurement Jacobian shape {jac.shape}, expected ({model.l_y}, {model.l_x})")
     return jac
@@ -335,11 +286,11 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
         raise ValueError(f"step size must be positive, got {ts}")
     c = np.array([[1.0, 0.0]])
 
-    def f(x, u, k):
+    def f(x, k):
         x1, x2 = x
         return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1**2) * x2 - x1)])
 
-    def jac(x, u, k):
+    def jac(x, k):
         x1, x2 = x
         return np.array(
             [
@@ -357,7 +308,6 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
         R=noise_cov(r, 1),
         jac_f=jac,
         jac_g=lambda x, k: c,
-        name="vdp",
     )
 
 
@@ -379,7 +329,7 @@ def make_lorenz(
         raise ValueError(f"step size must be positive, got {ts}")
     c = np.array([[0.0, 1.0, 0.0]])
 
-    def f(x, u, k):
+    def f(x, k):
         x1, x2, x3 = x
         return np.array(
             [
@@ -389,7 +339,7 @@ def make_lorenz(
             ]
         )
 
-    def jac(x, u, k):
+    def jac(x, k):
         x1, x2, x3 = x
         return np.eye(3) + ts * np.array(
             [
@@ -408,7 +358,6 @@ def make_lorenz(
         R=noise_cov(r, 1),
         jac_f=jac,
         jac_g=lambda x, k: c,
-        name="lorenz",
     )
 
 
@@ -419,7 +368,6 @@ def make_linear_ex1(q=1.0, r=1.0) -> LinearSystem:
         C=np.array([[-0.4, -0.9]]),
         Q=noise_cov(q, 2),
         R=noise_cov(r, 1),
-        name="linear-ex1",
     )
 
 
@@ -430,5 +378,4 @@ def make_linear_ex2(q=0.1, r=0.1) -> LinearSystem:
         C=np.array([[1.0, -0.3]]),
         Q=noise_cov(q, 2),
         R=noise_cov(r, 1),
-        name="linear-ex2",
     )

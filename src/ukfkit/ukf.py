@@ -30,8 +30,8 @@ Array = np.ndarray
 
 def ukf_weights(alpha: float, l_x: int) -> Array:
     """Weight vector [w0, w1 .. w_{2 l_x}] for a given alpha and state dimension."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if l_x < 1:
         raise ValueError(f"state dimension must be at least 1, got {l_x}")
     w = np.full(2 * l_x + 1, 1.0 / (2.0 * alpha**2 * l_x))
@@ -52,9 +52,9 @@ def _spread(center: Array, factor: Array, alpha: float) -> Array:
     return np.concatenate((c, c + p_sigma, c - p_sigma), axis=1)
 
 
-def propagate_sigma(model: SystemModel, points: Array, u=None, k: int = 0) -> tuple[Array, Array]:
+def propagate_sigma(model: SystemModel, points: Array, k: int = 0) -> tuple[Array, Array]:
     """Push sigma points through f, then their images through g."""
-    xprop = step_dynamics_batch(model, points, u, k)
+    xprop = step_dynamics_batch(model, points, k)
     if not np.all(np.isfinite(xprop)):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
     yprop = measure_batch(model, xprop, k + 1)
@@ -82,7 +82,7 @@ def ukf_covariances(
 
 
 def unscented_prior(
-    model: SystemModel, est: StateEstimate, scale: Array, alpha: float, u, name: str
+    model: SystemModel, est: StateEstimate, scale: Array, alpha: float, name: str
 ) -> tuple[Array, Array, Array, Array, Array]:
     """Sigma points of `scale` around est.mean, pushed through f and g.
 
@@ -96,17 +96,15 @@ def unscented_prior(
         points = _spread(est.mean, est.sigma_factor(where), alpha)
     else:
         points = sigma_points(est.mean, scale, alpha, where)
-    xprop, yprop = propagate_sigma(model, points, u, k)
+    xprop, yprop = propagate_sigma(model, points, k)
     prior_mean, predicted_y = xprop @ w, yprop @ w
     # The same subtraction as deviations(), without computing the means again.
     return prior_mean, predicted_y, xprop - prior_mean[:, None], yprop - predicted_y[:, None], w
 
 
-def ukf_step(
-    model: SystemModel, est: StateEstimate, u=None, y=None, alpha: float = 1.5
-) -> tuple[StateEstimate, KfStep]:
+def ukf_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """One UKF predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, u, "ukf")
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, "ukf")
     p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, w, model.Q(k), model.R(k + 1))
     return kf_correct("ukf", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)

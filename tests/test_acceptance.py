@@ -184,8 +184,8 @@ def test_numerics_suite():
     for model, x0 in ((make_vdp(), [1.0, 1.0]), (make_lorenz(), [1.0, 1.0, 1.0])):
         x = np.asarray(x0)
         for k in range(200):
-            x = model.f(x, None, k)
-            fd = jacobian_fd(lambda z: model.f(z, None, 0), x)
+            x = model.f(x, k)
+            fd = jacobian_fd(lambda z: model.f(z, 0), x)
             worst_jac = max(worst_jac, float(np.max(np.abs(fd - jacobian_dynamics(model, x)))))
 
     ok = worst_chol < 1e-10 and worst_recon < 1e-10 and worst_jac < 1e-5

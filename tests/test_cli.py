@@ -65,6 +65,29 @@ def test_config_file_rejects_input_matrix_key(tmp_path, capsys):
     assert "unknown config key 'b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,config,key",
+    [
+        (["--alpha", "nan"], None, "alpha"),
+        (["--alpha", "inf"], None, "alpha"),
+        (["--ts", "nan"], None, "ts"),
+        (["--q", "nan"], None, "q"),
+        ([], "alpha = nan\n", "alpha"),
+    ],
+    ids=["alpha-nan", "alpha-inf", "ts-nan", "q-nan", "config-alpha-nan"],
+)
+def test_non_finite_numbers_are_rejected_before_any_csv(tmp_path, capsys, flags, config, key):
+    out = tmp_path / "x.csv"
+    argv = ["run", "--model", "lorenz", "--filters", "ukf", "--steps", "5", "--out", str(out), *flags]
+    if config is not None:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(config)
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_custom_model_via_config(tmp_path):
     cfg_file = tmp_path / "custom.cfg"
     cfg_file.write_text(
@@ -141,7 +164,7 @@ def test_diverged_filter_reports_step_and_reason(tmp_path, capsys):
 def test_diverged_filter_exits_nonzero(tmp_path, capsys, monkeypatch):
     import ukfkit.harness as harness
 
-    def always_fail(model, est, u, y, alpha):
+    def always_fail(model, est, y, alpha):
         raise harness.FilterDiverged("synthetic failure")
 
     monkeypatch.setattr(harness, "ukf_step", always_fail)

@@ -65,8 +65,8 @@ def test_fixed_seed_reruns_are_bit_identical():
         ens = enkf_init(est0, 500, seed=11)
         outs = []
         for k in range(1, 6):
-            ens, est, _ = enkf_step(model, ens, None, meas[k])
-            outs.append((ens.members.copy(), est.mean.copy(), est.cov.copy()))
+            ens, rec = enkf_step(model, ens, meas[k])
+            outs.append((ens.members.copy(), rec.posterior_mean.copy(), rec.posterior_cov.copy()))
         return outs
 
     for (m1, x1, p1), (m2, x2, p2) in zip(run(), run()):
@@ -84,11 +84,11 @@ def test_posterior_trace_tracks_kf_on_linear_system():
     ens = enkf_init(kf_est, 50_000, seed=5)
     rel = []
     for k in range(1, 101):
-        kf_est, _ = kf_step(sys, kf_est, None, meas[k])
-        ens, enkf_est, _ = enkf_step(model, ens, None, meas[k])
+        kf_est, _ = kf_step(sys, kf_est, meas[k])
+        ens, rec = enkf_step(model, ens, meas[k])
         if k >= 10:
             tr_kf = np.trace(kf_est.cov)
-            rel.append(abs(np.trace(enkf_est.cov) - tr_kf) / tr_kf)
+            rel.append(abs(np.trace(rec.posterior_cov) - tr_kf) / tr_kf)
     assert float(np.mean(rel)) < 0.05
 
 
@@ -103,7 +103,7 @@ def test_vanishing_gain_limit_keeps_prior_ensemble():
     model = sys.to_model()
     ens = enkf_init(StateEstimate([1.0, 1.0], np.eye(2), 0), 2000, seed=9)
     forecast = sys.A(0) @ ens.members
-    ens2, _, _ = enkf_step(model, ens, None, np.array([0.3]))
+    ens2, _ = enkf_step(model, ens, np.array([0.3]))
     assert np.max(np.abs(ens2.members - forecast)) < 1e-3
 
 
@@ -112,14 +112,14 @@ def test_divergence_raises():
     model = SystemModel(
         l_x=1,
         l_y=1,
-        f=lambda x, u, k: x * 1e200,
+        f=lambda x, k: x * 1e200,
         g=lambda x, k: x,
         Q=np.eye(1),
         R=np.eye(1),
     )
     ens = enkf_init(StateEstimate([1e200], np.eye(1), 0), 10, seed=0)
     with pytest.raises(FilterDiverged):
-        enkf_step(model, ens, None, np.array([0.0]))
+        enkf_step(model, ens, np.array([0.0]))
 
 
 def test_step_advances_bookkeeping():
@@ -127,8 +127,8 @@ def test_step_advances_bookkeeping():
     ens = enkf_init(StateEstimate([1.0, 1.0], np.eye(2), 0), 100, seed=1)
     assert isinstance(ens, Ensemble)
     assert ens.size == 100 and ens.step == 0
-    ens2, est, rec = enkf_step(model, ens, None, np.array([0.5]))
-    assert ens2.step == 1 and est.step == 1
+    ens2, rec = enkf_step(model, ens, np.array([0.5]))
+    assert ens2.step == 1
     assert rec.gain.shape == (2, 1)
     assert rec.innovation_cov.shape == (1, 1)
 
@@ -137,7 +137,7 @@ def _serial_step(model, members, seed, k, y):
     """One EnKF step written out with inline draws, as one plain expression per quantity."""
     n = members.shape[1]
     w = noise_factor(model.Q(k)) @ philox_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
-    xf = step_dynamics_batch(model, members, None, k) + w
+    xf = step_dynamics_batch(model, members, k) + w
     yf = measure_batch(model, xf, k + 1)
     xbar = xf.mean(axis=1)
     xdev = xf - xbar[:, None]
@@ -159,8 +159,8 @@ def _linear_4x2():
     return random_detectable_system(np.random.default_rng(12), l_x=4, l_y=2).to_model()
 
 
-def _outputs(ens, est, rec):
-    return [ens.members, est.mean, est.cov, rec.prior_mean, rec.prior_cov, rec.gain,
+def _outputs(ens, rec):
+    return [ens.members, rec.prior_mean, rec.prior_cov, rec.gain,
             rec.innovation_cov, rec.cross_cov, rec.posterior_mean, rec.posterior_cov]
 
 
@@ -172,22 +172,21 @@ def test_steps_equal_a_serial_reference(make_model):
     members = ens.members
     for k in range(10):
         members, expected = _serial_step(model, members, ens.seed, k, meas[k + 1])
-        ens, est, rec = enkf_step(model, ens, None, meas[k + 1])
+        ens, rec = enkf_step(model, ens, meas[k + 1])
         assert np.array_equal(ens.members, members)
-        for got, want in zip(_outputs(ens, est, rec)[3:], expected):
+        for got, want in zip(_outputs(ens, rec)[1:], expected):
             assert np.array_equal(got, want)
-        assert np.array_equal(est.mean, expected[5]) and np.array_equal(est.cov, expected[6])
 
 
 def _identity_model():
-    return SystemModel(l_x=2, l_y=1, f=lambda x, u, k: x, g=lambda x, k: x[:1], Q=0.1 * np.eye(2), R=np.eye(1))
+    return SystemModel(l_x=2, l_y=1, f=lambda x, k: x, g=lambda x, k: x[:1], Q=0.1 * np.eye(2), R=np.eye(1))
 
 
 def _stepped(model, n, steps=3):
     """An ensemble that has been stepped, so it holds work arrays from its last step."""
     ens = enkf_init(StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), n, seed=8)
     for k in range(1, steps + 1):
-        ens, _, _ = enkf_step(model, ens, None, np.full(1, 0.1 * k))
+        ens, _ = enkf_step(model, ens, np.full(1, 0.1 * k))
     return ens
 
 
@@ -197,9 +196,9 @@ def test_stepping_one_ensemble_twice_repeats_and_leaves_it_alone(make_model):
     ens = _stepped(model, 300)
     before = ens.members.copy()
     y = np.array([0.7])
-    first = _outputs(*enkf_step(model, ens, None, y))
+    first = _outputs(*enkf_step(model, ens, y))
     first_copy = [a.copy() for a in first]
-    second = _outputs(*enkf_step(model, ens, None, y))
+    second = _outputs(*enkf_step(model, ens, y))
     assert np.array_equal(ens.members, before)
     assert not np.shares_memory(first[0], ens.members)
     for a, a_copy, b in zip(first, first_copy, second):
@@ -211,13 +210,13 @@ def test_two_threads_stepping_one_ensemble_agree():
     model = make_lorenz()
     ens = _stepped(model, 20_000)
     y = np.array([0.7])
-    expected = _outputs(*enkf_step(model, ens, None, y))
+    expected = _outputs(*enkf_step(model, ens, y))
     results = []
     start = threading.Barrier(2)
 
     def worker():
         start.wait()
-        results.append([_outputs(*enkf_step(model, ens, None, y)) for _ in range(5)])
+        results.append([_outputs(*enkf_step(model, ens, y)) for _ in range(5)])
 
     threads = [threading.Thread(target=worker) for _ in range(2)]
     for t in threads:
@@ -237,7 +236,7 @@ def test_noise_refilled_in_place_is_refactored():
         model.Q = (lambda k: np.copyto(buf, (1.0 + k) * np.eye(3)) or buf) if refill else (lambda k: (1.0 + k) * np.eye(3))
         ens = enkf_init(StateEstimate(np.ones(3), np.eye(3), 0), 200, seed=3)
         for k in range(1, 5):
-            ens, _, _ = enkf_step(model, ens, None, np.array([0.5]))
+            ens, _ = enkf_step(model, ens, np.array([0.5]))
         return ens.members
 
     assert np.array_equal(chain(refill=True), chain(refill=False))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ukfkit.eukf import SingularDynamicsJacobian, eukfa_sigma_scale, eukfa_step, eukfc_step
@@ -44,8 +46,8 @@ def test_single_step_equals_kf_on_ex1(stepper):
     model = sys.to_model()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     y = np.array([-0.2])
-    _, kf_rec = kf_step(sys, est, None, y)
-    _, rec = stepper(model, est, None, y, 1.5)
+    _, kf_rec = kf_step(sys, est, y)
+    _, rec = stepper(model, est, y, 1.5)
     assert_allclose(rec.gain, kf_rec.gain, atol=1e-12)
     assert_allclose(rec.posterior_cov, kf_rec.posterior_cov, atol=1e-12)
     # hand value for the posterior trace: 12.66 - (3.145^2 + 0.753^2)/2.9357
@@ -61,12 +63,31 @@ def test_trajectories_track_kf_on_random_systems(stepper):
         y = np.zeros(sys.l_y)
         kf_est = var_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
         for _ in range(20):
-            kf_est, kf_rec = kf_step(sys, kf_est, None, y)
-            var_est, rec = stepper(model, var_est, None, y, 1.5)
+            kf_est, kf_rec = kf_step(sys, kf_est, y)
+            var_est, rec = stepper(model, var_est, y, 1.5)
             rel = np.linalg.norm(rec.posterior_cov - kf_rec.posterior_cov) / np.linalg.norm(kf_rec.posterior_cov)
             assert rel < 1e-9
             rel_gain = np.linalg.norm(rec.gain - kf_rec.gain) / max(np.linalg.norm(kf_rec.gain), 1e-12)
             assert rel_gain < 1e-9
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / max(np.linalg.norm(ref), 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), alpha=st.floats(1.0, 5.0))
+def test_eukfc_gain_and_covariance_equal_kf_property(seed, alpha):
+    rng = np.random.default_rng(seed)
+    sys = random_detectable_system(rng)
+    model = sys.to_model()
+    y = np.zeros(sys.l_y)
+    kf_est = c_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+    for _ in range(10):
+        kf_est, kf_rec = kf_step(sys, kf_est, y)
+        c_est, rec = eukfc_step(model, c_est, y, alpha)
+        assert _rel(rec.gain, kf_rec.gain) <= 1e-9
+        assert _rel(rec.posterior_cov, kf_rec.posterior_cov) <= 1e-9
 
 
 @pytest.mark.parametrize("stepper", [eukfa_step, eukfc_step])
@@ -77,8 +98,8 @@ def test_zero_q_reduces_to_plain_ukf(stepper):
     model = sys.to_model()
     est = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(1)
-    ukf_est, ukf_rec = ukf_step(model, est, None, y, 1.5)
-    var_est, rec = stepper(model, est, None, y, 1.5)
+    ukf_est, ukf_rec = ukf_step(model, est, y, 1.5)
+    var_est, rec = stepper(model, est, y, 1.5)
     assert_allclose(var_est.mean, ukf_est.mean, atol=1e-12)
     assert_allclose(var_est.cov, ukf_est.cov, atol=1e-12)
     assert_allclose(rec.gain, ukf_rec.gain, atol=1e-12)
@@ -91,8 +112,8 @@ def test_both_variants_agree_on_linear_trajectories():
     y = np.zeros(1)
     est_a = est_c = StateEstimate(np.zeros(2), random_spd(rng, 2), 0)
     for _ in range(30):
-        est_a, _ = eukfa_step(model, est_a, None, y, 1.5)
-        est_c, _ = eukfc_step(model, est_c, None, y, 1.5)
+        est_a, _ = eukfa_step(model, est_a, y, 1.5)
+        est_c, _ = eukfc_step(model, est_c, y, 1.5)
         assert np.linalg.norm(est_a.cov - est_c.cov) / np.linalg.norm(est_c.cov) < 1e-9
 
 
@@ -108,18 +129,18 @@ def test_covariance_estimates_match_closed_forms():
     a, c, q, r = sys.A(0), sys.C(1), sys.Q(0), sys.R(1)
     apat = a @ p @ a.T
 
-    _, ukf_rec = ukf_step(model, est, None, y, 1.5)
+    _, ukf_rec = ukf_step(model, est, y, 1.5)
     assert_allclose(ukf_rec.prior_cov, apat + q, atol=1e-10)
     assert_allclose(ukf_rec.innovation_cov, c @ apat @ c.T + r, atol=1e-10)
     assert_allclose(ukf_rec.cross_cov, apat @ c.T, atol=1e-10)
 
-    _, a_rec = eukfa_step(model, est, None, y, 1.5)
+    _, a_rec = eukfa_step(model, est, y, 1.5)
     prior = apat + q
     assert_allclose(a_rec.prior_cov, prior, atol=1e-10)
     assert_allclose(a_rec.innovation_cov, c @ prior @ c.T + r, atol=1e-10)
     assert_allclose(a_rec.cross_cov, prior @ c.T, atol=1e-10)
 
-    _, c_rec = eukfc_step(model, est, None, y, 1.5)
+    _, c_rec = eukfc_step(model, est, y, 1.5)
     assert_allclose(c_rec.prior_cov, prior, atol=1e-10)
     assert_allclose(c_rec.innovation_cov, c @ apat @ c.T + c @ q @ c.T + r, atol=1e-10)
     assert_allclose(c_rec.cross_cov, apat @ c.T + q @ c.T, atol=1e-10)
@@ -128,7 +149,7 @@ def test_covariance_estimates_match_closed_forms():
 def test_eukfa_runs_on_lorenz():
     model = make_lorenz()
     est = StateEstimate([1.0, 1.0, 1.0], np.eye(3), 0)
-    est2, rec = eukfa_step(model, est, None, np.array([1.3]), 1.5)
+    est2, rec = eukfa_step(model, est, np.array([1.3]), 1.5)
     assert est2.step == 1
     assert np.all(np.isfinite(est2.cov))
     assert np.all(np.linalg.eigvalsh(est2.cov) > 0)

@@ -119,11 +119,11 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
     calls = {"n": 0}
     original = harness.ukf_step
 
-    def flaky(model, est, u, y, alpha):
+    def flaky(model, est, y, alpha):
         calls["n"] += 1
         if calls["n"] >= 5:
             raise FilterDiverged("synthetic failure")
-        return original(model, est, u, y, alpha)
+        return original(model, est, y, alpha)
 
     monkeypatch.setattr(harness, "ukf_step", flaky)
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=5, filters=("kf", "ukf"))

@@ -99,14 +99,14 @@ def test_update_matching_prediction_keeps_mean(ex1):
 
 def test_ex1_posterior_trace_matches_hand_oracle(ex1):
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
-    _, rec = kf_step(ex1, est, None, np.array([0.3]))
+    _, rec = kf_step(ex1, est, np.array([0.3]))
     assert np.trace(rec.posterior_cov) == pytest.approx(TR_POST_HAND, rel=1e-12)
 
 
 def test_posterior_cov_independent_of_measurement(ex1):
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
-    _, rec_a = kf_step(ex1, est, None, np.array([12.0]))
-    _, rec_b = kf_step(ex1, est, None, np.array([-40.0]))
+    _, rec_a = kf_step(ex1, est, np.array([12.0]))
+    _, rec_b = kf_step(ex1, est, np.array([-40.0]))
     assert_allclose(rec_a.posterior_cov, rec_b.posterior_cov, rtol=0)
 
 
@@ -115,7 +115,7 @@ def test_evaluate_gain_cov_collapses_for_kalman_gain():
     for _ in range(20):
         sys = random_detectable_system(rng)
         est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
-        _, rec = kf_step(sys, est, None, np.zeros(sys.l_y))
+        _, rec = kf_step(sys, est, np.zeros(sys.l_y))
         p_at_k = evaluate_gain_cov(rec.prior_cov, rec.innovation_cov, rec.cross_cov, rec.gain)
         assert_allclose(p_at_k, rec.posterior_cov, atol=1e-12)
 
@@ -131,7 +131,7 @@ def test_kalman_gain_minimizes_trace():
     for _ in range(100):
         sys = random_detectable_system(rng)
         est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
-        _, rec = kf_step(sys, est, None, np.zeros(sys.l_y))
+        _, rec = kf_step(sys, est, np.zeros(sys.l_y))
         best = np.trace(evaluate_gain_cov(rec.prior_cov, rec.innovation_cov, rec.cross_cov, rec.gain))
         for _ in range(20):
             k = rng.standard_normal(rec.gain.shape)
@@ -145,7 +145,7 @@ def test_joseph_form_consistency():
     for _ in range(50):
         sys = random_detectable_system(rng)
         est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
-        _, rec = kf_step(sys, est, None, np.zeros(sys.l_y))
+        _, rec = kf_step(sys, est, np.zeros(sys.l_y))
         c, r = sys.C(1), sys.R(1)
         ikc = np.eye(sys.l_x) - rec.gain @ c
         joseph = ikc @ rec.prior_cov @ ikc.T + rec.gain @ r @ rec.gain.T
@@ -157,12 +157,12 @@ LY2_SYSTEM = LinearSystem(
     A=np.array([[0.9, 0.2], [0.0, 0.7]]), C=np.eye(2), Q=0.1 * np.eye(2), R=0.2 * np.eye(2)
 )
 FILTER_STEPS = {
-    "kf": lambda est, y: kf_step(LY2_SYSTEM, est, None, y),
-    "ekf": lambda est, y: ekf_step(LY2_SYSTEM.to_model(), est, None, y),
-    "ukf": lambda est, y: ukf_step(LY2_SYSTEM.to_model(), est, None, y),
-    "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM.to_model(), est, None, y),
-    "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM.to_model(), est, None, y),
-    "enkf": lambda est, y: enkf_step(LY2_SYSTEM.to_model(), enkf_init(est, 10, 0), None, y),
+    "kf": lambda est, y: kf_step(LY2_SYSTEM, est, y),
+    "ekf": lambda est, y: ekf_step(LY2_SYSTEM.to_model(), est, y),
+    "ukf": lambda est, y: ukf_step(LY2_SYSTEM.to_model(), est, y),
+    "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM.to_model(), est, y),
+    "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM.to_model(), est, y),
+    "enkf": lambda est, y: enkf_step(LY2_SYSTEM.to_model(), enkf_init(est, 10, 0), y),
 }
 
 

@@ -101,7 +101,7 @@ def test_jacobian_fd_identity_and_affine():
 def test_jacobian_fd_matches_analytic_lorenz():
     model = make_lorenz()
     x = np.array([1.0, 1.0, 1.0])
-    fd = jacobian_fd(lambda z: model.f(z, None, 0), x)
+    fd = jacobian_fd(lambda z: model.f(z, 0), x)
     assert np.max(np.abs(fd - jacobian_dynamics(model, x))) < 1e-6
 
 
@@ -117,14 +117,7 @@ def test_jacobian_fd_rejects_bad_step():
 
 def test_jacobian_requires_analytic_or_fd():
     base = make_vdp()
-    model = SystemModel(
-        l_x=2, l_y=1, f=base.f, g=base.g, Q=base.Q, R=base.R, fd_fallback=False
-    )
-    with pytest.raises(ValueError):
-        jacobian_dynamics(model, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        jacobian_measurement(model, [1.0, 1.0])
-    # with the fallback left on, both come from central differences
+    # without analytic Jacobians, both come from central differences
     fall = SystemModel(l_x=2, l_y=1, f=base.f, g=base.g, Q=base.Q, R=base.R)
     assert_allclose(jacobian_dynamics(fall, [1.0, 1.0]), jacobian_dynamics(base, [1.0, 1.0]), atol=1e-8)
     assert_allclose(jacobian_measurement(fall, [1.0, 1.0]), [[1.0, 0.0]], atol=1e-10)
@@ -135,7 +128,7 @@ def _simulated_points(model, x0, n, burn=500, keep=100, seed=0):
     x = np.asarray(x0, dtype=float)
     traj = []
     for k in range(burn + n):
-        x = step_dynamics(model, x, None, k)
+        x = step_dynamics(model, x, k)
         if k >= burn:
             traj.append(x)
     idx = np.random.default_rng(seed).choice(len(traj), size=keep, replace=False)
@@ -146,7 +139,7 @@ def _simulated_points(model, x0, n, burn=500, keep=100, seed=0):
 def test_fd_vs_analytic_on_attractor(maker, x0):
     model = maker()
     for x in _simulated_points(model, x0, 2000):
-        fd = jacobian_fd(lambda z: model.f(z, None, 0), x)
+        fd = jacobian_fd(lambda z: model.f(z, 0), x)
         assert np.max(np.abs(fd - jacobian_dynamics(model, x))) < 1e-5
 
 
@@ -154,23 +147,21 @@ def test_lorenz_trajectory_stays_bounded():
     model = make_lorenz()
     x = np.array([1.0, 1.0, 1.0])
     for k in range(5000):
-        x = step_dynamics(model, x, None, k)
+        x = step_dynamics(model, x, k)
         assert np.max(np.abs(x)) < 100.0
 
 
 def test_linear_system_round_trip():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 2))
     c = rng.standard_normal((2, 3))
-    sys = LinearSystem(A=a, C=c, Q=np.eye(3), R=np.eye(2), B=b)
+    sys = LinearSystem(A=a, C=c, Q=np.eye(3), R=np.eye(2))
     model = sys.to_model()
-    assert (model.l_x, model.l_y, model.l_u) == (3, 2, 2)
+    assert (model.l_x, model.l_y) == (3, 2)
     x = rng.standard_normal(3)
-    u = rng.standard_normal(2)
-    assert_allclose(step_dynamics(model, x, u), a @ x + b @ u, rtol=0)
+    assert_allclose(step_dynamics(model, x), a @ x, rtol=0)
     assert_allclose(measure(model, x), c @ x, rtol=0)
-    assert_allclose(jacobian_dynamics(model, x, u), a, rtol=0)
+    assert_allclose(jacobian_dynamics(model, x), a, rtol=0)
 
 
 def test_batch_evaluation_matches_loop():
@@ -181,15 +172,6 @@ def test_batch_evaluation_matches_loop():
     looped = np.column_stack([step_dynamics(model, xs[:, i]) for i in range(11)])
     assert_allclose(batched, looped, rtol=0)
     assert_allclose(measure_batch(model, xs), np.column_stack([measure(model, xs[:, i]) for i in range(11)]), rtol=0)
-
-
-def test_batch_falls_back_for_non_vectorized_models():
-    base = make_vdp()
-    model = SystemModel(
-        l_x=2, l_y=1, f=base.f, g=base.g, Q=base.Q, R=base.R, vectorized=False
-    )
-    xs = np.random.default_rng(3).standard_normal((2, 7))
-    assert_allclose(step_dynamics_batch(model, xs), step_dynamics_batch(base, xs), rtol=0)
 
 
 def test_dimension_errors():

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ukfkit.eukf import eukfc_step
@@ -43,6 +45,9 @@ def test_weights_reject_bad_arguments():
         ukf_weights(0.0, 2)
     with pytest.raises(ValueError):
         ukf_weights(-1.5, 2)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            ukf_weights(alpha, 2)
     with pytest.raises(ValueError):
         ukf_weights(1.0, 0)
 
@@ -87,18 +92,6 @@ def test_propagate_identity_dynamics():
     assert_allclose(yprop, c @ pts, rtol=0)
 
 
-def test_propagate_linear_with_input():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 1))
-    sys = LinearSystem(A=a, C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1), B=b)
-    model = sys.to_model()
-    pts = sigma_points(rng.standard_normal(2), random_spd(rng, 2), 1.5)
-    u = np.array([0.7])
-    xprop, _ = propagate_sigma(model, pts, u)
-    assert_allclose(xprop, a @ pts + (b @ u)[:, None], rtol=1e-14)
-
-
 def test_propagate_lorenz_center_column():
     model = make_lorenz()
     pts = sigma_points(np.array([1.0, 1.0, 1.0]), np.eye(3), 1.5)
@@ -127,8 +120,8 @@ def test_deviations_center_and_annihilate():
 def test_unscented_prior_deviations_are_bitwise_those_of_deviations():
     model = make_lorenz()
     est = StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, 1.5, None, "ukf")
-    xprop, yprop = propagate_sigma(model, sigma_points(est.mean, est.cov, 1.5), None, est.step)
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, 1.5, "ukf")
+    xprop, yprop = propagate_sigma(model, sigma_points(est.mean, est.cov, 1.5), est.step)
     assert_array_equal(prior_mean, xprop @ w)
     assert_array_equal(predicted_y, yprop @ w)
     assert_array_equal(xdev, deviations(xprop, w))
@@ -165,7 +158,7 @@ def test_ex1_unscented_output_covariances_hand_values():
     sys = make_linear_ex1()
     model = sys.to_model()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
-    _, rec = ukf_step(model, est, None, np.zeros(1), 1.5)
+    _, rec = ukf_step(model, est, np.zeros(1), 1.5)
     a, c = sys.A(0), sys.C(1)
     aat = a @ a.T
     assert_allclose(rec.innovation_cov, c @ aat @ c.T + 1.0, rtol=1e-12)
@@ -182,8 +175,8 @@ def test_missing_term_identities_on_random_systems():
         est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
         y = np.zeros(sys.l_y)
         for _ in range(5):
-            est_next, kf_rec = kf_step(sys, est, None, y)
-            _, ukf_rec = ukf_step(model, est, None, y, 1.5)
+            est_next, kf_rec = kf_step(sys, est, y)
+            _, ukf_rec = ukf_step(model, est, y, 1.5)
             c, q = sys.C(est.step + 1), sys.Q(est.step)
             assert np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov)) < 1e-10
             assert np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov)) < 1e-10
@@ -191,10 +184,27 @@ def test_missing_term_identities_on_random_systems():
             est = est_next
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), alpha=st.floats(1.0, 5.0))
+def test_missing_term_identities_property(seed, alpha):
+    rng = np.random.default_rng(seed)
+    sys = random_detectable_system(rng)
+    model = sys.to_model()
+    est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+    y = np.zeros(sys.l_y)
+    for _ in range(10):
+        est_next, kf_rec = kf_step(sys, est, y)
+        _, ukf_rec = ukf_step(model, est, y, alpha)
+        c, q = sys.C(est.step + 1), sys.Q(est.step)
+        assert np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov)) <= 1e-10
+        assert np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov)) <= 1e-10
+        est = est_next
+
+
 def test_ex1_posterior_trace():
     model = make_linear_ex1().to_model()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
-    _, rec = ukf_step(model, est, None, np.zeros(1), 1.5)
+    _, rec = ukf_step(model, est, np.zeros(1), 1.5)
     assert np.trace(rec.posterior_cov) == pytest.approx(8.816, abs=1e-3)
 
 
@@ -202,9 +212,9 @@ def test_alpha_invariance_on_linear_system():
     model = make_linear_ex1().to_model()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     y = np.array([0.4])
-    ref_est, ref_rec = ukf_step(model, est, None, y, 1.0)
+    ref_est, ref_rec = ukf_step(model, est, y, 1.0)
     for alpha in (1.5, 3.0):
-        alt_est, alt_rec = ukf_step(model, est, None, y, alpha)
+        alt_est, alt_rec = ukf_step(model, est, y, alpha)
         assert_allclose(alt_rec.gain, ref_rec.gain, atol=1e-10)
         assert_allclose(alt_est.cov, ref_est.cov, atol=1e-10)
         assert_allclose(alt_est.mean, ref_est.mean, atol=1e-10)
@@ -218,8 +228,8 @@ def test_zero_process_noise_recovers_kf():
     est = StateEstimate(np.zeros(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(2)
     for _ in range(5):
-        kf_next, kf_rec = kf_step(sys, est, None, y)
-        _, ukf_rec = ukf_step(model, est, None, y, 1.5)
+        kf_next, kf_rec = kf_step(sys, est, y)
+        _, ukf_rec = ukf_step(model, est, y, 1.5)
         assert_allclose(ukf_rec.gain, kf_rec.gain, atol=1e-10)
         assert_allclose(ukf_rec.posterior_cov, kf_rec.posterior_cov, atol=1e-10)
         est = kf_next
@@ -233,8 +243,8 @@ def test_gain_cost_never_beats_kalman_gain():
         est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
         y = np.zeros(sys.l_y)
         for _ in range(5):
-            est_next, kf_rec = kf_step(sys, est, None, y)
-            _, ukf_rec = ukf_step(model, est, None, y, 1.5)
+            est_next, kf_rec = kf_step(sys, est, y)
+            _, ukf_rec = ukf_step(model, est, y, 1.5)
             tr_kf = np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, kf_rec.gain))
             tr_ukf = np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain))
             assert tr_kf <= tr_ukf + 1e-10
@@ -252,8 +262,8 @@ def test_cached_sigma_factor_steps_bitwise_like_a_fresh_estimate(step, system):
     est = StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0)
     for k in range(1, 13):
         fresh = StateEstimate(est.mean, est.cov, est.step)  # no cached factor
-        cached_next, cached_rec = step(model, est, None, meas[k])
-        fresh_next, fresh_rec = step(model, fresh, None, meas[k])
+        cached_next, cached_rec = step(model, est, meas[k])
+        fresh_next, fresh_rec = step(model, fresh, meas[k])
         assert_array_equal(cached_rec.gain, fresh_rec.gain)
         assert_array_equal(cached_next.mean, fresh_next.mean)
         assert_array_equal(cached_next.cov, fresh_next.cov)
@@ -262,7 +272,7 @@ def test_cached_sigma_factor_steps_bitwise_like_a_fresh_estimate(step, system):
 
 
 def test_sigma_factor_cache_is_outside_equality_repr_and_init():
-    est, _ = ukf_step(make_lorenz(), StateEstimate(np.ones(3), np.eye(3), 0), None, np.array([1.0]))
+    est, _ = ukf_step(make_lorenz(), StateEstimate(np.ones(3), np.eye(3), 0), np.array([1.0]))
     assert est._sigma_factor is not None
     bare = copy.copy(est)
     object.__setattr__(bare, "_sigma_factor", None)
