@@ -40,13 +40,42 @@ KIND_PROCESS = 1
 KIND_OBS = 2
 
 
-def philox_stream(seed: int, step: int, kind: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, step, kind) cell."""
-    key = np.array(
+def _cell_key(seed: int, step: int, kind: int) -> Array:
+    return np.array(
         [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(8 * step + kind)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_stream(seed: int, step: int, kind: int) -> np.random.Generator:
+    """Counter-based generator for one (seed, step, kind) cell."""
+    return np.random.Generator(np.random.Philox(key=_cell_key(seed, step, kind)))
+
+
+class PhiloxCells:
+    """One Philox generator, rewound to the start of any (seed, step, kind) cell.
+
+    ``cells(seed, step, kind)`` returns the same generator every call, in the
+    state a fresh ``philox_stream(seed, step, kind)`` starts in, so it draws
+    the same numbers.  Setting the state skips the OS entropy read that
+    constructing a generator costs.  Not for sharing between threads.
+    """
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._zeros = np.zeros(4, dtype=np.uint64)
+
+    def __call__(self, seed: int, step: int, kind: int) -> np.random.Generator:
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._zeros, "key": _cell_key(seed, step, kind)},
+            "buffer": self._zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen
 
 
 class _Scratch:

@@ -102,13 +102,15 @@ def kf_correct(
     """Gain, update and record for filter `name` consuming the step-k measurement y.
 
     A y that is not finite and shaped like `predicted_y` raises ValueError;
-    a non-finite posterior raises FilterDiverged, and one that is not SPD
-    NotPositiveDefinite.  All three name filter and step.  The SPD check
-    factors l_x * P and leaves the factor on the returned estimate, where
-    the next sigma-point step reuses it.
+    a non-finite P_z, P_ez or posterior raises FilterDiverged, and a
+    posterior that is not SPD NotPositiveDefinite.  All three name filter
+    and step.  The SPD check factors l_x * P and leaves the factor on the
+    returned estimate, where the next sigma-point step reuses it.
     """
     where = f"{name} step {k}"
     y = check_measurement(y, predicted_y.shape, where)
+    if not (np.isfinite(p_z).all() and np.isfinite(p_ez).all()):
+        raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
     gain = kf_gain(p_z, p_ez, where)
     mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):

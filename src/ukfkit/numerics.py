@@ -1,11 +1,16 @@
 """Small dense SPD-matrix helpers shared by all filters.
 
 Covariances are kept honest in two ways: every stored covariance passes
-through :func:`symmetrize`, and positive definiteness is checked by
-attempting a Cholesky factorization.  A factorization that fails gets one
-retry with a trace-scaled diagonal jitter; anything worse raises
-:class:`NotPositiveDefinite` instead of being silently repaired, because a
-covariance that far gone usually means the filter has diverged.
+through :func:`symmetrize` where it is formed, and positive definiteness
+is checked by attempting a Cholesky factorization.  A factorization that
+fails gets one retry with a trace-scaled diagonal jitter; anything worse
+raises :class:`NotPositiveDefinite` instead of being silently repaired,
+because a covariance that far gone usually means the filter has diverged.
+
+:func:`spd_sqrt_factor` and :func:`solve_spd` read only the lower triangle
+of M, as LAPACK does, so M must be exactly symmetric; they do not
+symmetrize it again.  Callers that hold a user-supplied matrix symmetrize
+it first.
 
 The factorization stays on ``np.linalg.cholesky`` rather than scipy's
 ``dpotrf``: the numpy and scipy wheels bundle different OpenBLAS builds
@@ -42,13 +47,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
-    """Lower-triangular factor S of an SPD matrix, with S @ S.T == M.
+    """Lower-triangular factor S of a symmetric positive definite M, with S @ S.T == M.
 
-    One retry with eps*I added, eps = 1e-12 * trace(M) / n, covers matrices
+    Only the lower triangle of M is read, so M must be symmetric.  One
+    retry with eps*I added, eps = 1e-12 * trace(M) / n, covers matrices
     that are indefinite only through round-off.  `where` names the caller
     (typically a filter and step index) in the error message.
     """
-    m = symmetrize(m)
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -65,7 +73,10 @@ def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
 
 
 def solve_spd(m: np.ndarray, b: np.ndarray, where: str = "") -> np.ndarray:
-    """Solve M @ X = B for SPD M via its Cholesky factor, never an inverse."""
+    """Solve M @ X = B for symmetric positive definite M via its Cholesky factor, never an inverse.
+
+    Only the lower triangle of M is read, so M must be symmetric.
+    """
     m = np.asarray(m, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(m).all() and np.isfinite(b).all()):

@@ -51,8 +51,11 @@ def noise_cov(value, dim: int) -> Array:
 
 
 def noise_factor(m: Array, where: str = "") -> Array:
-    """Factor S with S @ S.T = M for a noise covariance; all-zero M is allowed."""
-    m = np.asarray(m, dtype=float)
+    """Factor S with S @ S.T = M for a noise covariance; all-zero M is allowed.
+
+    M is symmetrized first, since it comes from the user's model.
+    """
+    m = symmetrize(m)
     if not m.any():
         return np.zeros_like(m)
     return spd_sqrt_factor(m, where)
@@ -63,20 +66,22 @@ class NoiseFactorCache:
 
     A constant Q or R schedule is factored once per run.  The cache keys on
     the matrix values, not on the object, so a schedule may also refill one
-    buffer in place and return it at every step.
+    buffer in place and return it at every step.  Key and factor are stored
+    as one tuple, replaced in a single assignment, so threads sharing a
+    cache never pair one matrix's key with another's factor.
     """
 
     def __init__(self):
-        self._key = None
-        self._factor = None
+        self._entry = (None, None)
 
     def __call__(self, m: Array, where: str = "") -> Array:
         m = np.asarray(m, dtype=float)
         key = (m.shape, m.tobytes())
-        if key != self._key:
-            self._factor = noise_factor(m, where)
-            self._key = key
-        return self._factor
+        cached_key, factor = self._entry
+        if key != cached_key:
+            factor = noise_factor(m, where)
+            self._entry = (key, factor)
+        return factor
 
 
 @dataclass
@@ -85,6 +90,8 @@ class SystemModel:
 
     Q and R may be given as constant matrices or as functions of the step
     index; after construction they are always callables ``Q(k)``, ``R(k)``.
+    ``q_factor`` is a :class:`NoiseFactorCache` for the factor of Q that
+    eukfa reads at every step; it takes no part in ``==`` or ``repr``.
     """
 
     l_x: int
@@ -95,6 +102,7 @@ class SystemModel:
     R: MatrixLike
     jac_f: Optional[Callable[[Array, int], Array]] = None
     jac_g: Optional[Callable[[Array, int], Array]] = None
+    q_factor: NoiseFactorCache = field(default_factory=NoiseFactorCache, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.Q = _as_schedule(self.Q, "Q")

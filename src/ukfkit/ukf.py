@@ -19,6 +19,8 @@ index rather than being repaired.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .kf import KfStep, kf_correct
@@ -29,20 +31,32 @@ Array = np.ndarray
 
 
 def ukf_weights(alpha: float, l_x: int) -> Array:
-    """Weight vector [w0, w1 .. w_{2 l_x}] for a given alpha and state dimension."""
+    """Weight vector [w0, w1 .. w_{2 l_x}] for a given alpha and state dimension.
+
+    The vector is computed once per (alpha, l_x) and is read-only.
+    """
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if l_x < 1:
         raise ValueError(f"state dimension must be at least 1, got {l_x}")
+    return _weights(float(alpha), int(l_x))
+
+
+@functools.lru_cache(maxsize=256)
+def _weights(alpha: float, l_x: int) -> Array:
     w = np.full(2 * l_x + 1, 1.0 / (2.0 * alpha**2 * l_x))
     w[0] = (alpha**2 - 1.0) / alpha**2
+    w.flags.writeable = False
     return w
 
 
 def sigma_points(center: Array, scale: Array, alpha: float, where: str = "") -> Array:
-    """Columns [c, c + p_i, c - p_i] with p_i from alpha * chol(l_x * scale)."""
+    """Columns [c, c + p_i, c - p_i] with p_i from alpha * chol(l_x * scale).
+
+    `scale` is symmetrized first.
+    """
     center = np.asarray(center, dtype=float)
-    return _spread(center, spd_sqrt_factor(center.size * np.asarray(scale, dtype=float), where), alpha)
+    return _spread(center, spd_sqrt_factor(center.size * symmetrize(scale), where), alpha)
 
 
 def _spread(center: Array, factor: Array, alpha: float) -> Array:
@@ -82,21 +96,17 @@ def ukf_covariances(
 
 
 def unscented_prior(
-    model: SystemModel, est: StateEstimate, scale: Array, alpha: float, name: str
+    model: SystemModel, est: StateEstimate, factor: Array, alpha: float
 ) -> tuple[Array, Array, Array, Array, Array]:
-    """Sigma points of `scale` around est.mean, pushed through f and g.
+    """Sigma points around est.mean spread by the columns of alpha * `factor`, pushed through f and g.
 
-    When `scale` is est.cov itself, the estimate's cached factor is used.
+    `factor` is the sigma factor S, with S S^T = l_x times the sigma scale:
+    est.sigma_factor() for the scale est.cov.
     Returns (prior mean, predicted output, state deviations, output deviations, weights).
     """
     k = est.step
-    where = f"{name} step {k}"
     w = ukf_weights(alpha, model.l_x)
-    if scale is est.cov:
-        points = _spread(est.mean, est.sigma_factor(where), alpha)
-    else:
-        points = sigma_points(est.mean, scale, alpha, where)
-    xprop, yprop = propagate_sigma(model, points, k)
+    xprop, yprop = propagate_sigma(model, _spread(est.mean, factor, alpha), k)
     prior_mean, predicted_y = xprop @ w, yprop @ w
     # The same subtraction as deviations(), without computing the means again.
     return prior_mean, predicted_y, xprop - prior_mean[:, None], yprop - predicted_y[:, None], w
@@ -105,6 +115,6 @@ def unscented_prior(
 def ukf_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """One UKF predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, alpha, "ukf")
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.sigma_factor(f"ukf step {k}"), alpha)
     p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, w, model.Q(k), model.R(k + 1))
     return kf_correct("ukf", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)

@@ -73,8 +73,22 @@ def test_config_file_rejects_input_matrix_key(tmp_path, capsys):
         (["--ts", "nan"], None, "ts"),
         (["--q", "nan"], None, "q"),
         ([], "alpha = nan\n", "alpha"),
+        ([], "x0 = 1, nan, 1\n", "x0"),
+        ([], "p0 = nan\n", "p0"),
+        (["--model", "custom"], "a = 1, 0; 0, nan\nc = 1, 0\n", "a"),
+        (["--model", "custom"], "a = 1, 0; 0, 1\nc = inf, 0\n", "c"),
     ],
-    ids=["alpha-nan", "alpha-inf", "ts-nan", "q-nan", "config-alpha-nan"],
+    ids=[
+        "alpha-nan",
+        "alpha-inf",
+        "ts-nan",
+        "q-nan",
+        "config-alpha-nan",
+        "config-x0-nan",
+        "config-p0-nan",
+        "config-a-nan",
+        "config-c-inf",
+    ],
 )
 def test_non_finite_numbers_are_rejected_before_any_csv(tmp_path, capsys, flags, config, key):
     out = tmp_path / "x.csv"

@@ -2,9 +2,9 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_array_equal
 
-from ukfkit.enkf import KIND_OBS, KIND_PROCESS, Ensemble, enkf_init, enkf_step, philox_stream
+from ukfkit.enkf import KIND_OBS, KIND_PROCESS, Ensemble, PhiloxCells, enkf_init, enkf_step, philox_stream
 from ukfkit.harness import random_detectable_system, simulate_truth
 from ukfkit.kf import kf_gain, kf_step
 from ukfkit.numerics import FilterDiverged, symmetrize
@@ -18,6 +18,15 @@ from ukfkit.statespace import (
     noise_factor,
     step_dynamics_batch,
 )
+
+
+def test_rewound_cells_draw_what_fresh_streams_draw():
+    cells = PhiloxCells()
+    for seed, step, kind, shape in [(7, 3, 1, 4), (7, 3, 1, (2, 5)), (0, 0, 3, 1), (-5, 12, 4, 3), (2**64 + 9, 1, 2, 7)]:
+        fresh = philox_stream(seed, step, kind)
+        rewound = cells(seed, step, kind)
+        assert_array_equal(rewound.standard_normal(shape), fresh.standard_normal(shape))
+        assert_array_equal(rewound.standard_normal(3), fresh.standard_normal(3))  # the stream continues alike
 
 
 def test_init_requires_at_least_two_members():

@@ -2,27 +2,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ukfkit.eukf import SingularDynamicsJacobian, eukfa_sigma_scale, eukfa_step, eukfc_step
-from ukfkit.harness import random_detectable_system, random_spd
+from ukfkit.harness import random_detectable_system, random_spd, verify_propositions
 from ukfkit.kf import kf_step
 from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
 from ukfkit.ukf import ukf_step
+
+
+def _scale(model, est):
+    """The inflated scale S S^T / l_x from eukfa's sigma factor S, which must be lower triangular."""
+    s = eukfa_sigma_scale(model, est)
+    assert_array_equal(s, np.tril(s))
+    assert np.all(np.diag(s) > 0)
+    return s @ s.T / model.l_x
 
 
 def test_sigma_scale_identity_dynamics():
     sys = LinearSystem(A=np.eye(2), C=np.array([[1.0, 0.0]]), Q=0.3 * np.eye(2), R=np.eye(1))
     p = random_spd(np.random.default_rng(0), 2)
     est = StateEstimate(np.zeros(2), p, 0)
-    assert_allclose(eukfa_sigma_scale(sys.to_model(), est), p + 0.3 * np.eye(2), rtol=1e-14)
+    assert_allclose(_scale(sys.to_model(), est), p + 0.3 * np.eye(2), rtol=1e-14)
 
 
 def test_sigma_scale_zero_q_is_plain_covariance():
     sys = make_linear_ex1(q=0.0)
     p = random_spd(np.random.default_rng(1), 2)
     est = StateEstimate(np.zeros(2), p, 0)
-    assert_allclose(eukfa_sigma_scale(sys.to_model(), est), p, atol=1e-15)
+    assert_allclose(_scale(sys.to_model(), est), p, atol=1e-15)
 
 
 def test_sigma_scale_ex1_hand_inverse():
@@ -30,7 +38,7 @@ def test_sigma_scale_ex1_hand_inverse():
     model = make_linear_ex1().to_model()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     a_inv = np.array([[1.0 / 2.4, 2.1 / (2.4 * 0.7)], [0.0, -1.0 / 0.7]])
-    assert_allclose(eukfa_sigma_scale(model, est), np.eye(2) + a_inv @ a_inv.T, rtol=1e-12)
+    assert_allclose(_scale(model, est), np.eye(2) + a_inv @ a_inv.T, rtol=1e-12)
 
 
 def test_sigma_scale_rejects_singular_jacobian():
@@ -38,6 +46,10 @@ def test_sigma_scale_rejects_singular_jacobian():
     est = StateEstimate(np.zeros(2), np.eye(2), 4)
     with pytest.raises(SingularDynamicsJacobian, match="step 4"):
         eukfa_sigma_scale(sys.to_model(), est)
+    # Nonsingular in exact arithmetic, but with reciprocal condition number 1e-14 < 1e-12.
+    near = LinearSystem(A=np.diag([1.0, 1e-14]), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(SingularDynamicsJacobian, match="step 4"):
+        eukfa_sigma_scale(near.to_model(), est)
 
 
 @pytest.mark.parametrize("stepper", [eukfa_step, eukfc_step])
@@ -90,6 +102,29 @@ def test_eukfc_gain_and_covariance_equal_kf_property(seed, alpha):
         assert _rel(rec.posterior_cov, kf_rec.posterior_cov) <= 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), alpha=st.floats(1.0, 5.0))
+def test_eukfa_gain_and_covariance_equal_kf_property(seed, alpha):
+    rng = np.random.default_rng(seed)
+    sys = random_detectable_system(rng)
+    model = sys.to_model()
+    y = np.zeros(sys.l_y)
+    kf_est = a_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+    for _ in range(10):
+        kf_est, kf_rec = kf_step(sys, kf_est, y)
+        a_est, rec = eukfa_step(model, a_est, y, alpha)
+        assert _rel(rec.gain, kf_rec.gain) <= 1e-9
+        assert _rel(rec.posterior_cov, kf_rec.posterior_cov) <= 1e-9
+
+
+def test_eukfa_equivalence_holds_on_verify_seed_34013():
+    # One of these random systems has an ill-conditioned A; forming P + A^{-1} Q A^{-T}
+    # before factoring it missed the 1e-9 gate there, at 1.868e-9.
+    report = verify_propositions(seed=34013, trials=10, checks=("equivalence",))
+    assert report.passed, report.summary()
+    assert report.worst_eukfa_rel <= 1e-9
+
+
 @pytest.mark.parametrize("stepper", [eukfa_step, eukfc_step])
 def test_zero_q_reduces_to_plain_ukf(stepper):
     rng = np.random.default_rng(3)
@@ -103,6 +138,20 @@ def test_zero_q_reduces_to_plain_ukf(stepper):
     assert_allclose(var_est.mean, ukf_est.mean, atol=1e-12)
     assert_allclose(var_est.cov, ukf_est.cov, atol=1e-12)
     assert_allclose(rec.gain, ukf_rec.gain, atol=1e-12)
+
+
+def test_zero_q_eukfa_sigma_factor_is_the_cached_factor_bitwise():
+    # With L_Q = 0 the QR has nothing to annihilate: R is chol(l_x P)^T itself.
+    rng = np.random.default_rng(3)
+    base = random_detectable_system(rng, l_x=3, l_y=1)
+    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0)).to_model()
+    est = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
+    y = rng.standard_normal(1)
+    assert_array_equal(eukfa_sigma_scale(model, est), est.sigma_factor())
+    ukf_est, ukf_rec = ukf_step(model, est, y, 1.5)
+    a_est, a_rec = eukfa_step(model, est, y, 1.5)
+    assert a_est == ukf_est
+    assert_array_equal(a_rec.gain, ukf_rec.gain)
 
 
 def test_both_variants_agree_on_linear_trajectories():

@@ -17,7 +17,7 @@ from ukfkit.harness import (
     verify_propositions,
 )
 from ukfkit.numerics import FilterDiverged
-from ukfkit.statespace import LinearSystem, make_linear_ex2, make_lorenz
+from ukfkit.statespace import LinearSystem, SystemModel, make_linear_ex2, make_lorenz
 
 
 def test_truth_noise_free_is_deterministic():
@@ -39,6 +39,21 @@ def test_truth_seeded_reruns_match():
     assert np.array_equal(m1, m2)
     s3, _ = simulate_truth(model, [1.0, 1.0, 1.0], 50, seed=124)
     assert not np.array_equal(s1, s3)
+
+
+def test_truth_draws_are_those_of_fresh_philox_streams():
+    from ukfkit.enkf import philox_stream
+    from ukfkit.statespace import noise_factor
+
+    model = make_lorenz()
+    states, meas = simulate_truth(model, [1.0, 1.0, 1.0], 30, seed=11)
+    x = np.array([1.0, 1.0, 1.0])
+    for k in range(31):
+        assert np.array_equal(states[k], x)
+        v = philox_stream(11, k, harness.KIND_TRUTH_OBS).standard_normal(1)
+        assert np.array_equal(meas[k], model.g(x, k) + noise_factor(model.R(k)) @ v)
+        w = philox_stream(11, k, harness.KIND_TRUTH_PROCESS).standard_normal(3)
+        x = model.f(x, k) + noise_factor(model.Q(k)) @ w
 
 
 def test_truth_lorenz_stays_bounded():
@@ -137,6 +152,30 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
         assert math.isfinite(rec.metrics["kf"].trace)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_innovation_covariance_marks_only_that_filter_diverged(monkeypatch):
+    # g(x) = 1e160 x^3: the UKF's sigma outputs near +-3.4e160 are finite, but their
+    # squares overflow P_z to inf.  The EKF linearizes g at 0, where dg/dx = 0, and runs on.
+    model = SystemModel(
+        l_x=1,
+        l_y=1,
+        f=lambda x, k: x,
+        g=lambda x, k: 1e160 * x**3,
+        Q=np.zeros((1, 1)),
+        R=np.eye(1),
+        jac_f=lambda x, k: np.eye(1),
+        jac_g=lambda x, k: 3e160 * x[None, :] ** 2,
+    )
+    monkeypatch.setattr(harness, "build_model", lambda cfg: (model, None, np.zeros(1), np.eye(1)))
+    records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, filters=("ekf", "ukf")))
+    assert records[0].metrics["ukf"].failure == (
+        "FilterDiverged: ukf produced a non-finite innovation or cross covariance at step 1"
+    )
+    assert all(rec.metrics["ukf"].diverged for rec in records)
+    assert not any(rec.metrics["ekf"].diverged for rec in records)
+    assert all(math.isfinite(rec.metrics["ekf"].trace) for rec in records)
+
+
 def test_divergence_keeps_first_failing_step_and_reason():
     # alpha = 0.2 makes the center weight strongly negative; the UKF covariance
     # on the first benchmark system loses definiteness at step 40.
@@ -147,6 +186,21 @@ def test_divergence_keeps_first_failing_step_and_reason():
     assert not records[38].metrics["ukf"].diverged
     assert all(rec.metrics["ukf"].diverged for rec in records[39:])
     assert not any(rec.metrics["kf"].diverged or rec.metrics["kf"].failure for rec in records)
+
+
+def test_output_and_error_norms_are_bitwise_np_linalg_norm():
+    a = np.array([[0.9, 0.2, 0, 0], [-0.2, 0.9, 0.1, 0], [0, 0, 0.7, 0.3], [0, 0, -0.3, 0.7]])
+    c = np.array([[1, 0, 0.5, 0], [0, 0.4, 0, 1.0]])
+    cfg = ExperimentConfig(model="custom", steps=40, seed=3, a=a, c=c, q=0.1, r=0.1, filters=("kf",))
+    records = run_experiment(cfg)
+    model, lin, x0, p0 = harness.build_model(cfg)
+    states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
+    est = harness.StateEstimate(x0, p0, 0)
+    for k, rec in enumerate(records, 1):
+        est, _ = harness.kf_step(lin, est, meas[k])
+        m = rec.metrics["kf"]
+        assert m.output_error == float(np.linalg.norm(meas[k] - c @ est.mean))
+        assert m.error_norm == float(np.linalg.norm(states[k] - est.mean))
 
 
 def test_export_csv_schema_and_round_trip(tmp_path):

@@ -59,6 +59,23 @@ def test_sqrt_factor_round_trip_random_spd():
         assert_allclose(s, np.tril(s), rtol=0)  # lower triangular
 
 
+def test_factor_and_solve_read_only_the_lower_triangle():
+    rng = np.random.default_rng(7)
+    for n in range(1, 6):
+        m = _random_spd(rng, n)
+        b = rng.standard_normal((n, 2))
+        garbage = m + np.triu(rng.standard_normal((n, n)), 1)
+        assert_array_equal(spd_sqrt_factor(garbage), spd_sqrt_factor(m))
+        assert_array_equal(solve_spd(garbage, b), solve_spd(m, b))
+        # An exactly symmetric M gives the same bits as its symmetrized copy.
+        assert_array_equal(spd_sqrt_factor(m), spd_sqrt_factor(symmetrize(m)))
+
+
+def test_sqrt_factor_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        spd_sqrt_factor(np.eye(3)[:2])
+
+
 def test_sqrt_factor_jitter_rescues_semidefinite():
     # Rank-deficient: the plain factorization fails, one jitter fixes it.
     m = np.array([[1.0, 1.0], [1.0, 1.0]])

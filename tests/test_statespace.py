@@ -231,6 +231,43 @@ def test_noise_factor_cache_refactors_only_new_values(monkeypatch):
     assert len(calls) == 2
 
 
+def test_noise_factor_symmetrizes_a_skewed_matrix():
+    from ukfkit.statespace import noise_factor
+
+    skewed = np.array([[2.0, 0.3], [0.1, 1.0]])
+    assert np.array_equal(noise_factor(skewed), np.linalg.cholesky(np.array([[2.0, 0.2], [0.2, 1.0]])))
+
+
+def test_noise_factor_cache_shared_by_two_threads_pairs_each_key_with_its_factor():
+    import sys
+    import threading
+
+    from ukfkit.statespace import NoiseFactorCache
+
+    cache = NoiseFactorCache()
+    mats = [2.0 * np.eye(3), np.diag([3.0, 5.0, 7.0])]
+    wrong = []
+
+    def work(m):
+        expected = np.sqrt(np.diag(m))
+        for _ in range(3000):
+            if not np.array_equal(np.diag(cache(m)), expected):
+                wrong.append(m[0, 0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(m,)) for m in mats]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def _truth_runs(model, q_of_k):
     """Truth runs with Q(k) = q_of_k(k) returned fresh, and refilled into one buffer."""
     from ukfkit.harness import simulate_truth

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ukfkit.eukf import eukfc_step
 from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
 from ukfkit.kf import evaluate_gain_cov, kf_step
-from ukfkit.numerics import FilterDiverged, spd_sqrt_factor
+from ukfkit.numerics import FilterDiverged, spd_sqrt_factor, symmetrize
 from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
 from ukfkit.ukf import (
     deviations,
@@ -40,6 +40,14 @@ def test_weights_sum_to_one():
         assert np.sum(ukf_weights(alpha, l_x)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_weights_are_computed_once_and_read_only():
+    w = ukf_weights(1.5, 3)
+    assert ukf_weights(1.5, 3) is w and ukf_weights(np.float64(1.5), np.int64(3)) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 def test_weights_reject_bad_arguments():
     with pytest.raises(ValueError):
         ukf_weights(0.0, 2)
@@ -57,6 +65,11 @@ def test_sigma_points_identity_scale():
     s = np.sqrt(2.0)
     expected = np.array([[0, s, 0, -s, 0], [0, 0, s, 0, -s]], dtype=float)
     assert_allclose(pts, expected, rtol=1e-15, atol=1e-15)
+
+
+def test_sigma_points_symmetrize_the_scale():
+    skewed = np.array([[2.0, 0.3], [0.1, 1.0]])
+    assert_array_equal(sigma_points(np.ones(2), skewed, 1.5), sigma_points(np.ones(2), symmetrize(skewed), 1.5))
 
 
 def test_sigma_points_weighted_mean_is_center():
@@ -120,7 +133,7 @@ def test_deviations_center_and_annihilate():
 def test_unscented_prior_deviations_are_bitwise_those_of_deviations():
     model = make_lorenz()
     est = StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.cov, 1.5, "ukf")
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.sigma_factor(), 1.5)
     xprop, yprop = propagate_sigma(model, sigma_points(est.mean, est.cov, 1.5), est.step)
     assert_array_equal(prior_mean, xprop @ w)
     assert_array_equal(predicted_y, yprop @ w)
