@@ -17,7 +17,7 @@ from .harness import (
     simulate_truth,
     verify_propositions,
 )
-from .kf import KfStep, evaluate_gain_cov, kf_gain, kf_innovation, kf_predict, kf_step, kf_update
+from .kf import KfStep, evaluate_gain_cov, kf_gain, kf_step, kf_update
 from .numerics import FilterDiverged, NotPositiveDefinite, rcond_check, solve_spd, spd_sqrt_factor, symmetrize
 from .statespace import (
     LinearSystem,
@@ -64,8 +64,6 @@ __all__ = [
     "jacobian_fd",
     "jacobian_measurement",
     "kf_gain",
-    "kf_innovation",
-    "kf_predict",
     "kf_step",
     "kf_update",
     "make_linear_ex1",

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
+    FILTER_ORDER,
+    MODELS,
     ExperimentConfig,
     TruthDiverged,
     example1_traces,
@@ -104,12 +106,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment and export a CSV")
-    run_p.add_argument("--model", choices=("linear-ex1", "linear-ex2", "vdp", "lorenz", "custom"))
+    run_p.add_argument("--model", choices=MODELS)
     run_p.add_argument("--steps", type=int)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--alpha", type=float)
     run_p.add_argument("--ensemble", type=int)
-    run_p.add_argument("--filters", help="comma list from: kf,ekf,ukf,eukfa,eukfc,enkf")
+    run_p.add_argument("--filters", help=f"comma list from: {','.join(FILTER_ORDER)}")
     run_p.add_argument("--out", required=True)
     run_p.add_argument("--ts", type=float)
     run_p.add_argument("--mu", type=float)

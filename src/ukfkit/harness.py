@@ -35,15 +35,30 @@ from .statespace import (
     make_vdp,
     measure,
     noise_cov,
+    noise_factor,
     step_dynamics,
 )
 from .ukf import ukf_step
 
 Array = np.ndarray
 
-FILTER_ORDER = ("enkf", "ekf", "kf", "ukf", "eukfa", "eukfc")
+
+def _make_custom(a, c, q=1.0, r=1.0) -> LinearSystem:
+    c = np.atleast_2d(c)
+    return LinearSystem(A=a, C=c, Q=noise_cov(q, len(a)), R=noise_cov(r, len(c)))
+
+
+# Each model's factory and the config keys it takes; a key left unset keeps the factory's default.
+_FACTORIES = {
+    "linear-ex1": (make_linear_ex1, ("q", "r")),
+    "linear-ex2": (make_linear_ex2, ("q", "r")),
+    "custom": (_make_custom, ("a", "c", "q", "r")),
+    "vdp": (make_vdp, ("ts", "mu", "q", "r")),
+    "lorenz": (make_lorenz, ("ts", "q", "r")),
+}
+MODELS = tuple(_FACTORIES)
 LINEAR_MODELS = ("linear-ex1", "linear-ex2", "custom")
-MODELS = LINEAR_MODELS + ("vdp", "lorenz")
+FILTER_ORDER = ("enkf", "ekf", "kf", "ukf", "eukfa", "eukfc")
 
 # Truth-simulation draw kinds; disjoint from the ensemble filter's (0..2).
 KIND_TRUTH_PROCESS = 3
@@ -99,8 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"ensemble size must be at least 2, got {self.ensemble}")
         if "kf" in self.filters and self.model not in LINEAR_MODELS:
             raise ValueError(f"the kf filter needs a linear model, not {self.model!r}")
-        if self.model == "custom" and (self.a is None or self.c is None):
-            raise ValueError("the custom model needs matrices a and c")
+        if self.model == "custom" and (np.ndim(self.a) != 2 or self.c is None):
+            raise ValueError(f"the custom model needs a 2-d matrix a and a matrix c, got a={self.a!r}, c={self.c!r}")
 
 
 @dataclass(frozen=True)
@@ -147,59 +162,36 @@ def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tu
     return states, meas
 
 
-def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Optional[LinearSystem], Array, Array]:
-    """Instantiate the configured model plus initial mean and covariance."""
-    lin = None
-    if cfg.model == "linear-ex1":
-        lin = make_linear_ex1(q=cfg.q if cfg.q is not None else 1.0, r=cfg.r if cfg.r is not None else 1.0)
-        x0, p0 = np.array([1.0, 1.0]), np.eye(2)
-    elif cfg.model == "linear-ex2":
-        lin = make_linear_ex2(q=cfg.q if cfg.q is not None else 0.1, r=cfg.r if cfg.r is not None else 0.1)
-        x0, p0 = np.array([1.0, 1.0]), np.eye(2)
-    elif cfg.model == "custom":
-        a = np.asarray(cfg.a, dtype=float)
-        c = np.atleast_2d(np.asarray(cfg.c, dtype=float))
-        lin = LinearSystem(
-            A=a,
-            C=c,
-            Q=noise_cov(cfg.q if cfg.q is not None else 1.0, a.shape[0]),
-            R=noise_cov(cfg.r if cfg.r is not None else 1.0, c.shape[0]),
-        )
-        x0, p0 = np.zeros(lin.l_x), np.eye(lin.l_x)
-    elif cfg.model == "vdp":
-        model = make_vdp(
-            ts=cfg.ts if cfg.ts is not None else 0.01,
-            mu=cfg.mu if cfg.mu is not None else 1.0,
-            q=cfg.q if cfg.q is not None else 0.01,
-            r=cfg.r if cfg.r is not None else 1e-4,
-        )
-        x0, p0 = np.array([1.0, 1.0]), np.eye(2)
+def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Array, Array]:
+    """Instantiate the configured model plus initial mean (ones; zeros for `custom`) and covariance (I).
+
+    An `x0` not of length l_x, or a `p0` that is not a factorable covariance
+    (all-zero is allowed), raises ValueError naming the key.
+    """
+    factory, keys = _FACTORIES[cfg.model]
+    model = factory(**{key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None})
+    if cfg.x0 is None:
+        x0 = np.zeros(model.l_x) if cfg.model == "custom" else np.ones(model.l_x)
     else:
-        model = make_lorenz(
-            ts=cfg.ts if cfg.ts is not None else 0.01,
-            q=cfg.q if cfg.q is not None else 0.01,
-            r=cfg.r if cfg.r is not None else 1e-4,
-        )
-        x0, p0 = np.array([1.0, 1.0, 1.0]), np.eye(3)
-    if lin is not None:
-        model = lin.to_model()
-    if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
-    if cfg.p0 is not None:
-        p0 = noise_cov(cfg.p0, x0.size)
-    return model, lin, x0, p0
+    if x0.shape != (model.l_x,):
+        raise ValueError(f"x0 must have length {model.l_x} for model {cfg.model!r}, got shape {x0.shape}")
+    if cfg.p0 is None:
+        return model, x0, np.eye(model.l_x)
+    try:
+        p0 = noise_cov(cfg.p0, model.l_x)
+        noise_factor(p0)
+    except (ValueError, NotPositiveDefinite) as exc:
+        raise ValueError(f"p0 is not a covariance of dimension {model.l_x}: {exc}") from None
+    return model, x0, p0
 
 
-def _advance(name: str, model: SystemModel, lin, state, y: Array, alpha: float) -> tuple[object, KfStep]:
+def _advance(name: str, model: SystemModel, state, y: Array, alpha: float) -> tuple[object, KfStep]:
     """One step of the named filter: its next state and the step's record."""
-    if name == "enkf":
-        return enkf_step(model, state, y)
-    if name == "kf":
-        return kf_step(lin, state, y)
-    if name == "ekf":
-        return ekf_step(model, state, y)
     # Looked up per call, so a patched module-level step function is used.
-    return {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name](model, state, y, alpha)
+    if name in ("ukf", "eukfa", "eukfc"):
+        return {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name](model, state, y, alpha)
+    return {"enkf": enkf_step, "kf": kf_step, "ekf": ekf_step}[name](model, state, y)
 
 
 _STEP_ERRORS = (
@@ -213,7 +205,7 @@ _STEP_ERRORS = (
 
 def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     """Run every selected filter over one shared truth and measurement sequence."""
-    model, lin, x0, p0 = build_model(cfg)
+    model, x0, p0 = build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est0 = StateEstimate(x0, p0, 0)
     filter_state: dict[str, object] = {}
@@ -231,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
             if diverged[name]:
                 continue
             try:
-                filter_state[name], step_rec[name] = _advance(name, model, lin, filter_state[name], y, cfg.alpha)
+                filter_state[name], step_rec[name] = _advance(name, model, filter_state[name], y, cfg.alpha)
             except _STEP_ERRORS as exc:
                 diverged[name] = True
                 failures[name] = f"{type(exc).__name__}: {exc}"
@@ -290,11 +282,10 @@ def example1_traces(alpha: float = 1.5) -> dict[str, float]:
     and tr_at_ukf_gain, the trace actually achieved by the UKF gain under
     the true innovation statistics.
     """
-    sys = make_linear_ex1()
-    model = sys.to_model()
+    model = make_linear_ex1()
     est0 = StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0)
     y = np.zeros(1)  # covariances and gains do not depend on the measurement
-    _, kf_rec = kf_step(sys, est0, y)
+    _, kf_rec = kf_step(model, est0, y)
     _, ukf_rec = ukf_step(model, est0, y, alpha)
     p_at_ukf = evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain)
     return {
@@ -411,23 +402,22 @@ def verify_propositions(
     # random trials; its one-step inequality margin is 9.730 - 9.098.
     cases = [(make_linear_ex1(), StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0))]
     for _ in range(trials):
-        sys = random_detectable_system(rng)
-        cases.append((sys, StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)))
-    for sys, est0 in cases:
-        model = sys.to_model()
-        y = np.zeros(sys.l_y)  # gains and covariances are measurement-independent
+        model = random_detectable_system(rng)
+        cases.append((model, StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)))
+    for model, est0 in cases:
+        y = np.zeros(model.l_y)  # gains and covariances are measurement-independent
         if "suboptimality" not in checks:
-            _check_equivalence(sys, model, est0, y, equivalence_steps, alphas, report)
+            _check_equivalence(model, est0, y, equivalence_steps, alphas, report)
             continue
 
         # Matched-step checks: feed the same posterior to both filters.
         identity_ok, inequality_ok = True, True
         est = est0
         for _ in range(identity_steps):
-            est_next, kf_rec = kf_step(sys, est, y)
+            est_next, kf_rec = kf_step(model, est, y)
             _, ukf_rec = ukf_step(model, est, y, 1.5)
-            c = sys.C(est.step + 1)
-            q = sys.Q(est.step)
+            c = model.C(est.step + 1)
+            q = model.Q(est.step)
             dev = max(
                 float(np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov))),
                 float(np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov))),
@@ -448,29 +438,29 @@ def verify_propositions(
         # Separate trajectories: the covariance traces must part ways.
         kf_est, ukf_est, gap = est0, est0, 0.0
         for _ in range(identity_steps):
-            kf_est, _ = kf_step(sys, kf_est, y)
+            kf_est, _ = kf_step(model, kf_est, y)
             ukf_est, _ = ukf_step(model, ukf_est, y, 1.5)
             gap = max(gap, abs(float(np.trace(kf_est.cov)) - float(np.trace(ukf_est.cov))))
         # The separation claim only holds when Q is nonzero and visible
         # through C; systems outside those hypotheses are exempt.
-        q0 = sys.Q(0)
-        hypotheses_met = bool(q0.any()) and float(np.linalg.norm(sys.C(1) @ q0)) > 0.0
+        q0 = model.Q(0)
+        hypotheses_met = bool(q0.any()) and float(np.linalg.norm(model.C(1) @ q0)) > 0.0
         if hypotheses_met:
             report.smallest_distinctness_gap = min(report.smallest_distinctness_gap, gap)
             if gap <= 1e-6:
                 report.distinctness_failures += 1
 
         if "equivalence" in checks:
-            _check_equivalence(sys, model, est0, y, equivalence_steps, alphas, report)
+            _check_equivalence(model, est0, y, equivalence_steps, alphas, report)
     return report
 
 
-def _check_equivalence(sys, model, est0, y, steps, alphas, report: PropositionReport) -> None:
+def _check_equivalence(model: LinearSystem, est0, y, steps, alphas, report: PropositionReport) -> None:
     """Corrected variants against the Kalman trajectory, for every alpha."""
     kf_recs = []
     est = est0
     for _ in range(steps):
-        est, rec = kf_step(sys, est, y)
+        est, rec = kf_step(model, est, y)
         kf_recs.append(rec)
     for stepper, variant in ((eukfa_step, "eukfa"), (eukfc_step, "eukfc")):
         worst = 0.0

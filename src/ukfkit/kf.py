@@ -12,6 +12,9 @@ arbitrary gain K under the true innovation statistics is
 
 computed by :func:`evaluate_gain_cov`, whose trace the Kalman gain
 minimizes.
+
+:func:`linearized_step` reads A and C as the model's Jacobians, so it is the
+Kalman filter on a :class:`LinearSystem` and the EKF on any other model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FilterDiverged, solve_spd, symmetrize
-from .statespace import LinearSystem, StateEstimate
+from .statespace import (
+    LinearSystem,
+    StateEstimate,
+    SystemModel,
+    jacobian_dynamics,
+    jacobian_measurement,
+    measure,
+    step_dynamics,
+)
 
 Array = np.ndarray
 
@@ -39,25 +50,6 @@ class KfStep:
     posterior_cov: Array
 
 
-def kf_predict(sys: LinearSystem, est: StateEstimate) -> tuple[Array, Array]:
-    """Propagate mean and covariance one step: (A x, A P A^T + Q)."""
-    k = est.step
-    a = sys.A(k)
-    if est.mean.size != sys.l_x:
-        raise ValueError(f"estimate dimension {est.mean.size}, system expects {sys.l_x}")
-    mean = a @ est.mean
-    cov = symmetrize(a @ est.cov @ a.T + sys.Q(k))
-    return mean, cov
-
-
-def kf_innovation(sys: LinearSystem, prior_cov: Array, k: int) -> tuple[Array, Array]:
-    """Innovation covariance and state-output cross-covariance at measurement step k."""
-    c = sys.C(k)
-    p_z = symmetrize(c @ prior_cov @ c.T + sys.R(k))
-    p_ez = prior_cov @ c.T
-    return p_z, p_ez
-
-
 def kf_gain(p_z: Array, p_ez: Array, where: str = "") -> Array:
     """Gain K solving K P_z = P_ez."""
     return solve_spd(p_z, p_ez.T, where).T
@@ -73,12 +65,12 @@ def kf_update(
 ) -> tuple[Array, Array]:
     """Measurement update: mean += K (y - y_hat), cov = P+ - K P_ez^T.
 
-    The formula only; :func:`kf_correct` checks that the result is finite
-    and SPD.
+    The formula only: the estimate :func:`kf_correct` builds from it
+    symmetrizes cov, and kf_correct checks that the result is finite and SPD.
     """
     y = np.asarray(y, dtype=float)
     mean = prior_mean + gain @ (y - predicted_y)
-    cov = symmetrize(prior_cov - gain @ cross_cov.T)
+    cov = prior_cov - gain @ cross_cov.T
     return mean, cov
 
 
@@ -112,17 +104,30 @@ def kf_correct(
     if not (np.isfinite(p_z).all() and np.isfinite(p_ez).all()):
         raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
     gain = kf_gain(p_z, p_ez, where)
-    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y)
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+    est = StateEstimate(*kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y), k)
+    if not (np.isfinite(est.mean).all() and np.isfinite(est.cov).all()):
         raise FilterDiverged(f"{name} produced a non-finite estimate at step {k}")
-    est = StateEstimate(mean, cov, k)
     est.sigma_factor(where)
-    return est, KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov)
+    return est, KfStep(prior_mean, prior_cov, gain, p_z, p_ez, est.mean, est.cov)
 
 
-def kf_step(sys: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
-    """One full predict/update cycle, consuming the measurement at step k+1."""
+def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
+    """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
+
+    The mean goes through f and g; the covariances use A_k = df/dx at the
+    posterior mean and C_{k+1} = dg/dx at the prior mean.
+    """
     k = est.step
-    prior_mean, prior_cov = kf_predict(sys, est)
-    p_z, p_ez = kf_innovation(sys, prior_cov, k + 1)
-    return kf_correct("kf", k + 1, prior_mean, prior_cov, p_z, p_ez, y, sys.C(k + 1) @ prior_mean)
+    a = jacobian_dynamics(model, est.mean, k)
+    prior_mean = step_dynamics(model, est.mean, k)
+    prior_cov = symmetrize(a @ est.cov @ a.T + model.Q(k))
+    c = jacobian_measurement(model, prior_mean, k + 1)
+    p_z = symmetrize(c @ prior_cov @ c.T + model.R(k + 1))
+    p_ez = prior_cov @ c.T
+    predicted_y = measure(model, prior_mean, k + 1)
+    return kf_correct(name, k + 1, prior_mean, prior_cov, p_z, p_ez, y, predicted_y)
+
+
+def kf_step(model: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
+    """One Kalman predict/update cycle, consuming the measurement at step k+1."""
+    return linearized_step("kf", model, est, y)

@@ -109,45 +109,30 @@ class SystemModel:
         self.R = _as_schedule(self.R, "R")
 
 
-@dataclass
-class LinearSystem:
-    """Linear model x_{k+1} = A x + w, y = C x + v.
+class LinearSystem(SystemModel):
+    """Linear model x_{k+1} = A x + w, y = C x + v: a SystemModel with exact Jacobians A and C.
 
-    A, C, Q, R accept constant matrices or functions of k, normalized to
-    callables on construction.  `to_model` produces the equivalent
-    SystemModel with exact Jacobians.
+    A, C, Q, R accept constant matrices or functions of k; A and C stay
+    readable as the schedules ``A(k)`` and ``C(k)``.
     """
 
-    A: MatrixLike
-    C: MatrixLike
-    Q: MatrixLike
-    R: MatrixLike
-    l_x: int = field(init=False)
-    l_y: int = field(init=False)
-
-    def __post_init__(self):
-        self.A = _as_schedule(self.A, "A")
-        self.C = _as_schedule(self.C, "C")
-        self.Q = _as_schedule(self.Q, "Q")
-        self.R = _as_schedule(self.R, "R")
-        a0, c0 = self.A(0), self.C(0)
+    def __init__(self, A: MatrixLike, C: MatrixLike, Q: MatrixLike, R: MatrixLike):
+        a, c = _as_schedule(A, "A"), _as_schedule(C, "C")
+        a0, c0 = a(0), c(0)
         if a0.shape[0] != a0.shape[1]:
             raise ValueError(f"A must be square, got shape {a0.shape}")
         if c0.shape[1] != a0.shape[0]:
             raise ValueError(f"C shape {c0.shape} does not match state dimension {a0.shape[0]}")
-        self.l_x = a0.shape[0]
-        self.l_y = c0.shape[0]
-
-    def to_model(self) -> SystemModel:
-        return SystemModel(
-            l_x=self.l_x,
-            l_y=self.l_y,
-            f=lambda x, k: self.A(k) @ x,
-            g=lambda x, k: self.C(k) @ x,
-            Q=self.Q,
-            R=self.R,
-            jac_f=lambda x, k: self.A(k),
-            jac_g=lambda x, k: self.C(k),
+        self.A, self.C = a, c
+        super().__init__(
+            l_x=a0.shape[0],
+            l_y=c0.shape[0],
+            f=lambda x, k: a(k) @ x,
+            g=lambda x, k: c(k) @ x,
+            Q=Q,
+            R=R,
+            jac_f=lambda x, k: a(k),
+            jac_g=lambda x, k: c(k),
         )
 
 

@@ -11,7 +11,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from ukfkit.harness import (
     ExperimentConfig,

@@ -1,5 +1,5 @@
 import numpy as np
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ukfkit.ekf import ekf_step
 from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
@@ -10,16 +10,15 @@ from ukfkit.statespace import StateEstimate, SystemModel, make_lorenz
 def test_ekf_equals_kf_on_linear_systems():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        sys = random_detectable_system(rng)
-        model = sys.to_model()
-        _, meas = simulate_truth(model, rng.standard_normal(sys.l_x), 20, seed=int(rng.integers(1 << 16)))
-        kf_est = ekf_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+        model = random_detectable_system(rng)
+        _, meas = simulate_truth(model, rng.standard_normal(model.l_x), 20, seed=int(rng.integers(1 << 16)))
+        kf_est = ekf_est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
         for k in range(1, 21):
-            kf_est, kf_rec = kf_step(sys, kf_est, meas[k])
+            kf_est, kf_rec = kf_step(model, kf_est, meas[k])
             ekf_est, ekf_rec = ekf_step(model, ekf_est, meas[k])
-            assert_allclose(ekf_est.mean, kf_est.mean, rtol=1e-12, atol=1e-12)
-            assert_allclose(ekf_est.cov, kf_est.cov, rtol=1e-12, atol=1e-12)
-            assert_allclose(ekf_rec.gain, kf_rec.gain, rtol=1e-12, atol=1e-12)
+            assert_array_equal(ekf_est.mean, kf_est.mean)
+            assert_array_equal(ekf_est.cov, kf_est.cov)
+            assert_array_equal(ekf_rec.gain, kf_rec.gain)
 
 
 def test_noise_free_limit_drives_output_error_to_zero():

@@ -66,7 +66,7 @@ def test_streams_are_reproducible_and_distinct():
 
 
 def test_fixed_seed_reruns_are_bit_identical():
-    model = make_linear_ex2().to_model()
+    model = make_linear_ex2()
     est0 = StateEstimate([1.0, 1.0], np.eye(2), 0)
     _, meas = simulate_truth(model, np.array([1.0, 1.0]), 5, seed=3)
 
@@ -85,15 +85,14 @@ def test_fixed_seed_reruns_are_bit_identical():
 
 
 def test_posterior_trace_tracks_kf_on_linear_system():
-    sys = make_linear_ex2()
-    model = sys.to_model()
+    model = make_linear_ex2()
     x0 = np.array([1.0, 1.0])
     _, meas = simulate_truth(model, x0, 100, seed=5)
     kf_est = StateEstimate(x0, np.eye(2), 0)
     ens = enkf_init(kf_est, 50_000, seed=5)
     rel = []
     for k in range(1, 101):
-        kf_est, _ = kf_step(sys, kf_est, meas[k])
+        kf_est, _ = kf_step(model, kf_est, meas[k])
         ens, rec = enkf_step(model, ens, meas[k])
         if k >= 10:
             tr_kf = np.trace(kf_est.cov)
@@ -103,15 +102,14 @@ def test_posterior_trace_tracks_kf_on_linear_system():
 
 def test_vanishing_gain_limit_keeps_prior_ensemble():
     # Q = 0 and huge R: the update is a no-op up to a tiny correction.
-    sys = LinearSystem(
+    model = LinearSystem(
         A=np.array([[0.9, 0.1], [0.0, 0.8]]),
         C=np.array([[1.0, 0.0]]),
         Q=np.zeros((2, 2)),
         R=1e12 * np.eye(1),
     )
-    model = sys.to_model()
     ens = enkf_init(StateEstimate([1.0, 1.0], np.eye(2), 0), 2000, seed=9)
-    forecast = sys.A(0) @ ens.members
+    forecast = model.A(0) @ ens.members
     ens2, _ = enkf_step(model, ens, np.array([0.3]))
     assert np.max(np.abs(ens2.members - forecast)) < 1e-3
 
@@ -132,7 +130,7 @@ def test_divergence_raises():
 
 
 def test_step_advances_bookkeeping():
-    model = make_linear_ex2().to_model()
+    model = make_linear_ex2()
     ens = enkf_init(StateEstimate([1.0, 1.0], np.eye(2), 0), 100, seed=1)
     assert isinstance(ens, Ensemble)
     assert ens.size == 100 and ens.step == 0
@@ -165,7 +163,7 @@ def _serial_step(model, members, seed, k, y):
 
 
 def _linear_4x2():
-    return random_detectable_system(np.random.default_rng(12), l_x=4, l_y=2).to_model()
+    return random_detectable_system(np.random.default_rng(12), l_x=4, l_y=2)
 
 
 def _outputs(ens, rec):

@@ -23,19 +23,19 @@ def test_sigma_scale_identity_dynamics():
     sys = LinearSystem(A=np.eye(2), C=np.array([[1.0, 0.0]]), Q=0.3 * np.eye(2), R=np.eye(1))
     p = random_spd(np.random.default_rng(0), 2)
     est = StateEstimate(np.zeros(2), p, 0)
-    assert_allclose(_scale(sys.to_model(), est), p + 0.3 * np.eye(2), rtol=1e-14)
+    assert_allclose(_scale(sys, est), p + 0.3 * np.eye(2), rtol=1e-14)
 
 
 def test_sigma_scale_zero_q_is_plain_covariance():
     sys = make_linear_ex1(q=0.0)
     p = random_spd(np.random.default_rng(1), 2)
     est = StateEstimate(np.zeros(2), p, 0)
-    assert_allclose(_scale(sys.to_model(), est), p, atol=1e-15)
+    assert_allclose(_scale(sys, est), p, atol=1e-15)
 
 
 def test_sigma_scale_ex1_hand_inverse():
     # A is upper triangular, so its inverse is [[1/2.4, 2.1/(2.4*0.7)], [0, -1/0.7]].
-    model = make_linear_ex1().to_model()
+    model = make_linear_ex1()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     a_inv = np.array([[1.0 / 2.4, 2.1 / (2.4 * 0.7)], [0.0, -1.0 / 0.7]])
     assert_allclose(_scale(model, est), np.eye(2) + a_inv @ a_inv.T, rtol=1e-12)
@@ -45,20 +45,19 @@ def test_sigma_scale_rejects_singular_jacobian():
     sys = LinearSystem(A=np.zeros((2, 2)), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1))
     est = StateEstimate(np.zeros(2), np.eye(2), 4)
     with pytest.raises(SingularDynamicsJacobian, match="step 4"):
-        eukfa_sigma_scale(sys.to_model(), est)
+        eukfa_sigma_scale(sys, est)
     # Nonsingular in exact arithmetic, but with reciprocal condition number 1e-14 < 1e-12.
     near = LinearSystem(A=np.diag([1.0, 1e-14]), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1))
     with pytest.raises(SingularDynamicsJacobian, match="step 4"):
-        eukfa_sigma_scale(near.to_model(), est)
+        eukfa_sigma_scale(near, est)
 
 
 @pytest.mark.parametrize("stepper", [eukfa_step, eukfc_step])
 def test_single_step_equals_kf_on_ex1(stepper):
-    sys = make_linear_ex1()
-    model = sys.to_model()
+    model = make_linear_ex1()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     y = np.array([-0.2])
-    _, kf_rec = kf_step(sys, est, y)
+    _, kf_rec = kf_step(model, est, y)
     _, rec = stepper(model, est, y, 1.5)
     assert_allclose(rec.gain, kf_rec.gain, atol=1e-12)
     assert_allclose(rec.posterior_cov, kf_rec.posterior_cov, atol=1e-12)
@@ -70,12 +69,11 @@ def test_single_step_equals_kf_on_ex1(stepper):
 def test_trajectories_track_kf_on_random_systems(stepper):
     rng = np.random.default_rng(2)
     for _ in range(20):
-        sys = random_detectable_system(rng)
-        model = sys.to_model()
-        y = np.zeros(sys.l_y)
-        kf_est = var_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+        model = random_detectable_system(rng)
+        y = np.zeros(model.l_y)
+        kf_est = var_est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
         for _ in range(20):
-            kf_est, kf_rec = kf_step(sys, kf_est, y)
+            kf_est, kf_rec = kf_step(model, kf_est, y)
             var_est, rec = stepper(model, var_est, y, 1.5)
             rel = np.linalg.norm(rec.posterior_cov - kf_rec.posterior_cov) / np.linalg.norm(kf_rec.posterior_cov)
             assert rel < 1e-9
@@ -91,12 +89,11 @@ def _rel(x, ref):
 @given(seed=st.integers(0, 2**63 - 1), alpha=st.floats(1.0, 5.0))
 def test_eukfc_gain_and_covariance_equal_kf_property(seed, alpha):
     rng = np.random.default_rng(seed)
-    sys = random_detectable_system(rng)
-    model = sys.to_model()
-    y = np.zeros(sys.l_y)
-    kf_est = c_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+    model = random_detectable_system(rng)
+    y = np.zeros(model.l_y)
+    kf_est = c_est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
     for _ in range(10):
-        kf_est, kf_rec = kf_step(sys, kf_est, y)
+        kf_est, kf_rec = kf_step(model, kf_est, y)
         c_est, rec = eukfc_step(model, c_est, y, alpha)
         assert _rel(rec.gain, kf_rec.gain) <= 1e-9
         assert _rel(rec.posterior_cov, kf_rec.posterior_cov) <= 1e-9
@@ -106,12 +103,11 @@ def test_eukfc_gain_and_covariance_equal_kf_property(seed, alpha):
 @given(seed=st.integers(0, 2**63 - 1), alpha=st.floats(1.0, 5.0))
 def test_eukfa_gain_and_covariance_equal_kf_property(seed, alpha):
     rng = np.random.default_rng(seed)
-    sys = random_detectable_system(rng)
-    model = sys.to_model()
-    y = np.zeros(sys.l_y)
-    kf_est = a_est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
+    model = random_detectable_system(rng)
+    y = np.zeros(model.l_y)
+    kf_est = a_est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
     for _ in range(10):
-        kf_est, kf_rec = kf_step(sys, kf_est, y)
+        kf_est, kf_rec = kf_step(model, kf_est, y)
         a_est, rec = eukfa_step(model, a_est, y, alpha)
         assert _rel(rec.gain, kf_rec.gain) <= 1e-9
         assert _rel(rec.posterior_cov, kf_rec.posterior_cov) <= 1e-9
@@ -129,8 +125,7 @@ def test_eukfa_equivalence_holds_on_verify_seed_34013():
 def test_zero_q_reduces_to_plain_ukf(stepper):
     rng = np.random.default_rng(3)
     base = random_detectable_system(rng, l_x=3, l_y=1)
-    sys = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
-    model = sys.to_model()
+    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
     est = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(1)
     ukf_est, ukf_rec = ukf_step(model, est, y, 1.5)
@@ -144,7 +139,7 @@ def test_zero_q_eukfa_sigma_factor_is_the_cached_factor_bitwise():
     # With L_Q = 0 the QR has nothing to annihilate: R is chol(l_x P)^T itself.
     rng = np.random.default_rng(3)
     base = random_detectable_system(rng, l_x=3, l_y=1)
-    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0)).to_model()
+    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
     est = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(1)
     assert_array_equal(eukfa_sigma_scale(model, est), est.sigma_factor())
@@ -156,8 +151,7 @@ def test_zero_q_eukfa_sigma_factor_is_the_cached_factor_bitwise():
 
 def test_both_variants_agree_on_linear_trajectories():
     rng = np.random.default_rng(4)
-    sys = random_detectable_system(rng, l_x=2, l_y=1)
-    model = sys.to_model()
+    model = random_detectable_system(rng, l_x=2, l_y=1)
     y = np.zeros(1)
     est_a = est_c = StateEstimate(np.zeros(2), random_spd(rng, 2), 0)
     for _ in range(30):
@@ -170,12 +164,11 @@ def test_covariance_estimates_match_closed_forms():
     # On a linear system each variant's internal covariances have exact
     # closed forms in terms of A P A^T; check all three variants per row.
     rng = np.random.default_rng(5)
-    sys = random_detectable_system(rng, l_x=3, l_y=2)
-    model = sys.to_model()
+    model = random_detectable_system(rng, l_x=3, l_y=2)
     p = random_spd(rng, 3)
     est = StateEstimate(np.zeros(3), p, 0)
     y = np.zeros(2)
-    a, c, q, r = sys.A(0), sys.C(1), sys.Q(0), sys.R(1)
+    a, c, q, r = model.A(0), model.C(1), model.Q(0), model.R(1)
     apat = a @ p @ a.T
 
     _, ukf_rec = ukf_step(model, est, y, 1.5)

@@ -21,14 +21,13 @@ from ukfkit.statespace import LinearSystem, SystemModel, make_linear_ex2, make_l
 
 
 def test_truth_noise_free_is_deterministic():
-    sys = make_linear_ex2(q=0.0, r=0.0)
-    model = sys.to_model()
+    model = make_linear_ex2(q=0.0, r=0.0)
     states, meas = simulate_truth(model, [1.0, 1.0], 20, seed=0)
     x = np.array([1.0, 1.0])
     for k in range(21):
         assert_allclose(states[k], x, rtol=0)
-        assert_allclose(meas[k], sys.C(k) @ x, rtol=0)
-        x = sys.A(k) @ x
+        assert_allclose(meas[k], model.C(k) @ x, rtol=0)
+        x = model.A(k) @ x
 
 
 def test_truth_seeded_reruns_match():
@@ -66,7 +65,7 @@ def test_truth_lorenz_stays_bounded():
 def test_truth_divergence_raises_with_step():
     sys = LinearSystem(A=np.array([[3.0]]), C=np.eye(1), Q=np.zeros((1, 1)), R=np.zeros((1, 1)))
     with pytest.raises(TruthDiverged, match="step"):
-        simulate_truth(sys.to_model(), [1.0], 2000, seed=0)
+        simulate_truth(sys, [1.0], 2000, seed=0)
 
 
 def test_truth_rejects_bad_horizon():
@@ -89,6 +88,16 @@ def test_config_validation():
         ExperimentConfig(model="lorenz", steps=10, filters=("enkf",), ensemble=1)
     with pytest.raises(ValueError):
         ExperimentConfig(model="custom", steps=10, filters=("ukf",))  # missing matrices
+    with pytest.raises(ValueError, match="2-d matrix a"):
+        ExperimentConfig(model="custom", steps=10, a=np.array(0.5), c=np.array([[1.0]]))
+    with pytest.raises(ValueError, match="x0 must have length 3"):
+        run_experiment(ExperimentConfig(model="lorenz", steps=2, filters=("ekf",), x0=np.ones(2)))
+    custom = dict(model="custom", steps=2, a=np.eye(2), c=np.array([[1.0, 0.0]]), filters=("kf", "ekf"))
+    with pytest.raises(ValueError, match="p0"):
+        run_experiment(ExperimentConfig(**custom, p0=np.array([[1.0, 2.0], [2.0, 1.0]])))  # indefinite
+    with pytest.raises(ValueError, match="p0"):
+        run_experiment(ExperimentConfig(**custom, p0=np.ones(3)))  # diagonal of the wrong length
+    assert run_experiment(ExperimentConfig(**custom, p0=0.0))[-1].metrics["kf"].trace > 0.0  # all-zero p0 is allowed
     cfg = ExperimentConfig(model="linear-ex2", steps=10, filters=("ukf", "KF", "ukf"))
     assert cfg.filters == ("kf", "ukf")
 
@@ -166,7 +175,7 @@ def test_overflowing_innovation_covariance_marks_only_that_filter_diverged(monke
         jac_f=lambda x, k: np.eye(1),
         jac_g=lambda x, k: 3e160 * x[None, :] ** 2,
     )
-    monkeypatch.setattr(harness, "build_model", lambda cfg: (model, None, np.zeros(1), np.eye(1)))
+    monkeypatch.setattr(harness, "build_model", lambda cfg: (model, np.zeros(1), np.eye(1)))
     records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, filters=("ekf", "ukf")))
     assert records[0].metrics["ukf"].failure == (
         "FilterDiverged: ukf produced a non-finite innovation or cross covariance at step 1"
@@ -193,11 +202,11 @@ def test_output_and_error_norms_are_bitwise_np_linalg_norm():
     c = np.array([[1, 0, 0.5, 0], [0, 0.4, 0, 1.0]])
     cfg = ExperimentConfig(model="custom", steps=40, seed=3, a=a, c=c, q=0.1, r=0.1, filters=("kf",))
     records = run_experiment(cfg)
-    model, lin, x0, p0 = harness.build_model(cfg)
+    model, x0, p0 = harness.build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est = harness.StateEstimate(x0, p0, 0)
     for k, rec in enumerate(records, 1):
-        est, _ = harness.kf_step(lin, est, meas[k])
+        est, _ = harness.kf_step(model, est, meas[k])
         m = rec.metrics["kf"]
         assert m.output_error == float(np.linalg.norm(meas[k] - c @ est.mean))
         assert m.error_norm == float(np.linalg.norm(states[k] - est.mean))

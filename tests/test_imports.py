@@ -1,0 +1,46 @@
+"""Every import in the package and its tests is used.
+
+No linter is a dependency of this project, so this is a small stand-in for
+pyflakes' unused-import check, built on the standard-library ``ast``.  A
+name counts as used when the module reads it anywhere, or, in a package
+``__init__``, when ``__all__`` lists it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted([*(ROOT / "src" / "ukfkit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(path: Path) -> list[str]:
+    """'file:line name' for each name an import in `path` binds and the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_no_unused_imports():
+    assert {"__init__.py", "kf.py", "test_imports.py"} <= {path.name for path in SOURCES}
+    assert [hit for path in SOURCES for hit in unused_imports(path)] == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from __future__ import annotations\nimport os\nimport os.path as osp\nimport sys as system\n"
+        "from math import pi, tau\n\n__all__ = ['osp']\nprint(system.argv, tau)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["probe.py:2 os", "probe.py:5 pi"]

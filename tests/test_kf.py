@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ukfkit.kf as kf
 from ukfkit.harness import random_detectable_system, random_spd
 from ukfkit.ekf import ekf_step
 from ukfkit.enkf import enkf_init, enkf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
-from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_innovation, kf_predict, kf_step, kf_update
+from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_step, kf_update
 from ukfkit.numerics import FilterDiverged
 from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1
 from ukfkit.ukf import ukf_step
@@ -30,43 +31,51 @@ def ex1():
 def test_predict_identity_dynamics_is_noop():
     sys = LinearSystem(A=np.eye(2), C=np.array([[1.0, 0.0]]), Q=np.zeros((2, 2)), R=np.eye(1))
     est = StateEstimate([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]], 0)
-    mean, cov = kf_predict(sys, est)
-    assert_allclose(mean, est.mean, rtol=0)
-    assert_allclose(cov, est.cov, rtol=0)
+    _, rec = kf_step(sys, est, np.zeros(1))
+    assert_allclose(rec.prior_mean, est.mean, rtol=0)
+    assert_allclose(rec.prior_cov, est.cov, rtol=0)
 
 
 def test_predict_ex1_prior_cov(ex1):
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
-    mean, cov = kf_predict(ex1, est)
-    assert_allclose(mean, [4.5, -0.7], rtol=1e-14)
-    assert_allclose(cov, P_PRIOR_HAND, rtol=1e-13)
+    _, rec = kf_step(ex1, est, np.zeros(1))
+    assert_allclose(rec.prior_mean, [4.5, -0.7], rtol=1e-14)
+    assert_allclose(rec.prior_cov, P_PRIOR_HAND, rtol=1e-13)
 
 
 def test_predict_zero_dynamics_leaves_q():
     sys = LinearSystem(A=np.zeros((2, 2)), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1))
     est = StateEstimate([1.0, 1.0], 5.0 * np.eye(2), 0)
-    _, cov = kf_predict(sys, est)
-    assert_allclose(cov, np.eye(2), rtol=0)
+    _, rec = kf_step(sys, est, np.zeros(1))
+    assert_allclose(rec.prior_cov, np.eye(2), rtol=0)
 
 
 def test_innovation_zero_c_gives_r():
     sys = LinearSystem(A=np.eye(2), C=np.zeros((1, 2)), Q=np.eye(2), R=2.5 * np.eye(1))
-    p_z, p_ez = kf_innovation(sys, np.eye(2), 1)
-    assert_allclose(p_z, [[2.5]], rtol=0)
-    assert_allclose(p_ez, np.zeros((2, 1)), rtol=0)
+    _, rec = kf_step(sys, StateEstimate(np.zeros(2), np.zeros((2, 2)), 0), np.zeros(1))
+    assert_allclose(rec.innovation_cov, [[2.5]], rtol=0)
+    assert_allclose(rec.cross_cov, np.zeros((2, 1)), rtol=0)
 
 
 def test_innovation_ex1_hand_values(ex1):
-    p_z, p_ez = kf_innovation(ex1, P_PRIOR_HAND, 1)
-    assert_allclose(p_z, [[P_Z_HAND]], rtol=1e-13)
-    assert_allclose(p_ez[:, 0], P_EZ_HAND, rtol=1e-13)
+    _, rec = kf_step(ex1, StateEstimate([1.0, 1.0], np.eye(2), 0), np.zeros(1))
+    assert_allclose(rec.innovation_cov, [[P_Z_HAND]], rtol=1e-13)
+    assert_allclose(rec.cross_cov[:, 0], P_EZ_HAND, rtol=1e-13)
 
 
-def test_innovation_full_observation_no_noise():
+def test_innovation_full_observation_no_noise(monkeypatch):
+    # C = I with R = 0 leaves an exactly zero posterior, which the SPD check in
+    # kf_correct rejects, so P_z and P+ are read where kf_step hands them over.
     sys = LinearSystem(A=np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.zeros((2, 2)))
-    prior = random_spd(np.random.default_rng(0), 2)
-    p_z, _ = kf_innovation(sys, prior, 1)
-    assert_allclose(p_z, prior, rtol=1e-15)
+    seen = {}
+
+    def record(name, k, prior_mean, prior_cov, p_z, p_ez, y, predicted_y):
+        seen.update(prior_cov=prior_cov, p_z=p_z)
+        return None, None
+
+    monkeypatch.setattr(kf, "kf_correct", record)
+    kf_step(sys, StateEstimate(np.zeros(2), random_spd(np.random.default_rng(0), 2), 0), np.zeros(2))
+    assert_allclose(seen["p_z"], seen["prior_cov"], rtol=1e-15)
 
 
 def test_gain_identity_pz():
@@ -88,13 +97,10 @@ def test_update_zero_gain_keeps_prior():
 
 
 def test_update_matching_prediction_keeps_mean(ex1):
-    est = StateEstimate([1.0, 1.0], np.eye(2), 0)
-    prior_mean, prior_cov = kf_predict(ex1, est)
-    p_z, p_ez = kf_innovation(ex1, prior_cov, 1)
-    gain = kf_gain(p_z, p_ez)
-    y = ex1.C(1) @ prior_mean
-    mean, _ = kf_update(prior_mean, prior_cov, gain, p_ez, y, y)
-    assert_allclose(mean, prior_mean, rtol=0)
+    _, rec = kf_step(ex1, StateEstimate([1.0, 1.0], np.eye(2), 0), np.zeros(1))
+    y = ex1.C(1) @ rec.prior_mean
+    mean, _ = kf_update(rec.prior_mean, rec.prior_cov, rec.gain, rec.cross_cov, y, y)
+    assert_allclose(mean, rec.prior_mean, rtol=0)
 
 
 def test_ex1_posterior_trace_matches_hand_oracle(ex1):
@@ -158,11 +164,11 @@ LY2_SYSTEM = LinearSystem(
 )
 FILTER_STEPS = {
     "kf": lambda est, y: kf_step(LY2_SYSTEM, est, y),
-    "ekf": lambda est, y: ekf_step(LY2_SYSTEM.to_model(), est, y),
-    "ukf": lambda est, y: ukf_step(LY2_SYSTEM.to_model(), est, y),
-    "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM.to_model(), est, y),
-    "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM.to_model(), est, y),
-    "enkf": lambda est, y: enkf_step(LY2_SYSTEM.to_model(), enkf_init(est, 10, 0), y),
+    "ekf": lambda est, y: ekf_step(LY2_SYSTEM, est, y),
+    "ukf": lambda est, y: ukf_step(LY2_SYSTEM, est, y),
+    "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM, est, y),
+    "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM, est, y),
+    "enkf": lambda est, y: enkf_step(LY2_SYSTEM, enkf_init(est, 10, 0), y),
 }
 
 

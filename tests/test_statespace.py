@@ -24,7 +24,7 @@ TS = 0.01
 
 
 def test_linear_ex1_step():
-    model = make_linear_ex1().to_model()
+    model = make_linear_ex1()
     # hand multiply: [2.4 + 2.1, -0.7]
     assert_allclose(step_dynamics(model, [1.0, 1.0]), [4.5, -0.7], rtol=1e-14)
 
@@ -70,13 +70,12 @@ def test_noise_levels_of_built_ins():
 
 
 def test_jacobian_linear_model_is_a_everywhere():
-    sys = make_linear_ex2()
-    model = sys.to_model()
+    model = make_linear_ex2()
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(2)
-        assert_allclose(jacobian_dynamics(model, x), sys.A(0), rtol=0)
-        assert_allclose(jacobian_measurement(model, x), sys.C(0), rtol=0)
+        assert_allclose(jacobian_dynamics(model, x), model.A(0), rtol=0)
+        assert_allclose(jacobian_measurement(model, x), model.C(0), rtol=0)
 
 
 def test_vdp_jacobian_hand_value():
@@ -155,13 +154,14 @@ def test_linear_system_round_trip():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 3))
     c = rng.standard_normal((2, 3))
-    sys = LinearSystem(A=a, C=c, Q=np.eye(3), R=np.eye(2))
-    model = sys.to_model()
+    model = LinearSystem(A=a, C=c, Q=np.eye(3), R=np.eye(2))
+    assert isinstance(model, SystemModel)
     assert (model.l_x, model.l_y) == (3, 2)
     x = rng.standard_normal(3)
     assert_allclose(step_dynamics(model, x), a @ x, rtol=0)
     assert_allclose(measure(model, x), c @ x, rtol=0)
     assert_allclose(jacobian_dynamics(model, x), a, rtol=0)
+    assert_allclose(jacobian_measurement(model, x), c, rtol=0)
 
 
 def test_batch_evaluation_matches_loop():

@@ -97,8 +97,7 @@ def test_sigma_points_reconstruct_covariance():
 
 def test_propagate_identity_dynamics():
     c = np.array([[1.0, -2.0]])
-    sys = LinearSystem(A=np.eye(2), C=c, Q=np.eye(2), R=np.eye(1))
-    model = sys.to_model()
+    model = LinearSystem(A=np.eye(2), C=c, Q=np.eye(2), R=np.eye(1))
     pts = sigma_points(np.array([0.5, -0.5]), np.eye(2), 1.5)
     xprop, yprop = propagate_sigma(model, pts)
     assert_allclose(xprop, pts, rtol=0)
@@ -144,15 +143,14 @@ def test_unscented_prior_deviations_are_bitwise_those_of_deviations():
 def test_deviations_linear_closed_form():
     # On a linear map the deviations are exactly A [0, aS, -aS].
     rng = np.random.default_rng(5)
-    sys = random_detectable_system(rng, l_x=3, l_y=1)
-    model = sys.to_model()
+    model = random_detectable_system(rng, l_x=3, l_y=1)
     p = random_spd(rng, 3)
     alpha = 1.5
     pts = sigma_points(np.zeros(3), p, alpha)
     xprop, _ = propagate_sigma(model, pts)
     w = ukf_weights(alpha, 3)
     s = alpha * np.linalg.cholesky(3 * p)
-    expected = sys.A(0) @ np.hstack([np.zeros((3, 1)), s, -s])
+    expected = model.A(0) @ np.hstack([np.zeros((3, 1)), s, -s])
     assert_allclose(deviations(xprop, w), expected, atol=1e-12)
 
 
@@ -168,11 +166,10 @@ def test_covariances_zero_deviations_return_noise():
 def test_ex1_unscented_output_covariances_hand_values():
     # Hand oracle: with P0 = I the unscented output stats equal
     # C (A A^T) C^T + R and (A A^T) C^T, i.e. they miss the Q terms.
-    sys = make_linear_ex1()
-    model = sys.to_model()
+    model = make_linear_ex1()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     _, rec = ukf_step(model, est, np.zeros(1), 1.5)
-    a, c = sys.A(0), sys.C(1)
+    a, c = model.A(0), model.C(1)
     aat = a @ a.T
     assert_allclose(rec.innovation_cov, c @ aat @ c.T + 1.0, rtol=1e-12)
     assert_allclose(rec.cross_cov, aat @ c.T, rtol=1e-12)
@@ -183,14 +180,13 @@ def test_ex1_unscented_output_covariances_hand_values():
 def test_missing_term_identities_on_random_systems():
     rng = np.random.default_rng(6)
     for _ in range(30):
-        sys = random_detectable_system(rng)
-        model = sys.to_model()
-        est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
-        y = np.zeros(sys.l_y)
+        model = random_detectable_system(rng)
+        est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
+        y = np.zeros(model.l_y)
         for _ in range(5):
-            est_next, kf_rec = kf_step(sys, est, y)
+            est_next, kf_rec = kf_step(model, est, y)
             _, ukf_rec = ukf_step(model, est, y, 1.5)
-            c, q = sys.C(est.step + 1), sys.Q(est.step)
+            c, q = model.C(est.step + 1), model.Q(est.step)
             assert np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov)) < 1e-10
             assert np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov)) < 1e-10
             assert_allclose(ukf_rec.prior_cov, kf_rec.prior_cov, atol=1e-10)
@@ -201,28 +197,27 @@ def test_missing_term_identities_on_random_systems():
 @given(seed=st.integers(0, 2**63 - 1), alpha=st.floats(1.0, 5.0))
 def test_missing_term_identities_property(seed, alpha):
     rng = np.random.default_rng(seed)
-    sys = random_detectable_system(rng)
-    model = sys.to_model()
-    est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
-    y = np.zeros(sys.l_y)
+    model = random_detectable_system(rng)
+    est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
+    y = np.zeros(model.l_y)
     for _ in range(10):
-        est_next, kf_rec = kf_step(sys, est, y)
+        est_next, kf_rec = kf_step(model, est, y)
         _, ukf_rec = ukf_step(model, est, y, alpha)
-        c, q = sys.C(est.step + 1), sys.Q(est.step)
+        c, q = model.C(est.step + 1), model.Q(est.step)
         assert np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov)) <= 1e-10
         assert np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov)) <= 1e-10
         est = est_next
 
 
 def test_ex1_posterior_trace():
-    model = make_linear_ex1().to_model()
+    model = make_linear_ex1()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     _, rec = ukf_step(model, est, np.zeros(1), 1.5)
     assert np.trace(rec.posterior_cov) == pytest.approx(8.816, abs=1e-3)
 
 
 def test_alpha_invariance_on_linear_system():
-    model = make_linear_ex1().to_model()
+    model = make_linear_ex1()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     y = np.array([0.4])
     ref_est, ref_rec = ukf_step(model, est, y, 1.0)
@@ -236,12 +231,11 @@ def test_alpha_invariance_on_linear_system():
 def test_zero_process_noise_recovers_kf():
     rng = np.random.default_rng(7)
     base = random_detectable_system(rng, l_x=3, l_y=2)
-    sys = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
-    model = sys.to_model()
+    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
     est = StateEstimate(np.zeros(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(2)
     for _ in range(5):
-        kf_next, kf_rec = kf_step(sys, est, y)
+        kf_next, kf_rec = kf_step(model, est, y)
         _, ukf_rec = ukf_step(model, est, y, 1.5)
         assert_allclose(ukf_rec.gain, kf_rec.gain, atol=1e-10)
         assert_allclose(ukf_rec.posterior_cov, kf_rec.posterior_cov, atol=1e-10)
@@ -251,12 +245,11 @@ def test_zero_process_noise_recovers_kf():
 def test_gain_cost_never_beats_kalman_gain():
     rng = np.random.default_rng(8)
     for _ in range(30):
-        sys = random_detectable_system(rng)
-        model = sys.to_model()
-        est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
-        y = np.zeros(sys.l_y)
+        model = random_detectable_system(rng)
+        est = StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)
+        y = np.zeros(model.l_y)
         for _ in range(5):
-            est_next, kf_rec = kf_step(sys, est, y)
+            est_next, kf_rec = kf_step(model, est, y)
             _, ukf_rec = ukf_step(model, est, y, 1.5)
             tr_kf = np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, kf_rec.gain))
             tr_ukf = np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain))
@@ -270,7 +263,7 @@ def test_cached_sigma_factor_steps_bitwise_like_a_fresh_estimate(step, system):
     if system == "lorenz":
         model = make_lorenz()
     else:
-        model = random_detectable_system(np.random.default_rng(11), l_x=4, l_y=2).to_model()
+        model = random_detectable_system(np.random.default_rng(11), l_x=4, l_y=2)
     _, meas = simulate_truth(model, np.ones(model.l_x), 12, seed=3)
     est = StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0)
     for k in range(1, 13):
