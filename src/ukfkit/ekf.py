@@ -1,7 +1,7 @@
 """Extended Kalman filter: the linear recursions applied to local Jacobians.
 
 The mean is propagated through the full nonlinear dynamics; covariances use
-A_k = df/dx at the posterior mean and C_{k+1} = dg/dx at the prior mean.
+A = df/dx at the posterior mean and C = dg/dx at the prior mean.
 On a linear system every quantity coincides with the Kalman filter's, since
 both run :func:`kf.linearized_step`.
 """

@@ -4,7 +4,8 @@ Serves as the large-N reference for the posterior covariance.  Sample
 statistics use the N-1 divisor; the innovation covariance uses the sample
 covariance of the predicted outputs plus the exact R (rather than sampling
 the observation noise), which removes one source of Monte-Carlo noise from
-the gain.
+the gain.  The noise draws are scaled by the model's ``q_factor`` and
+``r_factor``, which the model computes once.
 
 Randomness is counter-based: every draw comes from a Philox stream keyed
 by (seed, step, draw kind), so member draws are independent of execution
@@ -20,16 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kf import KfStep, check_measurement, kf_gain
+from .kf import KfStep, check_innovation, check_measurement, kf_gain
 from .numerics import FilterDiverged, symmetrize
-from .statespace import (
-    NoiseFactorCache,
-    StateEstimate,
-    SystemModel,
-    measure_batch,
-    noise_factor,
-    step_dynamics_batch,
-)
+from .statespace import StateEstimate, SystemModel, measure_batch, noise_factor, step_dynamics_batch
 
 Array = np.ndarray
 
@@ -79,13 +73,11 @@ class PhiloxCells:
 
 
 class _Scratch:
-    """Work arrays and noise factors reused from one ensemble step to the next."""
+    """Work arrays reused from one ensemble step to the next."""
 
     def __init__(self, l_x: int, l_y: int, n: int):
         self.state = np.empty((l_x, n))  # process noise, then deviations and correction
         self.output = np.empty((l_y, n))  # output deviations, then the innovation
-        self.q = NoiseFactorCache()
-        self.r = NoiseFactorCache()
 
     def fits(self, l_x: int, l_y: int, n: int) -> bool:
         return self.state.shape == (l_x, n) and self.output.shape == (l_y, n)
@@ -140,17 +132,17 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
         scratch = _Scratch(l_x, l_y, n)
 
     w = np.matmul(
-        scratch.q(model.Q(k), where=f"enkf step {k}"),
+        model.q_factor,
         philox_stream(ens.seed, k + 1, KIND_PROCESS).standard_normal((l_x, n)),
         out=scratch.state,
     )
-    xf = step_dynamics_batch(model, ens.members, k)
+    xf = step_dynamics_batch(model, ens.members)
     if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
         xf = np.array(xf, order="C")
     xf += w
     if not np.all(np.isfinite(xf)):
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
-    yf = measure_batch(model, xf, k + 1)
+    yf = measure_batch(model, xf)
 
     xbar = xf.mean(axis=1)
     ybar = yf.mean(axis=1)
@@ -161,12 +153,13 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     denom = float(n - 1)
     prior_cov = symmetrize(np.einsum("ik,jk->ij", xdev, xdev) / denom)
     p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
-    p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R(k + 1))
+    p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R)
+    check_innovation("enkf", k + 1, p_z, p_ez)
     gain = kf_gain(p_z, p_ez, where=f"enkf step {k + 1}")
 
     # xa = xf + K (y + v - yf), formed in xf, which this step owns.
     innovation = np.matmul(
-        scratch.r(model.R(k + 1), where=f"enkf step {k + 1}"),
+        model.r_factor,
         philox_stream(ens.seed, k + 1, KIND_OBS).standard_normal((l_y, n)),
         out=scratch.output,
     )

@@ -61,20 +61,20 @@ def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
     [chol(l_x P)^T ; sqrt(l_x) (A^{-1} L_Q)^T], with L_Q = chol(Q), and its
     columns' signs flipped so that its diagonal is positive; so S is the
     Cholesky factor up to rounding.  chol(l_x P) is the estimate's cached
-    sigma factor, and L_Q comes from the model's noise-factor cache.  A^{-1}
+    sigma factor, and L_Q is the model's ``q_factor``.  A^{-1}
     is applied through one LU factorization; a Jacobian whose estimated
     reciprocal 1-norm condition number is below 1e-12 raises
     SingularDynamicsJacobian.
     """
     k = est.step
-    a = jacobian_dynamics(model, est.mean, k)
+    a = jacobian_dynamics(model, est.mean)
     lu, piv, info = dgetrf(a)
     if info == 0:
         rcond, info = dgecon(lu, dlange("1", a))
     if info != 0 or not rcond >= _RCOND_MIN:
         raise SingularDynamicsJacobian(f"dynamics Jacobian at step {k} is numerically singular")
     where = f"eukfa step {k}"
-    inv_lq, _ = dgetrs(lu, piv, model.q_factor(model.Q(k), where))  # A^{-1} L_Q
+    inv_lq, _ = dgetrs(lu, piv, model.q_factor)  # A^{-1} L_Q
     n = model.l_x
     stacked = np.concatenate((est.sigma_factor(where), math.sqrt(n) * inv_lq), axis=1)
     qr, _, _, _ = dgeqrf(stacked.T, overwrite_a=1)  # the transpose is F-ordered, so no copy
@@ -97,7 +97,7 @@ def eukfa_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) ->
     prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, eukfa_sigma_scale(model, est), alpha)
     wx = xdev * w
     p_prior = symmetrize(wx @ xdev.T)
-    p_z = symmetrize((ydev * w) @ ydev.T + model.R(k + 1))
+    p_z = symmetrize((ydev * w) @ ydev.T + model.R)
     p_ez = wx @ ydev.T
     return kf_correct("eukfa", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)
 
@@ -106,11 +106,11 @@ def eukfc_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) ->
     """UKF cycle with the C Q C^T and Q C^T corrections added to the output covariances."""
     k = est.step
     prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.sigma_factor(f"eukfc step {k}"), alpha)
-    c = jacobian_measurement(model, prior_mean, k + 1)
-    q = model.Q(k)
+    c = jacobian_measurement(model, prior_mean)
+    q = model.Q
     qct = q @ c.T
     wx = xdev * w
     p_prior = symmetrize(wx @ xdev.T + q)
-    p_z = symmetrize((ydev * w) @ ydev.T + c @ qct + model.R(k + 1))
+    p_z = symmetrize((ydev * w) @ ydev.T + c @ qct + model.R)
     p_ez = wx @ ydev.T + qct
     return kf_correct("eukfc", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)

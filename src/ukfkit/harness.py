@@ -26,7 +26,6 @@ from .kf import KfStep, evaluate_gain_cov, kf_step
 from .numerics import FilterDiverged, NotPositiveDefinite, rcond_check
 from .statespace import (
     LinearSystem,
-    NoiseFactorCache,
     StateEstimate,
     SystemModel,
     make_linear_ex1,
@@ -76,7 +75,8 @@ class ExperimentConfig:
     `q`, `r` override the model noise levels (scalars mean q*I); `ts`, `mu`
     apply to the nonlinear models; `a`, `c` define the `custom` linear
     model; `x0`, `p0` override the initial condition (`p0` may be a scalar,
-    meaning p0*I).
+    meaning p0*I).  A `ts`, `mu`, `a` or `c` that the model does not take is
+    rejected.
     """
 
     model: str
@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ValueError(f"ensemble size must be at least 2, got {self.ensemble}")
         if "kf" in self.filters and self.model not in LINEAR_MODELS:
             raise ValueError(f"the kf filter needs a linear model, not {self.model!r}")
+        taken = _FACTORIES[self.model][1]
+        for key in ("ts", "mu", "a", "c"):
+            if getattr(self, key) is not None and key not in taken:
+                raise ValueError(f"model {self.model!r} takes no {key}")
         if self.model == "custom" and (np.ndim(self.a) != 2 or self.c is None):
             raise ValueError(f"the custom model needs a 2-d matrix a and a matrix c, got a={self.a!r}, c={self.c!r}")
 
@@ -148,17 +152,16 @@ def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tu
     states = np.empty((horizon + 1, model.l_x))
     meas = np.empty((horizon + 1, model.l_y))
     states[0] = x0
-    q_factor, r_factor = NoiseFactorCache(), NoiseFactorCache()
     stream = PhiloxCells()
     for k in range(horizon + 1):
         x = states[k]
         if not np.all(np.isfinite(x)):
             raise TruthDiverged(f"truth state became non-finite at step {k}")
         v = stream(seed, k, KIND_TRUTH_OBS).standard_normal(model.l_y)
-        meas[k] = measure(model, x, k) + r_factor(model.R(k), where=f"truth step {k}") @ v
+        meas[k] = measure(model, x) + model.r_factor @ v
         if k < horizon:
             w = stream(seed, k, KIND_TRUTH_PROCESS).standard_normal(model.l_x)
-            states[k + 1] = step_dynamics(model, x, k) + q_factor(model.Q(k), where=f"truth step {k}") @ w
+            states[k + 1] = step_dynamics(model, x) + model.q_factor @ w
     return states, meas
 
 
@@ -235,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
                 metrics[name] = FilterMetrics(nan, nan, nan, nan, True, failures.get(name, ""))
                 continue
             tr = float(np.trace(rec.posterior_cov))
-            z = y - measure(model, rec.posterior_mean, k)
+            z = y - measure(model, rec.posterior_mean)
             e = states[k] - rec.posterior_mean
             # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm: the same bits, less overhead.
             zval = float(z[0]) if model.l_y == 1 else math.sqrt(z.dot(z))
@@ -416,8 +419,7 @@ def verify_propositions(
         for _ in range(identity_steps):
             est_next, kf_rec = kf_step(model, est, y)
             _, ukf_rec = ukf_step(model, est, y, 1.5)
-            c = model.C(est.step + 1)
-            q = model.Q(est.step)
+            c, q = model.C, model.Q
             dev = max(
                 float(np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov))),
                 float(np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov))),
@@ -443,8 +445,7 @@ def verify_propositions(
             gap = max(gap, abs(float(np.trace(kf_est.cov)) - float(np.trace(ukf_est.cov))))
         # The separation claim only holds when Q is nonzero and visible
         # through C; systems outside those hypotheses are exempt.
-        q0 = model.Q(0)
-        hypotheses_met = bool(q0.any()) and float(np.linalg.norm(model.C(1) @ q0)) > 0.0
+        hypotheses_met = bool(model.Q.any()) and float(np.linalg.norm(model.C @ model.Q)) > 0.0
         if hypotheses_met:
             report.smallest_distinctness_gap = min(report.smallest_distinctness_gap, gap)
             if gap <= 1e-6:

@@ -88,6 +88,12 @@ def check_measurement(y, shape: tuple[int, ...], where: str) -> Array:
     return y
 
 
+def check_innovation(name: str, k: int, p_z: Array, p_ez: Array) -> None:
+    """FilterDiverged naming filter `name` and step k unless P_z and P_ez are finite."""
+    if not (np.isfinite(p_z).all() and np.isfinite(p_ez).all()):
+        raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
+
+
 def kf_correct(
     name: str, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
 ) -> tuple[StateEstimate, KfStep]:
@@ -101,8 +107,7 @@ def kf_correct(
     """
     where = f"{name} step {k}"
     y = check_measurement(y, predicted_y.shape, where)
-    if not (np.isfinite(p_z).all() and np.isfinite(p_ez).all()):
-        raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
+    check_innovation(name, k, p_z, p_ez)
     gain = kf_gain(p_z, p_ez, where)
     est = StateEstimate(*kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y), k)
     if not (np.isfinite(est.mean).all() and np.isfinite(est.cov).all()):
@@ -114,18 +119,17 @@ def kf_correct(
 def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
     """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
 
-    The mean goes through f and g; the covariances use A_k = df/dx at the
-    posterior mean and C_{k+1} = dg/dx at the prior mean.
+    The mean goes through f and g; the covariances use A = df/dx at the
+    posterior mean and C = dg/dx at the prior mean.
     """
-    k = est.step
-    a = jacobian_dynamics(model, est.mean, k)
-    prior_mean = step_dynamics(model, est.mean, k)
-    prior_cov = symmetrize(a @ est.cov @ a.T + model.Q(k))
-    c = jacobian_measurement(model, prior_mean, k + 1)
-    p_z = symmetrize(c @ prior_cov @ c.T + model.R(k + 1))
+    a = jacobian_dynamics(model, est.mean)
+    prior_mean = step_dynamics(model, est.mean)
+    prior_cov = symmetrize(a @ est.cov @ a.T + model.Q)
+    c = jacobian_measurement(model, prior_mean)
+    p_z = symmetrize(c @ prior_cov @ c.T + model.R)
     p_ez = prior_cov @ c.T
-    predicted_y = measure(model, prior_mean, k + 1)
-    return kf_correct(name, k + 1, prior_mean, prior_cov, p_z, p_ez, y, predicted_y)
+    predicted_y = measure(model, prior_mean)
+    return kf_correct(name, est.step + 1, prior_mean, prior_cov, p_z, p_ez, y, predicted_y)
 
 
 def kf_step(model: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:

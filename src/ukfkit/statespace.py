@@ -1,11 +1,11 @@
 """Discrete-time state-space models and the built-in benchmark systems.
 
-A :class:`SystemModel` is the nonlinear form
+A :class:`SystemModel` is the time-invariant nonlinear form
 
-    x_{k+1} = f(x_k, k) + w_k,      w_k ~ N(0, Q_k),
-    y_k     = g(x_k, k) + v_k,      v_k ~ N(0, R_k),
+    x_{k+1} = f(x_k) + w_k,      w_k ~ N(0, Q),
+    y_k     = g(x_k) + v_k,      v_k ~ N(0, R),
 
-with optional analytic Jacobians jac_f(x, k) and jac_g(x, k); central
+with optional analytic Jacobians jac_f(x) and jac_g(x); central
 differences stand in for a missing one.  :class:`LinearSystem` is the
 special case f = A x, g = C x with exact Jacobians A and C.
 
@@ -16,24 +16,13 @@ batch of shape (l_x, m); the batch helpers pass the whole batch in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .numerics import spd_sqrt_factor, symmetrize
 
 Array = np.ndarray
-MatrixLike = Union[Array, Callable[[int], Array]]
-
-
-def _as_schedule(value, name: str):
-    """Normalize a constant matrix or a function of the step index k."""
-    if callable(value):
-        return value
-    mat = np.asarray(value, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {mat.shape}")
-    return lambda k: mat
 
 
 def noise_cov(value, dim: int) -> Array:
@@ -61,78 +50,60 @@ def noise_factor(m: Array, where: str = "") -> Array:
     return spd_sqrt_factor(m, where)
 
 
-class NoiseFactorCache:
-    """:func:`noise_factor` of the last matrix passed in, reused while its bits stay the same.
-
-    A constant Q or R schedule is factored once per run.  The cache keys on
-    the matrix values, not on the object, so a schedule may also refill one
-    buffer in place and return it at every step.  Key and factor are stored
-    as one tuple, replaced in a single assignment, so threads sharing a
-    cache never pair one matrix's key with another's factor.
-    """
-
-    def __init__(self):
-        self._entry = (None, None)
-
-    def __call__(self, m: Array, where: str = "") -> Array:
-        m = np.asarray(m, dtype=float)
-        key = (m.shape, m.tobytes())
-        cached_key, factor = self._entry
-        if key != cached_key:
-            factor = noise_factor(m, where)
-            self._entry = (key, factor)
-        return factor
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Nonlinear discrete-time model with noise covariances and Jacobians.
+    """Time-invariant nonlinear model with noise covariances and Jacobians.
 
-    Q and R may be given as constant matrices or as functions of the step
-    index; after construction they are always callables ``Q(k)``, ``R(k)``.
-    ``q_factor`` is a :class:`NoiseFactorCache` for the factor of Q that
-    eukfa reads at every step; it takes no part in ``==`` or ``repr``.
+    Q (l_x x l_x) and R (l_y x l_y) are kept as read-only float copies, and
+    their noise factors ``q_factor`` and ``r_factor`` are computed once, here.
+    A Q or R of another shape raises ValueError naming it; one that cannot
+    be factored raises NotPositiveDefinite.  The model is frozen, so Q, R and
+    their factors stay in step; models compare by identity.
     """
 
     l_x: int
     l_y: int
-    f: Callable[[Array, int], Array]
-    g: Callable[[Array, int], Array]
-    Q: MatrixLike
-    R: MatrixLike
-    jac_f: Optional[Callable[[Array, int], Array]] = None
-    jac_g: Optional[Callable[[Array, int], Array]] = None
-    q_factor: NoiseFactorCache = field(default_factory=NoiseFactorCache, init=False, repr=False, compare=False)
+    f: Callable[[Array], Array]
+    g: Callable[[Array], Array]
+    Q: Array
+    R: Array
+    jac_f: Optional[Callable[[Array], Array]] = None
+    jac_g: Optional[Callable[[Array], Array]] = None
+    q_factor: Array = field(init=False, repr=False)
+    r_factor: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.Q = _as_schedule(self.Q, "Q")
-        self.R = _as_schedule(self.R, "R")
+        for name, dim in (("Q", self.l_x), ("R", self.l_y)):
+            m = np.array(getattr(self, name), dtype=float)
+            if m.shape != (dim, dim):
+                raise ValueError(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+            object.__setattr__(self, f"{name.lower()}_factor", noise_factor(m, name))
 
 
 class LinearSystem(SystemModel):
     """Linear model x_{k+1} = A x + w, y = C x + v: a SystemModel with exact Jacobians A and C.
 
-    A, C, Q, R accept constant matrices or functions of k; A and C stay
-    readable as the schedules ``A(k)`` and ``C(k)``.
+    A and C stay readable as the matrix attributes ``A`` and ``C``.
     """
 
-    def __init__(self, A: MatrixLike, C: MatrixLike, Q: MatrixLike, R: MatrixLike):
-        a, c = _as_schedule(A, "A"), _as_schedule(C, "C")
-        a0, c0 = a(0), c(0)
-        if a0.shape[0] != a0.shape[1]:
-            raise ValueError(f"A must be square, got shape {a0.shape}")
-        if c0.shape[1] != a0.shape[0]:
-            raise ValueError(f"C shape {c0.shape} does not match state dimension {a0.shape[0]}")
+    def __init__(self, A: Array, C: Array, Q: Array, R: Array):
+        a, c = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"A must be square, got shape {a.shape}")
+        if c.ndim != 2 or c.shape[1] != a.shape[0]:
+            raise ValueError(f"C shape {c.shape} does not match state dimension {a.shape[0]}")
         self.A, self.C = a, c
         super().__init__(
-            l_x=a0.shape[0],
-            l_y=c0.shape[0],
-            f=lambda x, k: a(k) @ x,
-            g=lambda x, k: c(k) @ x,
+            l_x=a.shape[0],
+            l_y=c.shape[0],
+            f=lambda x: a @ x,
+            g=lambda x: c @ x,
             Q=Q,
             R=R,
-            jac_f=lambda x, k: a(k),
-            jac_g=lambda x, k: c(k),
+            jac_f=lambda x: a,
+            jac_g=lambda x: c,
         )
 
 
@@ -190,37 +161,37 @@ def _check_state(model: SystemModel, x: Array) -> Array:
     return x
 
 
-def step_dynamics(model: SystemModel, x: Array, k: int = 0) -> Array:
-    """Noise-free dynamics f_k(x)."""
+def step_dynamics(model: SystemModel, x: Array) -> Array:
+    """Noise-free dynamics f(x)."""
     x = _check_state(model, x)
-    out = np.asarray(model.f(x, k), dtype=float)
+    out = np.asarray(model.f(x), dtype=float)
     if out.shape != (model.l_x,):
         raise ValueError(f"f returned shape {out.shape}, expected ({model.l_x},)")
     return out
 
 
-def measure(model: SystemModel, x: Array, k: int = 0) -> Array:
-    """Noise-free measurement g_k(x)."""
+def measure(model: SystemModel, x: Array) -> Array:
+    """Noise-free measurement g(x)."""
     x = _check_state(model, x)
-    out = np.asarray(model.g(x, k), dtype=float)
+    out = np.asarray(model.g(x), dtype=float)
     if out.shape != (model.l_y,):
         raise ValueError(f"g returned shape {out.shape}, expected ({model.l_y},)")
     return out
 
 
-def step_dynamics_batch(model: SystemModel, xs: Array, k: int = 0) -> Array:
+def step_dynamics_batch(model: SystemModel, xs: Array) -> Array:
     """f applied to column-stacked states in one call."""
     xs = np.asarray(xs, dtype=float)
-    out = np.asarray(model.f(xs, k), dtype=float)
+    out = np.asarray(model.f(xs), dtype=float)
     if out.shape != xs.shape:
         raise ValueError(f"batched f returned shape {out.shape}, expected {xs.shape}")
     return out
 
 
-def measure_batch(model: SystemModel, xs: Array, k: int = 0) -> Array:
+def measure_batch(model: SystemModel, xs: Array) -> Array:
     """g applied to column-stacked states in one call."""
     xs = np.asarray(xs, dtype=float)
-    out = np.asarray(model.g(xs, k), dtype=float)
+    out = np.asarray(model.g(xs), dtype=float)
     if out.shape != (model.l_y, xs.shape[1]):
         raise ValueError(f"batched g returned shape {out.shape}, expected {(model.l_y, xs.shape[1])}")
     return out
@@ -245,25 +216,25 @@ def jacobian_fd(fn: Callable[[Array], Array], x: Array, h: Optional[float] = Non
     return np.column_stack(cols)
 
 
-def jacobian_dynamics(model: SystemModel, x: Array, k: int = 0) -> Array:
-    """d f / d x at (x, k): analytic when attached, central differences otherwise."""
+def jacobian_dynamics(model: SystemModel, x: Array) -> Array:
+    """d f / d x at x: analytic when attached, central differences otherwise."""
     x = _check_state(model, x)
     if model.jac_f is not None:
-        jac = np.asarray(model.jac_f(x, k), dtype=float)
+        jac = np.asarray(model.jac_f(x), dtype=float)
     else:
-        jac = jacobian_fd(lambda z: model.f(z, k), x)
+        jac = jacobian_fd(model.f, x)
     if jac.shape != (model.l_x, model.l_x):
         raise ValueError(f"dynamics Jacobian shape {jac.shape}, expected ({model.l_x}, {model.l_x})")
     return jac
 
 
-def jacobian_measurement(model: SystemModel, x: Array, k: int = 0) -> Array:
-    """d g / d x at (x, k): analytic when attached, central differences otherwise."""
+def jacobian_measurement(model: SystemModel, x: Array) -> Array:
+    """d g / d x at x: analytic when attached, central differences otherwise."""
     x = _check_state(model, x)
     if model.jac_g is not None:
-        jac = np.asarray(model.jac_g(x, k), dtype=float)
+        jac = np.asarray(model.jac_g(x), dtype=float)
     else:
-        jac = jacobian_fd(lambda z: model.g(z, k), x)
+        jac = jacobian_fd(model.g, x)
     if jac.shape != (model.l_y, model.l_x):
         raise ValueError(f"measurement Jacobian shape {jac.shape}, expected ({model.l_y}, {model.l_x})")
     return jac
@@ -279,11 +250,11 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
         raise ValueError(f"step size must be positive, got {ts}")
     c = np.array([[1.0, 0.0]])
 
-    def f(x, k):
+    def f(x):
         x1, x2 = x
         return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1**2) * x2 - x1)])
 
-    def jac(x, k):
+    def jac(x):
         x1, x2 = x
         return np.array(
             [
@@ -296,11 +267,11 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
         l_x=2,
         l_y=1,
         f=f,
-        g=lambda x, k: c @ x,
+        g=lambda x: c @ x,
         Q=noise_cov(q, 2),
         R=noise_cov(r, 1),
         jac_f=jac,
-        jac_g=lambda x, k: c,
+        jac_g=lambda x: c,
     )
 
 
@@ -322,7 +293,7 @@ def make_lorenz(
         raise ValueError(f"step size must be positive, got {ts}")
     c = np.array([[0.0, 1.0, 0.0]])
 
-    def f(x, k):
+    def f(x):
         x1, x2, x3 = x
         return np.array(
             [
@@ -332,7 +303,7 @@ def make_lorenz(
             ]
         )
 
-    def jac(x, k):
+    def jac(x):
         x1, x2, x3 = x
         return np.eye(3) + ts * np.array(
             [
@@ -346,11 +317,11 @@ def make_lorenz(
         l_x=3,
         l_y=1,
         f=f,
-        g=lambda x, k: c @ x,
+        g=lambda x: c @ x,
         Q=noise_cov(q, 3),
         R=noise_cov(r, 1),
         jac_f=jac,
-        jac_g=lambda x, k: c,
+        jac_g=lambda x: c,
     )
 
 

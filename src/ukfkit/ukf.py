@@ -68,10 +68,10 @@ def _spread(center: Array, factor: Array, alpha: float) -> Array:
 
 def propagate_sigma(model: SystemModel, points: Array, k: int = 0) -> tuple[Array, Array]:
     """Push sigma points through f, then their images through g."""
-    xprop = step_dynamics_batch(model, points, k)
+    xprop = step_dynamics_batch(model, points)
     if not np.all(np.isfinite(xprop)):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
-    yprop = measure_batch(model, xprop, k + 1)
+    yprop = measure_batch(model, xprop)
     if not np.all(np.isfinite(yprop)):
         raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
     return xprop, yprop
@@ -116,5 +116,5 @@ def ukf_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> t
     """One UKF predict/update cycle, consuming the measurement at step k+1."""
     k = est.step
     prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.sigma_factor(f"ukf step {k}"), alpha)
-    p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, w, model.Q(k), model.R(k + 1))
+    p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, w, model.Q, model.R)
     return kf_correct("ukf", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)

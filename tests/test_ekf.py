@@ -27,8 +27,8 @@ def test_noise_free_limit_drives_output_error_to_zero():
     model = SystemModel(
         l_x=1,
         l_y=1,
-        f=lambda x, k: 0.5 * x,
-        g=lambda x, k: x,
+        f=lambda x: 0.5 * x,
+        g=lambda x: x,
         Q=np.zeros((1, 1)),
         R=1e-12 * np.eye(1),
     )

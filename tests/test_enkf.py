@@ -109,7 +109,7 @@ def test_vanishing_gain_limit_keeps_prior_ensemble():
         R=1e12 * np.eye(1),
     )
     ens = enkf_init(StateEstimate([1.0, 1.0], np.eye(2), 0), 2000, seed=9)
-    forecast = model.A(0) @ ens.members
+    forecast = model.A @ ens.members
     ens2, _ = enkf_step(model, ens, np.array([0.3]))
     assert np.max(np.abs(ens2.members - forecast)) < 1e-3
 
@@ -119,8 +119,8 @@ def test_divergence_raises():
     model = SystemModel(
         l_x=1,
         l_y=1,
-        f=lambda x, k: x * 1e200,
-        g=lambda x, k: x,
+        f=lambda x: x * 1e200,
+        g=lambda x: x,
         Q=np.eye(1),
         R=np.eye(1),
     )
@@ -143,18 +143,18 @@ def test_step_advances_bookkeeping():
 def _serial_step(model, members, seed, k, y):
     """One EnKF step written out with inline draws, as one plain expression per quantity."""
     n = members.shape[1]
-    w = noise_factor(model.Q(k)) @ philox_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
-    xf = step_dynamics_batch(model, members, k) + w
-    yf = measure_batch(model, xf, k + 1)
+    w = noise_factor(model.Q) @ philox_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
+    xf = step_dynamics_batch(model, members) + w
+    yf = measure_batch(model, xf)
     xbar = xf.mean(axis=1)
     xdev = xf - xbar[:, None]
     ydev = yf - yf.mean(axis=1)[:, None]
     denom = float(n - 1)
     prior_cov = symmetrize(np.einsum("ik,jk->ij", xdev, xdev) / denom)
     p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
-    p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R(k + 1))
+    p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R)
     gain = kf_gain(p_z, p_ez)
-    vr = noise_factor(model.R(k + 1)) @ philox_stream(seed, k + 1, KIND_OBS).standard_normal((model.l_y, n))
+    vr = noise_factor(model.R) @ philox_stream(seed, k + 1, KIND_OBS).standard_normal((model.l_y, n))
     xa = xf + gain @ (y[:, None] + vr - yf)
     mean = xa.mean(axis=1)
     adev = xa - mean[:, None]
@@ -186,7 +186,7 @@ def test_steps_equal_a_serial_reference(make_model):
 
 
 def _identity_model():
-    return SystemModel(l_x=2, l_y=1, f=lambda x, k: x, g=lambda x, k: x[:1], Q=0.1 * np.eye(2), R=np.eye(1))
+    return SystemModel(l_x=2, l_y=1, f=lambda x: x, g=lambda x: x[:1], Q=0.1 * np.eye(2), R=np.eye(1))
 
 
 def _stepped(model, n, steps=3):
@@ -234,16 +234,3 @@ def test_two_threads_stepping_one_ensemble_agree():
     for got in (out for run in results for out in run):
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
-
-
-def test_noise_refilled_in_place_is_refactored():
-    def chain(refill):
-        model = make_lorenz()
-        buf = np.empty((3, 3))
-        model.Q = (lambda k: np.copyto(buf, (1.0 + k) * np.eye(3)) or buf) if refill else (lambda k: (1.0 + k) * np.eye(3))
-        ens = enkf_init(StateEstimate(np.ones(3), np.eye(3), 0), 200, seed=3)
-        for k in range(1, 5):
-            ens, _ = enkf_step(model, ens, np.array([0.5]))
-        return ens.members
-
-    assert np.array_equal(chain(refill=True), chain(refill=False))

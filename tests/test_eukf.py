@@ -125,7 +125,7 @@ def test_eukfa_equivalence_holds_on_verify_seed_34013():
 def test_zero_q_reduces_to_plain_ukf(stepper):
     rng = np.random.default_rng(3)
     base = random_detectable_system(rng, l_x=3, l_y=1)
-    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
+    model = LinearSystem(A=base.A, C=base.C, Q=np.zeros((3, 3)), R=base.R)
     est = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(1)
     ukf_est, ukf_rec = ukf_step(model, est, y, 1.5)
@@ -139,7 +139,7 @@ def test_zero_q_eukfa_sigma_factor_is_the_cached_factor_bitwise():
     # With L_Q = 0 the QR has nothing to annihilate: R is chol(l_x P)^T itself.
     rng = np.random.default_rng(3)
     base = random_detectable_system(rng, l_x=3, l_y=1)
-    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
+    model = LinearSystem(A=base.A, C=base.C, Q=np.zeros((3, 3)), R=base.R)
     est = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(1)
     assert_array_equal(eukfa_sigma_scale(model, est), est.sigma_factor())
@@ -168,7 +168,7 @@ def test_covariance_estimates_match_closed_forms():
     p = random_spd(rng, 3)
     est = StateEstimate(np.zeros(3), p, 0)
     y = np.zeros(2)
-    a, c, q, r = model.A(0), model.C(1), model.Q(0), model.R(1)
+    a, c, q, r = model.A, model.C, model.Q, model.R
     apat = a @ p @ a.T
 
     _, ukf_rec = ukf_step(model, est, y, 1.5)

@@ -26,8 +26,8 @@ def test_truth_noise_free_is_deterministic():
     x = np.array([1.0, 1.0])
     for k in range(21):
         assert_allclose(states[k], x, rtol=0)
-        assert_allclose(meas[k], model.C(k) @ x, rtol=0)
-        x = model.A(k) @ x
+        assert_allclose(meas[k], model.C @ x, rtol=0)
+        x = model.A @ x
 
 
 def test_truth_seeded_reruns_match():
@@ -50,9 +50,9 @@ def test_truth_draws_are_those_of_fresh_philox_streams():
     for k in range(31):
         assert np.array_equal(states[k], x)
         v = philox_stream(11, k, harness.KIND_TRUTH_OBS).standard_normal(1)
-        assert np.array_equal(meas[k], model.g(x, k) + noise_factor(model.R(k)) @ v)
+        assert np.array_equal(meas[k], model.g(x) + noise_factor(model.R) @ v)
         w = philox_stream(11, k, harness.KIND_TRUTH_PROCESS).standard_normal(3)
-        x = model.f(x, k) + noise_factor(model.Q(k)) @ w
+        x = model.f(x) + noise_factor(model.Q) @ w
 
 
 def test_truth_lorenz_stays_bounded():
@@ -98,6 +98,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="p0"):
         run_experiment(ExperimentConfig(**custom, p0=np.ones(3)))  # diagonal of the wrong length
     assert run_experiment(ExperimentConfig(**custom, p0=0.0))[-1].metrics["kf"].trace > 0.0  # all-zero p0 is allowed
+    for model, key, value in [
+        ("linear-ex1", "ts", 5.0),
+        ("linear-ex2", "mu", 3.0),
+        ("lorenz", "mu", 3.0),
+        ("lorenz", "a", np.eye(3)),
+        ("vdp", "c", np.eye(2)),
+    ]:
+        with pytest.raises(ValueError, match=f"model {model!r} takes no {key}"):
+            ExperimentConfig(model=model, steps=2, filters=("ukf",), **{key: value})
     cfg = ExperimentConfig(model="linear-ex2", steps=10, filters=("ukf", "KF", "ukf"))
     assert cfg.filters == ("kf", "ukf")
 
@@ -161,28 +170,41 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
         assert math.isfinite(rec.metrics["kf"].trace)
 
 
+def _overflowing_output_model():
+    return SystemModel(
+        l_x=1,
+        l_y=1,
+        f=lambda x: x,
+        g=lambda x: 1e160 * x**3,
+        Q=np.zeros((1, 1)),
+        R=np.eye(1),
+        jac_f=lambda x: np.eye(1),
+        jac_g=lambda x: 3e160 * x[None, :] ** 2,
+    )
+
+
+def _run_with_overflowing_output(monkeypatch, failing):
+    monkeypatch.setattr(harness, "build_model", lambda cfg: (_overflowing_output_model(), np.zeros(1), np.eye(1)))
+    records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, ensemble=100, filters=("ekf", failing)))
+    assert records[0].metrics[failing].failure == (
+        f"FilterDiverged: {failing} produced a non-finite innovation or cross covariance at step 1"
+    )
+    assert all(rec.metrics[failing].diverged for rec in records)
+    assert not any(rec.metrics["ekf"].diverged for rec in records)
+    assert all(math.isfinite(rec.metrics["ekf"].trace) for rec in records)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_overflowing_innovation_covariance_marks_only_that_filter_diverged(monkeypatch):
     # g(x) = 1e160 x^3: the UKF's sigma outputs near +-3.4e160 are finite, but their
     # squares overflow P_z to inf.  The EKF linearizes g at 0, where dg/dx = 0, and runs on.
-    model = SystemModel(
-        l_x=1,
-        l_y=1,
-        f=lambda x, k: x,
-        g=lambda x, k: 1e160 * x**3,
-        Q=np.zeros((1, 1)),
-        R=np.eye(1),
-        jac_f=lambda x, k: np.eye(1),
-        jac_g=lambda x, k: 3e160 * x[None, :] ** 2,
-    )
-    monkeypatch.setattr(harness, "build_model", lambda cfg: (model, np.zeros(1), np.eye(1)))
-    records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, filters=("ekf", "ukf")))
-    assert records[0].metrics["ukf"].failure == (
-        "FilterDiverged: ukf produced a non-finite innovation or cross covariance at step 1"
-    )
-    assert all(rec.metrics["ukf"].diverged for rec in records)
-    assert not any(rec.metrics["ekf"].diverged for rec in records)
-    assert all(math.isfinite(rec.metrics["ekf"].trace) for rec in records)
+    _run_with_overflowing_output(monkeypatch, "ukf")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_ensemble_innovation_marks_only_enkf_diverged(monkeypatch):
+    # The members' outputs are finite too; the sum of their squared deviations is not.
+    _run_with_overflowing_output(monkeypatch, "enkf")
 
 
 def test_divergence_keeps_first_failing_step_and_reason():

@@ -98,7 +98,7 @@ def test_update_zero_gain_keeps_prior():
 
 def test_update_matching_prediction_keeps_mean(ex1):
     _, rec = kf_step(ex1, StateEstimate([1.0, 1.0], np.eye(2), 0), np.zeros(1))
-    y = ex1.C(1) @ rec.prior_mean
+    y = ex1.C @ rec.prior_mean
     mean, _ = kf_update(rec.prior_mean, rec.prior_cov, rec.gain, rec.cross_cov, y, y)
     assert_allclose(mean, rec.prior_mean, rtol=0)
 
@@ -152,7 +152,7 @@ def test_joseph_form_consistency():
         sys = random_detectable_system(rng)
         est = StateEstimate(np.zeros(sys.l_x), random_spd(rng, sys.l_x), 0)
         _, rec = kf_step(sys, est, np.zeros(sys.l_y))
-        c, r = sys.C(1), sys.R(1)
+        c, r = sys.C, sys.R
         ikc = np.eye(sys.l_x) - rec.gain @ c
         joseph = ikc @ rec.prior_cov @ ikc.T + rec.gain @ r @ rec.gain.T
         err = np.linalg.norm(rec.posterior_cov - joseph) / np.linalg.norm(joseph)

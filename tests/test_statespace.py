@@ -62,11 +62,11 @@ def test_measure_built_ins():
 
 def test_noise_levels_of_built_ins():
     vdp = make_vdp()
-    assert_allclose(vdp.Q(0), 0.01 * np.eye(2), rtol=0)
-    assert_allclose(vdp.R(0), [[1e-4]], rtol=0)
+    assert_allclose(vdp.Q, 0.01 * np.eye(2), rtol=0)
+    assert_allclose(vdp.R, [[1e-4]], rtol=0)
     lorenz = make_lorenz()
-    assert_allclose(lorenz.Q(0), 0.01 * np.eye(3), rtol=0)
-    assert_allclose(lorenz.R(0), [[1e-4]], rtol=0)
+    assert_allclose(lorenz.Q, 0.01 * np.eye(3), rtol=0)
+    assert_allclose(lorenz.R, [[1e-4]], rtol=0)
 
 
 def test_jacobian_linear_model_is_a_everywhere():
@@ -74,8 +74,8 @@ def test_jacobian_linear_model_is_a_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(2)
-        assert_allclose(jacobian_dynamics(model, x), model.A(0), rtol=0)
-        assert_allclose(jacobian_measurement(model, x), model.C(0), rtol=0)
+        assert_allclose(jacobian_dynamics(model, x), model.A, rtol=0)
+        assert_allclose(jacobian_measurement(model, x), model.C, rtol=0)
 
 
 def test_vdp_jacobian_hand_value():
@@ -100,7 +100,7 @@ def test_jacobian_fd_identity_and_affine():
 def test_jacobian_fd_matches_analytic_lorenz():
     model = make_lorenz()
     x = np.array([1.0, 1.0, 1.0])
-    fd = jacobian_fd(lambda z: model.f(z, 0), x)
+    fd = jacobian_fd(model.f, x)
     assert np.max(np.abs(fd - jacobian_dynamics(model, x))) < 1e-6
 
 
@@ -127,7 +127,7 @@ def _simulated_points(model, x0, n, burn=500, keep=100, seed=0):
     x = np.asarray(x0, dtype=float)
     traj = []
     for k in range(burn + n):
-        x = step_dynamics(model, x, k)
+        x = step_dynamics(model, x)
         if k >= burn:
             traj.append(x)
     idx = np.random.default_rng(seed).choice(len(traj), size=keep, replace=False)
@@ -138,7 +138,7 @@ def _simulated_points(model, x0, n, burn=500, keep=100, seed=0):
 def test_fd_vs_analytic_on_attractor(maker, x0):
     model = maker()
     for x in _simulated_points(model, x0, 2000):
-        fd = jacobian_fd(lambda z: model.f(z, 0), x)
+        fd = jacobian_fd(model.f, x)
         assert np.max(np.abs(fd - jacobian_dynamics(model, x))) < 1e-5
 
 
@@ -146,7 +146,7 @@ def test_lorenz_trajectory_stays_bounded():
     model = make_lorenz()
     x = np.array([1.0, 1.0, 1.0])
     for k in range(5000):
-        x = step_dynamics(model, x, k)
+        x = step_dynamics(model, x)
         assert np.max(np.abs(x)) < 100.0
 
 
@@ -217,20 +217,6 @@ def test_state_estimate_equality_compares_values():
     assert a != "not an estimate"
 
 
-def test_noise_factor_cache_refactors_only_new_values(monkeypatch):
-    from ukfkit import statespace
-
-    calls = []
-    monkeypatch.setattr(statespace, "noise_factor", lambda m, where="": calls.append(m) or np.linalg.cholesky(m))
-    cache = statespace.NoiseFactorCache()
-    q = 2.0 * np.eye(2)
-    first = cache(q)
-    assert cache(q) is first and cache(q.copy()) is first and len(calls) == 1
-    q[1, 1] = 3.0  # refilled in place
-    assert_allclose(cache(q), np.diag([np.sqrt(2.0), np.sqrt(3.0)]), rtol=0)
-    assert len(calls) == 2
-
-
 def test_noise_factor_symmetrizes_a_skewed_matrix():
     from ukfkit.statespace import noise_factor
 
@@ -238,63 +224,33 @@ def test_noise_factor_symmetrizes_a_skewed_matrix():
     assert np.array_equal(noise_factor(skewed), np.linalg.cholesky(np.array([[2.0, 0.2], [0.2, 1.0]])))
 
 
-def test_noise_factor_cache_shared_by_two_threads_pairs_each_key_with_its_factor():
-    import sys
-    import threading
-
-    from ukfkit.statespace import NoiseFactorCache
-
-    cache = NoiseFactorCache()
-    mats = [2.0 * np.eye(3), np.diag([3.0, 5.0, 7.0])]
-    wrong = []
-
-    def work(m):
-        expected = np.sqrt(np.diag(m))
-        for _ in range(3000):
-            if not np.array_equal(np.diag(cache(m)), expected):
-                wrong.append(m[0, 0])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(m,)) for m in mats]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-
-
-def _truth_runs(model, q_of_k):
-    """Truth runs with Q(k) = q_of_k(k) returned fresh, and refilled into one buffer."""
-    from ukfkit.harness import simulate_truth
-
-    model.Q = lambda k: q_of_k(k).copy()
-    fresh = simulate_truth(model, np.ones(3), 20, seed=1)
-    buf = np.empty((3, 3))
-    model.Q = lambda k: np.copyto(buf, q_of_k(k)) or buf
-    return fresh, simulate_truth(model, np.ones(3), 20, seed=1)
-
-
 def test_truth_run_factors_constant_noise_once(monkeypatch):
-    from ukfkit import statespace
+    from ukfkit import enkf, harness, statespace
 
     calls = []
     real = statespace.noise_factor
-    monkeypatch.setattr(statespace, "noise_factor", lambda m, where="": calls.append(where) or real(m, where))
-    model = make_lorenz()
-    q = model.Q(0)
-    fresh, refilled = _truth_runs(model, lambda k: q)
-    assert len(calls) == 4  # Q and R once per run, whether or not Q is a new object each step
-    for a, b in zip(fresh, refilled):
-        assert np.array_equal(a, b)
+    for module in (statespace, enkf, harness):
+        monkeypatch.setattr(module, "noise_factor", lambda m, where="": calls.append(where) or real(m, where))
+    cfg = harness.ExperimentConfig(model="lorenz", steps=20, seed=1, ensemble=50, filters=("enkf", "eukfa"))
+    records = harness.run_experiment(cfg)
+    assert not any(m.diverged for rec in records for m in rec.metrics.values())
+    assert sorted(calls) == ["Q", "R", "enkf init"]  # the truth, enkf and eukfa share the model's factors
 
 
-def test_truth_run_refactors_noise_refilled_in_place():
-    model = make_lorenz()
-    fresh, refilled = _truth_runs(model, lambda k: (1.0 + 0.1 * k) * np.eye(3))
-    for a, b in zip(fresh, refilled):
-        assert np.array_equal(a, b)
+def test_noise_shapes_are_checked_where_they_enter():
+    f = g = lambda x: x
+    with pytest.raises(ValueError, match=r"Q must have shape \(3, 3\), got \(1, 1\)"):
+        SystemModel(l_x=3, l_y=1, f=f, g=g, Q=0.01 * np.eye(1), R=np.eye(1))
+    with pytest.raises(ValueError, match=r"R must have shape \(1, 1\), got \(2, 2\)"):
+        SystemModel(l_x=3, l_y=1, f=f, g=g, Q=0.01 * np.eye(3), R=np.eye(2))
+
+
+def test_model_noise_and_its_factors_are_fixed_at_construction():
+    from dataclasses import FrozenInstanceError
+
+    for model in (make_lorenz(), make_linear_ex1()):
+        with pytest.raises(FrozenInstanceError):
+            model.Q = 2.0 * model.Q
+        with pytest.raises(ValueError, match="read-only"):
+            model.R[0, 0] = 2.0
+        assert np.array_equal(model.q_factor, np.linalg.cholesky(model.Q))

@@ -150,7 +150,7 @@ def test_deviations_linear_closed_form():
     xprop, _ = propagate_sigma(model, pts)
     w = ukf_weights(alpha, 3)
     s = alpha * np.linalg.cholesky(3 * p)
-    expected = model.A(0) @ np.hstack([np.zeros((3, 1)), s, -s])
+    expected = model.A @ np.hstack([np.zeros((3, 1)), s, -s])
     assert_allclose(deviations(xprop, w), expected, atol=1e-12)
 
 
@@ -169,7 +169,7 @@ def test_ex1_unscented_output_covariances_hand_values():
     model = make_linear_ex1()
     est = StateEstimate([1.0, 1.0], np.eye(2), 0)
     _, rec = ukf_step(model, est, np.zeros(1), 1.5)
-    a, c = model.A(0), model.C(1)
+    a, c = model.A, model.C
     aat = a @ a.T
     assert_allclose(rec.innovation_cov, c @ aat @ c.T + 1.0, rtol=1e-12)
     assert_allclose(rec.cross_cov, aat @ c.T, rtol=1e-12)
@@ -186,7 +186,7 @@ def test_missing_term_identities_on_random_systems():
         for _ in range(5):
             est_next, kf_rec = kf_step(model, est, y)
             _, ukf_rec = ukf_step(model, est, y, 1.5)
-            c, q = model.C(est.step + 1), model.Q(est.step)
+            c, q = model.C, model.Q
             assert np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov)) < 1e-10
             assert np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov)) < 1e-10
             assert_allclose(ukf_rec.prior_cov, kf_rec.prior_cov, atol=1e-10)
@@ -203,7 +203,7 @@ def test_missing_term_identities_property(seed, alpha):
     for _ in range(10):
         est_next, kf_rec = kf_step(model, est, y)
         _, ukf_rec = ukf_step(model, est, y, alpha)
-        c, q = model.C(est.step + 1), model.Q(est.step)
+        c, q = model.C, model.Q
         assert np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov)) <= 1e-10
         assert np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov)) <= 1e-10
         est = est_next
@@ -231,7 +231,7 @@ def test_alpha_invariance_on_linear_system():
 def test_zero_process_noise_recovers_kf():
     rng = np.random.default_rng(7)
     base = random_detectable_system(rng, l_x=3, l_y=2)
-    model = LinearSystem(A=base.A(0), C=base.C(0), Q=np.zeros((3, 3)), R=base.R(0))
+    model = LinearSystem(A=base.A, C=base.C, Q=np.zeros((3, 3)), R=base.R)
     est = StateEstimate(np.zeros(3), random_spd(rng, 3), 0)
     y = rng.standard_normal(2)
     for _ in range(5):
