@@ -33,7 +33,7 @@ from .statespace import (
     measure,
     step_dynamics,
 )
-from .ukf import deviations, propagate_sigma, sigma_points, ukf_covariances, ukf_step, ukf_weights
+from .ukf import deviations, propagate_sigma, sigma_points, sigma_step, ukf_step, ukf_weights
 
 __version__ = "0.1.0"
 
@@ -77,12 +77,12 @@ __all__ = [
     "reproduce_config",
     "run_experiment",
     "sigma_points",
+    "sigma_step",
     "simulate_truth",
     "solve_spd",
     "spd_sqrt_factor",
     "step_dynamics",
     "symmetrize",
-    "ukf_covariances",
     "ukf_step",
     "ukf_weights",
     "verify_propositions",

@@ -15,6 +15,9 @@ minimizes.
 
 :func:`linearized_step` reads A and C as the model's Jacobians, so it is the
 Kalman filter on a :class:`LinearSystem` and the EKF on any other model.
+:func:`kf_correct`, the gain and update shared by every covariance-form
+filter, works on a stack of filters, one slice each; the kf and ekf pass a
+stack of one, and the sigma-point filters a stack of all that step together.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FilterDiverged, solve_spd, symmetrize
+from .numerics import FilterDiverged, all_finite, cholesky_solve, spd_sqrt_factor, symmetrize
 from .statespace import (
     LinearSystem,
     StateEstimate,
@@ -51,8 +54,8 @@ class KfStep:
 
 
 def kf_gain(p_z: Array, p_ez: Array, where: str = "") -> Array:
-    """Gain K solving K P_z = P_ez."""
-    return solve_spd(p_z, p_ez.T, where).T
+    """Gain K solving K P_z = P_ez, for each slice of a stack; P_z and P_ez must be finite (:func:`check_innovation`)."""
+    return cholesky_solve(spd_sqrt_factor(p_z, where), p_ez.swapaxes(-1, -2), where).swapaxes(-1, -2)
 
 
 def kf_update(
@@ -63,14 +66,14 @@ def kf_update(
     y: Array,
     predicted_y: Array,
 ) -> tuple[Array, Array]:
-    """Measurement update: mean += K (y - y_hat), cov = P+ - K P_ez^T.
+    """Measurement update: mean += K (y - y_hat), cov = P+ - K P_ez^T, for one filter or a stack.
 
-    The formula only: the estimate :func:`kf_correct` builds from it
-    symmetrizes cov, and kf_correct checks that the result is finite and SPD.
+    The formula only: :func:`kf_correct` symmetrizes cov and checks that the
+    result is finite and SPD.
     """
     y = np.asarray(y, dtype=float)
-    mean = prior_mean + gain @ (y - predicted_y)
-    cov = prior_cov - gain @ cross_cov.T
+    mean = prior_mean + (gain @ (y - predicted_y)[..., None])[..., 0]
+    cov = prior_cov - gain @ cross_cov.swapaxes(-1, -2)
     return mean, cov
 
 
@@ -83,37 +86,42 @@ def evaluate_gain_cov(prior_cov: Array, p_z: Array, p_ez: Array, gain: Array) ->
 def check_measurement(y, shape: tuple[int, ...], where: str) -> Array:
     """y as a float array; ValueError naming `where` unless it is finite with the given shape."""
     y = np.asarray(y, dtype=float)
-    if y.shape != shape or not np.isfinite(y).all():
+    if y.shape != shape or not all_finite(y):
         raise ValueError(f"{where}: expected a finite measurement of shape {shape}, got {y!r}")
     return y
 
 
 def check_innovation(name: str, k: int, p_z: Array, p_ez: Array) -> None:
     """FilterDiverged naming filter `name` and step k unless P_z and P_ez are finite."""
-    if not (np.isfinite(p_z).all() and np.isfinite(p_ez).all()):
+    if not all_finite(p_z, p_ez):
         raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
 
 
 def kf_correct(
-    name: str, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
-) -> tuple[StateEstimate, KfStep]:
-    """Gain, update and record for filter `name` consuming the step-k measurement y.
+    names, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
+) -> list[tuple[StateEstimate, KfStep]]:
+    """Gain, update and record per filter for a stack of filters consuming the step-k measurement y.
 
-    A y that is not finite and shaped like `predicted_y` raises ValueError;
-    a non-finite P_z, P_ez or posterior raises FilterDiverged, and a
-    posterior that is not SPD NotPositiveDefinite.  All three name filter
-    and step.  The SPD check factors l_x * P and leaves the factor on the
-    returned estimate, where the next sigma-point step reuses it.
+    Slice i of every array belongs to filter names[i]; returns one (next
+    estimate, KfStep) pair per slice, or the pair alone for one name and
+    unstacked arrays.  A bad y raises ValueError, a non-finite P_z, P_ez or
+    posterior FilterDiverged, and a posterior that is not SPD
+    NotPositiveDefinite, all naming filters and step.  The SPD check caches
+    chol(l_x P) on each estimate for the next sigma-point step.
     """
-    where = f"{name} step {k}"
-    y = check_measurement(y, predicted_y.shape, where)
-    check_innovation(name, k, p_z, p_ez)
+    if isinstance(names, str):
+        return kf_correct((names,), k, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
+    label = "+".join(names)
+    where = f"{label} step {k}"
+    y = check_measurement(y, predicted_y.shape[1:], where)
+    check_innovation(label, k, p_z, p_ez)
     gain = kf_gain(p_z, p_ez, where)
-    est = StateEstimate(*kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y), k)
-    if not (np.isfinite(est.mean).all() and np.isfinite(est.cov).all()):
-        raise FilterDiverged(f"{name} produced a non-finite estimate at step {k}")
-    est.sigma_factor(where)
-    return est, KfStep(prior_mean, prior_cov, gain, p_z, p_ez, est.mean, est.cov)
+    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y)
+    cov = symmetrize(cov)
+    if not all_finite(mean, cov):
+        raise FilterDiverged(f"{label} produced a non-finite estimate at step {k}")
+    ests = StateEstimate.from_stack(mean, cov, k, where)
+    return [(est, KfStep(prior_mean[i], prior_cov[i], gain[i], p_z[i], p_ez[i], est.mean, est.cov)) for i, est in enumerate(ests)]
 
 
 def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:

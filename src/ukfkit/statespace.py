@@ -82,19 +82,26 @@ class SystemModel:
             object.__setattr__(self, f"{name.lower()}_factor", noise_factor(m, name))
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class LinearSystem(SystemModel):
     """Linear model x_{k+1} = A x + w, y = C x + v: a SystemModel with exact Jacobians A and C.
 
-    A and C stay readable as the matrix attributes ``A`` and ``C``.
+    A and C are read-only float copies, used by f, g and the Jacobians;
+    like the other fields they cannot be reassigned.
     """
 
+    A: Array = field(init=False)
+    C: Array = field(init=False)
+
     def __init__(self, A: Array, C: Array, Q: Array, R: Array):
-        a, c = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+        a, c = np.array(A, dtype=float), np.array(C, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if c.ndim != 2 or c.shape[1] != a.shape[0]:
             raise ValueError(f"C shape {c.shape} does not match state dimension {a.shape[0]}")
-        self.A, self.C = a, c
+        for name, m in (("A", a), ("C", c)):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
         super().__init__(
             l_x=a.shape[0],
             l_y=c.shape[0],
@@ -142,6 +149,21 @@ class StateEstimate:
             and np.array_equal(self.mean, other.mean)
             and np.array_equal(self.cov, other.cov)
         )
+
+    @classmethod
+    def from_stack(cls, means: Array, covs: Array, step: int, where: str = "") -> list[StateEstimate]:
+        """Unchecked estimates from means (s, l_x) and symmetric covariances (s, l_x, l_x).
+
+        Their sigma factors come from one stacked factorization, which raises
+        NotPositiveDefinite naming `where` when a covariance is not SPD.
+        """
+        out = []
+        for mean, cov, factor in zip(means, covs, spd_sqrt_factor(means.shape[1] * covs, where)):
+            est = object.__new__(cls)
+            for name, value in (("mean", mean), ("cov", cov), ("step", step), ("_sigma_factor", factor)):
+                object.__setattr__(est, name, value)
+            out.append(est)
+        return out
 
     def sigma_factor(self, where: str = "") -> Array:
         """Lower Cholesky factor of l_x * cov, the unscaled sigma-point spread.
@@ -218,25 +240,19 @@ def jacobian_fd(fn: Callable[[Array], Array], x: Array, h: Optional[float] = Non
 
 def jacobian_dynamics(model: SystemModel, x: Array) -> Array:
     """d f / d x at x: analytic when attached, central differences otherwise."""
-    x = _check_state(model, x)
-    if model.jac_f is not None:
-        jac = np.asarray(model.jac_f(x), dtype=float)
-    else:
-        jac = jacobian_fd(model.f, x)
-    if jac.shape != (model.l_x, model.l_x):
-        raise ValueError(f"dynamics Jacobian shape {jac.shape}, expected ({model.l_x}, {model.l_x})")
-    return jac
+    return _jacobian(model, x, model.jac_f, model.f, model.l_x, "dynamics")
 
 
 def jacobian_measurement(model: SystemModel, x: Array) -> Array:
     """d g / d x at x: analytic when attached, central differences otherwise."""
+    return _jacobian(model, x, model.jac_g, model.g, model.l_y, "measurement")
+
+
+def _jacobian(model: SystemModel, x: Array, jac_fn, fn, rows: int, kind: str) -> Array:
     x = _check_state(model, x)
-    if model.jac_g is not None:
-        jac = np.asarray(model.jac_g(x), dtype=float)
-    else:
-        jac = jacobian_fd(model.g, x)
-    if jac.shape != (model.l_y, model.l_x):
-        raise ValueError(f"measurement Jacobian shape {jac.shape}, expected ({model.l_y}, {model.l_x})")
+    jac = np.asarray(jac_fn(x), dtype=float) if jac_fn is not None else jacobian_fd(fn, x)
+    if jac.shape != (rows, model.l_x):
+        raise ValueError(f"{kind} Jacobian shape {jac.shape}, expected ({rows}, {model.l_x})")
     return jac
 
 

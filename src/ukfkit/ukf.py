@@ -7,10 +7,11 @@ is the current posterior mean.  The combination weights are
     w[0] = (alpha^2 - 1) / alpha^2,    w[i] = 1 / (2 alpha^2 l_x),
 
 which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
-share :func:`unscented_prior` and the Kalman update :func:`kf.kf_correct`;
-they differ only in the sigma scale and the covariance terms.  Here the
-covariances are weighted outer products of the propagated deviations, with
-Q added to the prior and R to the output covariance.
+are one recursion, :func:`sigma_step`, which advances a stack of estimates,
+one slice per filter; ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are
+one-slice calls of it.  They differ only in the sigma factor and where Q
+enters the covariances, which are weighted outer products of the
+propagated deviations, with R added to the output covariance.
 
 alpha < 1 makes the center weight negative and the estimated covariances
 can lose definiteness; that surfaces as NotPositiveDefinite with the step
@@ -20,14 +21,33 @@ index rather than being repaired.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlange
 
 from .kf import KfStep, kf_correct
-from .numerics import FilterDiverged, spd_sqrt_factor, symmetrize
-from .statespace import StateEstimate, SystemModel, measure_batch, step_dynamics_batch
+from .numerics import FilterDiverged, all_finite, spd_sqrt_factor, stack, symmetrize
+from .statespace import (
+    StateEstimate,
+    SystemModel,
+    jacobian_dynamics,
+    jacobian_measurement,
+    measure_batch,
+    step_dynamics_batch,
+)
 
 Array = np.ndarray
+
+SIGMA_FILTERS = ("ukf", "eukfa", "eukfc")
+_SIGMA_SET = frozenset(SIGMA_FILTERS)
+
+# Reciprocal condition number (1-norm estimate) below which A counts as singular.
+_RCOND_MIN = 1e-12
+
+
+class SingularDynamicsJacobian(Exception):
+    """The dynamics Jacobian is too ill-conditioned to invert."""
 
 
 def ukf_weights(alpha: float, l_x: int) -> Array:
@@ -60,21 +80,27 @@ def sigma_points(center: Array, scale: Array, alpha: float, where: str = "") -> 
 
 
 def _spread(center: Array, factor: Array, alpha: float) -> Array:
-    """Columns [c, c + p_i, c - p_i] with p_i the columns of alpha * factor."""
+    """Columns [c, c + p_i, c - p_i] with p_i the columns of alpha * factor, for each slice of a stack."""
     p_sigma = alpha * factor
-    c = center[:, None]
-    return np.concatenate((c, c + p_sigma, c - p_sigma), axis=1)
+    c = center[..., None]
+    return np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)
 
 
 def propagate_sigma(model: SystemModel, points: Array, k: int = 0) -> tuple[Array, Array]:
-    """Push sigma points through f, then their images through g."""
-    xprop = step_dynamics_batch(model, points)
-    if not np.all(np.isfinite(xprop)):
+    """Push sigma points through f, then their images through g; a stack (s, l_x, m) one set per call."""
+    xprop = _per_set(step_dynamics_batch, model, points)
+    if not all_finite(xprop):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
-    yprop = measure_batch(model, xprop)
-    if not np.all(np.isfinite(yprop)):
+    yprop = _per_set(measure_batch, model, xprop)
+    if not all_finite(yprop):
         raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
     return xprop, yprop
+
+
+def _per_set(batch_fn, model: SystemModel, points: Array) -> Array:
+    if points.ndim == 2:
+        return batch_fn(model, points)
+    return batch_fn(model, points[0])[None] if len(points) == 1 else np.array([batch_fn(model, p) for p in points])
 
 
 def deviations(m: Array, w: Array) -> Array:
@@ -83,38 +109,92 @@ def deviations(m: Array, w: Array) -> Array:
     return m - (m @ w)[:, None]
 
 
-def ukf_covariances(
-    xdev: Array, ydev: Array, w: Array, q: Array, r: Array
-) -> tuple[Array, Array, Array]:
-    """Unscented estimates (P_prior, P_z, P_ez) from centered deviations."""
-    wx = xdev * w
-    wy = ydev * w
-    p_prior = symmetrize(wx @ xdev.T + q)
-    p_z = symmetrize(wy @ ydev.T + r)
-    p_ez = wx @ ydev.T
-    return p_prior, p_z, p_ez
-
-
 def unscented_prior(
-    model: SystemModel, est: StateEstimate, factor: Array, alpha: float
+    model: SystemModel, means: Array, factors: Array, alpha: float, k: int = 0
 ) -> tuple[Array, Array, Array, Array, Array]:
-    """Sigma points around est.mean spread by the columns of alpha * `factor`, pushed through f and g.
+    """Sigma points around each mean (s, l_x) spread by alpha times its factor (s, l_x, l_x), pushed through f and g.
 
-    `factor` is the sigma factor S, with S S^T = l_x times the sigma scale:
-    est.sigma_factor() for the scale est.cov.
-    Returns (prior mean, predicted output, state deviations, output deviations, weights).
+    A factor S has S S^T = l_x times the sigma scale, as est.sigma_factor()
+    for est.cov.  Returns the stacked (prior means, predicted outputs, state
+    deviations, output deviations) and the weights.
     """
-    k = est.step
     w = ukf_weights(alpha, model.l_x)
-    xprop, yprop = propagate_sigma(model, _spread(est.mean, factor, alpha), k)
+    xprop, yprop = propagate_sigma(model, _spread(means, factors, alpha), k)
     prior_mean, predicted_y = xprop @ w, yprop @ w
     # The same subtraction as deviations(), without computing the means again.
-    return prior_mean, predicted_y, xprop - prior_mean[:, None], yprop - predicted_y[:, None], w
+    return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w
+
+
+def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
+    """Sigma factor of the inflated scale: lower-triangular S with S S^T = l_x (P + A^{-1} Q A^{-T}).
+
+    S is R^T for the R factor of the QR decomposition of
+    [chol(l_x P)^T ; sqrt(l_x) (A^{-1} L_Q)^T], with L_Q = chol(Q), and its
+    columns' signs flipped so that its diagonal is positive; so S is the
+    Cholesky factor up to rounding, without the eps * cond(A)^2 loss of
+    forming and factoring the sum.  chol(l_x P) is the estimate's cached
+    sigma factor, and L_Q is the model's ``q_factor``.  A^{-1}
+    is applied through one LU factorization; a Jacobian whose estimated
+    reciprocal 1-norm condition number is below 1e-12 raises
+    SingularDynamicsJacobian.
+    """
+    k = est.step
+    a = jacobian_dynamics(model, est.mean)
+    lu, piv, info = dgetrf(a)
+    if info == 0:
+        rcond, info = dgecon(lu, dlange("1", a))
+    if info != 0 or not rcond >= _RCOND_MIN:
+        raise SingularDynamicsJacobian(f"dynamics Jacobian at step {k} is numerically singular")
+    where = f"eukfa step {k}"
+    inv_lq, _ = dgetrs(lu, piv, model.q_factor)  # A^{-1} L_Q
+    n = model.l_x
+    stacked = np.concatenate((est.sigma_factor(where), math.sqrt(n) * inv_lq), axis=1)
+    qr, _, _, _ = dgeqrf(stacked.T, overwrite_a=1)  # the transpose is F-ordered, so no copy
+    r = qr[:n]
+    # The lower triangle of R^T, column j times sign(R_jj); R's strictly lower part holds Householder vectors.
+    return r.T * np.copysign(_lower_ones(n), r.diagonal())
+
+
+@functools.lru_cache(maxsize=16)
+def _lower_ones(n: int) -> Array:
+    """Read-only n x n matrix of ones on and below the diagonal; np.tri per call costs more than the product."""
+    ones = np.tri(n)
+    ones.flags.writeable = False
+    return ones
+
+
+def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:
+    """One predict/update cycle of a stack of sigma-point filters, consuming the measurement at step k+1.
+
+    Slice i runs filter names[i] ("ukf", "eukfa" or "eukfc", in any mix and
+    order) from ests[i], all at one step.  eukfa's sigma factor, eukfc's
+    C Q C^T and Q C^T terms, f and g see one slice at a time; the rest runs
+    as stacked numpy calls, whose slices are the bits of one-slice stacks.
+    Returns one (next estimate, KfStep) pair per slice.
+    """
+    k = ests[0].step if ests else -1
+    if len(names) != len(ests) or not _SIGMA_SET.issuperset(names) or {est.step for est in ests} != {k}:
+        raise ValueError(f"expected one estimate at one step per filter in {SIGMA_FILTERS}, got {names}")
+    factors = stack(
+        [eukfa_sigma_scale(model, est) if name == "eukfa" else est.sigma_factor(f"{name} step {k}") for name, est in zip(names, ests)]
+    )
+    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, stack([est.mean for est in ests]), factors, alpha, k)
+    wx = xdev * w
+    p_prior = wx @ xdev.swapaxes(-1, -2)
+    p_z = (ydev * w) @ ydev.swapaxes(-1, -2)
+    p_ez = wx @ ydev.swapaxes(-1, -2)
+    for i, name in enumerate(names):
+        # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
+        if name != "eukfa":
+            p_prior[i] += model.Q
+        if name == "eukfc":
+            c = jacobian_measurement(model, prior_mean[i])
+            qct = model.Q @ c.T
+            p_z[i] += c @ qct
+            p_ez[i] += qct
+    return kf_correct(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z + model.R), p_ez, y, predicted_y)
 
 
 def ukf_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """One UKF predict/update cycle, consuming the measurement at step k+1."""
-    k = est.step
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.sigma_factor(f"ukf step {k}"), alpha)
-    p_prior, p_z, p_ez = ukf_covariances(xdev, ydev, w, model.Q, model.R)
-    return kf_correct("ukf", k + 1, prior_mean, p_prior, p_z, p_ez, y, predicted_y)
+    return sigma_step(model, ("ukf",), (est,), y, alpha)[0]

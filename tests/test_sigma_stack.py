@@ -1,0 +1,97 @@
+"""The stacked sigma-point step: each slice is bitwise the filter stepped on its own."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+import ukfkit.harness as harness
+from ukfkit.eukf import eukfa_step, eukfc_step
+from ukfkit.harness import ExperimentConfig, random_detectable_system, random_spd, run_experiment, simulate_truth
+from ukfkit.kf import KfStep
+from ukfkit.statespace import StateEstimate, make_lorenz, make_vdp
+from ukfkit.ukf import SIGMA_FILTERS, sigma_step, ukf_step
+
+ONE_AT_A_TIME = {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}
+
+
+def _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha):
+    """len(meas) - 1 steps of the stack `names` against each filter stepped alone, from the same est0."""
+    stacked = [est0] * len(names)
+    alone = list(stacked)
+    for k in range(1, len(meas)):
+        results = sigma_step(model, names, stacked, meas[k], alpha)
+        assert len(results) == len(names)
+        for i, (name, (est, rec)) in enumerate(zip(names, results)):
+            alone[i], alone_rec = ONE_AT_A_TIME[name](model, alone[i], meas[k], alpha)
+            assert est.step == alone[i].step == k
+            assert_array_equal(est.mean, alone[i].mean)
+            assert_array_equal(est.cov, alone[i].cov)
+            assert_array_equal(est.sigma_factor(), alone[i].sigma_factor())
+            for field in fields(KfStep):
+                assert_array_equal(getattr(rec, field.name), getattr(alone_rec, field.name), err_msg=f"{name} {field.name}")
+        stacked = [est for est, _ in results]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    alpha=st.floats(1.0, 5.0),
+    names=st.lists(st.sampled_from(SIGMA_FILTERS), min_size=1, max_size=5).map(tuple),
+)
+def test_stack_is_bitwise_one_filter_at_a_time_property(seed, alpha, names):
+    rng = np.random.default_rng(seed)
+    model = random_detectable_system(rng)
+    est0 = StateEstimate(rng.standard_normal(model.l_x), random_spd(rng, model.l_x), 0)
+    meas = rng.standard_normal((11, model.l_y))
+    _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha)
+
+
+@pytest.mark.parametrize("names", [SIGMA_FILTERS, ("eukfc", "ukf", "eukfc", "eukfa")], ids=["ordered", "mixed"])
+@pytest.mark.parametrize("make", [make_lorenz, make_vdp], ids=["lorenz", "vdp"])
+def test_stack_is_bitwise_one_filter_at_a_time_on_nonlinear_models(make, names):
+    model = make()
+    _, meas = simulate_truth(model, np.ones(model.l_x), 10, seed=3)
+    _assert_stack_steps_bitwise_one_at_a_time(model, names, StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), meas, 1.5)
+
+
+def test_stack_rejects_unknown_filters_and_mixed_steps():
+    model = make_lorenz()
+    est = StateEstimate(np.ones(3), np.eye(3), 0)
+    with pytest.raises(ValueError, match="ekf"):
+        sigma_step(model, ("ukf", "ekf"), (est, est), np.ones(1))
+    with pytest.raises(ValueError):
+        sigma_step(model, ("ukf", "eukfc"), (est, StateEstimate(np.ones(3), np.eye(3), 1)), np.ones(1))
+    with pytest.raises(ValueError):
+        sigma_step(model, ("ukf", "eukfc"), (est,), np.ones(1))
+    with pytest.raises(ValueError):
+        sigma_step(model, (), (), np.ones(1))
+
+
+def test_run_advances_the_sigma_filters_in_one_stacked_call_per_step(monkeypatch):
+    calls = []
+    for name in ("sigma_step", "ukf_step", "eukfa_step", "eukfc_step"):
+        step = getattr(harness, name)
+        label = (lambda args: tuple(args[1])) if name == "sigma_step" else (lambda args, name=name: name)
+        monkeypatch.setattr(harness, name, lambda *args, step=step, label=label: calls.append(label(args)) or step(*args))
+    run_experiment(ExperimentConfig(model="lorenz", steps=20, seed=7, filters=("ekf", "ukf", "eukfa", "eukfc")))
+    # The first step runs each filter's own step; every later step is one stacked call.
+    assert calls == ["ukf_step", "eukfa_step", "eukfc_step"] + [SIGMA_FILTERS] * 19
+
+
+def test_a_failing_stack_is_replayed_so_each_filter_fails_alone():
+    # alpha 0.2 makes the center weight negative: ukf loses definiteness at step 40, both variants at 41.
+    cfg = dict(model="linear-ex1", steps=60, seed=1, alpha=0.2)
+    records = run_experiment(ExperimentConfig(filters=("kf", "ukf", "eukfa", "eukfc"), **cfg))
+    failures = {name: (rec.step, rec.metrics[name].failure) for rec in records for name in SIGMA_FILTERS if rec.metrics[name].failure}
+    assert failures == {
+        "ukf": (40, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 40)"),
+        "eukfa": (41, "NotPositiveDefinite: matrix of dimension 1 is not positive definite (eukfa step 41)"),
+        "eukfc": (41, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (eukfc step 41)"),
+    }
+    for name in ("kf", *SIGMA_FILTERS):
+        alone = run_experiment(ExperimentConfig(filters=(name,), **cfg))
+        assert [repr(rec.metrics[name]) for rec in records] == [repr(rec.metrics[name]) for rec in alone]

@@ -254,3 +254,24 @@ def test_model_noise_and_its_factors_are_fixed_at_construction():
         with pytest.raises(ValueError, match="read-only"):
             model.R[0, 0] = 2.0
         assert np.array_equal(model.q_factor, np.linalg.cholesky(model.Q))
+
+
+def test_linear_matrices_are_fixed_and_copied_at_construction():
+    from dataclasses import FrozenInstanceError
+
+    a = np.array([[2.4, 2.1], [0.0, -0.7]])
+    model = LinearSystem(A=a, C=np.array([[-0.4, -0.9]]), Q=np.eye(2), R=np.eye(1))
+    a[0, 0] = 0.0  # the model keeps its own copy
+    for name in ("A", "C"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0, 0] = 1.0
+    ex1 = make_linear_ex1()
+    with pytest.raises(FrozenInstanceError):
+        ex1.A = np.eye(2)
+    for m in (model, ex1):
+        assert_allclose(step_dynamics(m, [1.0, 1.0]), [4.5, -0.7], rtol=1e-14)
+        assert_allclose(measure(m, [1.0, 1.0]), [-1.3], rtol=1e-14)
+        assert jacobian_dynamics(m, np.zeros(2)) is m.A
+        assert jacobian_measurement(m, np.zeros(2)) is m.C

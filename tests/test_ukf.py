@@ -15,7 +15,6 @@ from ukfkit.ukf import (
     deviations,
     propagate_sigma,
     sigma_points,
-    ukf_covariances,
     ukf_step,
     ukf_weights,
     unscented_prior,
@@ -132,12 +131,19 @@ def test_deviations_center_and_annihilate():
 def test_unscented_prior_deviations_are_bitwise_those_of_deviations():
     model = make_lorenz()
     est = StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, est, est.sigma_factor(), 1.5)
-    xprop, yprop = propagate_sigma(model, sigma_points(est.mean, est.cov, 1.5), est.step)
-    assert_array_equal(prior_mean, xprop @ w)
-    assert_array_equal(predicted_y, yprop @ w)
-    assert_array_equal(xdev, deviations(xprop, w))
-    assert_array_equal(ydev, deviations(yprop, w))
+    # A stack of two estimates; each slice is compared with the unstacked helpers.
+    other = StateEstimate(np.array([0.5, 2.0, 18.0]), np.diag([1.0, 0.3, 1.5]), 3)
+    stacked = unscented_prior(
+        model, np.array([est.mean, other.mean]), np.array([est.sigma_factor(), other.sigma_factor()]), 1.5, est.step
+    )
+    w = stacked[-1]
+    for i, e in enumerate((est, other)):
+        prior_mean, predicted_y, xdev, ydev = (a[i] for a in stacked[:4])
+        xprop, yprop = propagate_sigma(model, sigma_points(e.mean, e.cov, 1.5), e.step)
+        assert_array_equal(prior_mean, xprop @ w)
+        assert_array_equal(predicted_y, yprop @ w)
+        assert_array_equal(xdev, deviations(xprop, w))
+        assert_array_equal(ydev, deviations(yprop, w))
 
 
 def test_deviations_linear_closed_form():
@@ -152,15 +158,6 @@ def test_deviations_linear_closed_form():
     s = alpha * np.linalg.cholesky(3 * p)
     expected = model.A @ np.hstack([np.zeros((3, 1)), s, -s])
     assert_allclose(deviations(xprop, w), expected, atol=1e-12)
-
-
-def test_covariances_zero_deviations_return_noise():
-    w = ukf_weights(1.5, 2)
-    q, r = 2.0 * np.eye(2), 3.0 * np.eye(1)
-    p_prior, p_z, p_ez = ukf_covariances(np.zeros((2, 5)), np.zeros((1, 5)), w, q, r)
-    assert_allclose(p_prior, q, rtol=0)
-    assert_allclose(p_z, r, rtol=0)
-    assert_allclose(p_ez, np.zeros((2, 1)), rtol=0)
 
 
 def test_ex1_unscented_output_covariances_hand_values():
