@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kf import KfStep, check_innovation, check_measurement, kf_gain
-from .numerics import FilterDiverged, symmetrize
+from .numerics import FilterDiverged, all_finite, symmetrize
 from .statespace import StateEstimate, SystemModel, measure_batch, noise_factor, step_dynamics_batch
 
 Array = np.ndarray
@@ -140,7 +140,7 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
         xf = np.array(xf, order="C")
     xf += w
-    if not np.all(np.isfinite(xf)):
+    if not all_finite(xf):
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
     yf = measure_batch(model, xf)
 
@@ -167,7 +167,7 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     innovation -= yf
     xf += np.matmul(gain, innovation, out=scratch.state)
     xa = xf
-    if not np.all(np.isfinite(xa)):
+    if not all_finite(xa):
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
 
     mean = xa.mean(axis=1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -23,7 +23,7 @@ from .ekf import ekf_step
 from .enkf import PhiloxCells, enkf_init, enkf_step
 from .eukf import eukfa_step, eukfc_step
 from .kf import KfStep, evaluate_gain_cov, kf_step
-from .numerics import FilterDiverged, NotPositiveDefinite, rcond_check
+from .numerics import FilterDiverged, NotPositiveDefinite, all_finite, rcond_check
 from .statespace import (
     LinearSystem,
     StateEstimate,
@@ -155,7 +155,7 @@ def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tu
     stream = PhiloxCells()
     for k in range(horizon + 1):
         x = states[k]
-        if not np.all(np.isfinite(x)):
+        if not all_finite(x):
             raise TruthDiverged(f"truth state became non-finite at step {k}")
         v = stream(seed, k, KIND_TRUTH_OBS).standard_normal(model.l_y)
         meas[k] = measure(model, x) + model.r_factor @ v
@@ -323,11 +323,7 @@ def random_detectable_system(rng: np.random.Generator, l_x: Optional[int] = None
         c = rng.standard_normal((l_y, l_x))
         if np.linalg.norm(c) > 1e-3:
             break
-    gq = rng.standard_normal((l_x, l_x))
-    q = gq @ gq.T / l_x + 0.1 * np.eye(l_x)
-    gr = rng.standard_normal((l_y, l_y))
-    r = gr @ gr.T / l_y + 0.1 * np.eye(l_y)
-    return LinearSystem(A=a, C=c, Q=q, R=r)
+    return LinearSystem(A=a, C=c, Q=random_spd(rng, l_x), R=random_spd(rng, l_y))
 
 
 def random_spd(rng: np.random.Generator, n: int) -> Array:
@@ -335,51 +331,44 @@ def random_spd(rng: np.random.Generator, n: int) -> Array:
     return g @ g.T / n + 0.1 * np.eye(n)
 
 
+# The five checks of `verify`, in summary order: its label, the name of its worst value, how one system's value
+# folds into that worst value, and the condition a passing system's value meets (a NaN meets none).
+CHECKS = {
+    "identity": ("missing-term identities", "worst abs deviation", max, lambda v: v <= 1e-10),
+    "inequality": ("gain-cost inequality", "worst margin", min, lambda v: v >= -1e-10),  # tr P(K_ukf) - tr P(K_kf)
+    "distinctness": ("ukf differs from kf", "smallest trace gap", min, lambda v: v > 1e-6),
+    "eukfa": ("eukf-a matches kf", "worst rel deviation", max, lambda v: v <= 1e-9),
+    "eukfc": ("eukf-c matches kf", "worst rel deviation", max, lambda v: v <= 1e-9),
+}
+SUBOPTIMALITY_STEPS = 10  # matched UKF steps, and steps of the UKF's own trajectory
+EQUIVALENCE_STEPS = 50
+EQUIVALENCE_ALPHAS = (1.0, 1.5, 3.0)
+
+
 @dataclass
 class PropositionReport:
-    """Batch verification results over random linear systems."""
+    """Batch verification results over random linear systems: per check, the failing systems and the worst value."""
 
     trials: int
-    identity_failures: int = 0
-    inequality_failures: int = 0
-    distinctness_failures: int = 0
-    eukfa_failures: int = 0
-    eukfc_failures: int = 0
-    worst_identity_abs: float = 0.0
-    worst_inequality_margin: float = math.inf  # min of tr P(K_ukf) - tr P(K_kf)
-    smallest_distinctness_gap: float = math.inf
-    worst_eukfa_rel: float = 0.0
-    worst_eukfc_rel: float = 0.0
+    failures: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHECKS, 0))
+    worst: dict[str, float] = field(default_factory=lambda: {name: 0.0 if row[2] is max else math.inf for name, row in CHECKS.items()})
 
-    @property
-    def worst_equivalence_rel(self) -> float:
-        return max(self.worst_eukfa_rel, self.worst_eukfc_rel)
+    def record(self, check: str, value: float) -> None:
+        """Fold one system's value for `check` into the worst value, and count the system if it fails."""
+        _, _, fold, passes = CHECKS[check]
+        self.worst[check] = fold(self.worst[check], value)
+        self.failures[check] += not passes(value)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.identity_failures == 0
-            and self.inequality_failures == 0
-            and self.distinctness_failures == 0
-            and self.eukfa_failures == 0
-            and self.eukfc_failures == 0
-        )
+        return all(self.failures[name] == 0 for name in CHECKS)
 
     def summary(self) -> str:
         lines = [
-            f"missing-term identities : {self.trials - self.identity_failures}/{self.trials} pass"
-            f" (worst abs deviation {self.worst_identity_abs:.3e})",
-            f"gain-cost inequality    : {self.trials - self.inequality_failures}/{self.trials} pass"
-            f" (worst margin {self.worst_inequality_margin:.3e})",
-            f"ukf differs from kf     : {self.trials - self.distinctness_failures}/{self.trials} pass"
-            f" (smallest trace gap {self.smallest_distinctness_gap:.3e})",
-            f"eukf-a matches kf       : {self.trials - self.eukfa_failures}/{self.trials} pass"
-            f" (worst rel deviation {self.worst_eukfa_rel:.3e})",
-            f"eukf-c matches kf       : {self.trials - self.eukfc_failures}/{self.trials} pass"
-            f" (worst rel deviation {self.worst_eukfc_rel:.3e})",
-            f"overall                 : {'PASS' if self.passed else 'FAIL'}",
+            f"{label:<24}: {self.trials - self.failures[name]}/{self.trials} pass ({worst_name} {self.worst[name]:.3e})"
+            for name, (label, worst_name, _, _) in CHECKS.items()
         ]
-        return "\n".join(lines)
+        return "\n".join([*lines, f"{'overall':<24}: {'PASS' if self.passed else 'FAIL'}"])
 
 
 def _rel_frob(x: Array, ref: Array) -> float:
@@ -387,12 +376,7 @@ def _rel_frob(x: Array, ref: Array) -> float:
 
 
 def verify_propositions(
-    seed: int = 0,
-    trials: int = 100,
-    identity_steps: int = 10,
-    equivalence_steps: int = 50,
-    alphas: tuple[float, ...] = (1.0, 1.5, 3.0),
-    checks: tuple[str, ...] = ("suboptimality", "equivalence"),
+    seed: int = 0, trials: int = 100, checks: tuple[str, ...] = ("suboptimality", "equivalence")
 ) -> PropositionReport:
     """Check the linear-system properties of every filter over random systems.
 
@@ -402,12 +386,13 @@ def verify_propositions(
     Kalman gain's; and the two filters' own covariance trajectories
     separate.  The "equivalence" checks: both corrected variants reproduce
     the Kalman gain and posterior covariance at every step for every alpha.
+    All of them read one Kalman trajectory per system.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     unknown = set(checks) - {"suboptimality", "equivalence"}
-    if unknown:
-        raise ValueError(f"unknown checks {sorted(unknown)}")
+    if unknown or not checks:
+        raise ValueError(f"checks must name suboptimality and/or equivalence, got {checks}")
     rng = np.random.default_rng(seed)
     report = PropositionReport(trials=trials)
     # The first benchmark system always runs as a fixed case, on top of the
@@ -416,77 +401,57 @@ def verify_propositions(
     for _ in range(trials):
         model = random_detectable_system(rng)
         cases.append((model, StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)))
+    steps = EQUIVALENCE_STEPS if "equivalence" in checks else SUBOPTIMALITY_STEPS
     for model, est0 in cases:
         y = np.zeros(model.l_y)  # gains and covariances are measurement-independent
-        if "suboptimality" not in checks:
-            _check_equivalence(model, est0, y, equivalence_steps, alphas, report)
-            continue
-
-        # Matched-step checks: feed the same posterior to both filters.
-        identity_ok, inequality_ok = True, True
-        est = est0
-        for _ in range(identity_steps):
-            est_next, kf_rec = kf_step(model, est, y)
-            _, ukf_rec = ukf_step(model, est, y, 1.5)
-            c, q = model.C, model.Q
-            dev = max(
-                float(np.max(np.abs(ukf_rec.innovation_cov + c @ q @ c.T - kf_rec.innovation_cov))),
-                float(np.max(np.abs(ukf_rec.cross_cov + q @ c.T - kf_rec.cross_cov))),
-            )
-            report.worst_identity_abs = max(report.worst_identity_abs, dev)
-            if dev > 1e-10:
-                identity_ok = False
-            tr_kf = float(np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, kf_rec.gain)))
-            tr_ukf = float(np.trace(evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain)))
-            margin = tr_ukf - tr_kf
-            report.worst_inequality_margin = min(report.worst_inequality_margin, margin)
-            if margin < -1e-10:
-                inequality_ok = False
-            est = est_next
-        report.identity_failures += 0 if identity_ok else 1
-        report.inequality_failures += 0 if inequality_ok else 1
-
-        # Separate trajectories: the covariance traces must part ways.
-        kf_est, ukf_est, gap = est0, est0, 0.0
-        for _ in range(identity_steps):
-            kf_est, _ = kf_step(model, kf_est, y)
-            ukf_est, _ = ukf_step(model, ukf_est, y, 1.5)
-            gap = max(gap, abs(float(np.trace(kf_est.cov)) - float(np.trace(ukf_est.cov))))
-        # The separation claim only holds when Q is nonzero and visible
-        # through C; systems outside those hypotheses are exempt.
-        hypotheses_met = bool(model.Q.any()) and float(np.linalg.norm(model.C @ model.Q)) > 0.0
-        if hypotheses_met:
-            report.smallest_distinctness_gap = min(report.smallest_distinctness_gap, gap)
-            if gap <= 1e-6:
-                report.distinctness_failures += 1
-
+        kf_ests, kf_recs = [est0], []  # kf_ests[j] is the posterior after j steps, kf_recs[j] the record of step j + 1
+        for _ in range(steps):
+            est, rec = kf_step(model, kf_ests[-1], y)
+            kf_ests.append(est)
+            kf_recs.append(rec)
+        if "suboptimality" in checks:
+            _check_suboptimality(model, kf_ests, kf_recs, y, report)
         if "equivalence" in checks:
-            _check_equivalence(model, est0, y, equivalence_steps, alphas, report)
+            _check_equivalence(model, est0, kf_recs, y, report)
     return report
 
 
-def _check_equivalence(model: LinearSystem, est0, y, steps, alphas, report: PropositionReport) -> None:
+def _check_suboptimality(model: LinearSystem, kf_ests, kf_recs, y, report: PropositionReport) -> None:
+    """The UKF against the Kalman trajectory: one step from each Kalman posterior, and its own trajectory."""
+    c, q = model.C, model.Q
+    cqct, qct = c @ q @ c.T, q @ c.T
+    ukf_est = kf_ests[0]
+    devs, margins, gaps = [], [], []
+    for j, kf_rec in enumerate(kf_recs[:SUBOPTIMALITY_STEPS]):
+        # Slice 0 is the matched step from the Kalman posterior; slice 1 continues the UKF's own trajectory.
+        (_, ukf_rec), (ukf_est, _) = sigma_step(model, ("ukf", "ukf"), (kf_ests[j], ukf_est), y, 1.5)
+        dev_z = np.max(np.abs(ukf_rec.innovation_cov + cqct - kf_rec.innovation_cov))
+        devs.append(max(float(dev_z), float(np.max(np.abs(ukf_rec.cross_cov + qct - kf_rec.cross_cov)))))
+        stats = (kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov)  # the true innovation statistics
+        tr_kf, tr_ukf = (float(np.trace(evaluate_gain_cov(*stats, rec.gain))) for rec in (kf_rec, ukf_rec))
+        margins.append(tr_ukf - tr_kf)
+        gaps.append(abs(float(np.trace(kf_ests[j + 1].cov)) - float(np.trace(ukf_est.cov))))
+    # np.max and np.min, unlike the builtins, carry a NaN through to the check.
+    report.record("identity", float(np.max(devs)))
+    report.record("inequality", float(np.min(margins)))
+    # The separation claim only holds when Q is nonzero and visible through C; other systems are exempt.
+    if q.any() and float(np.linalg.norm(c @ q)) > 0.0:
+        report.record("distinctness", float(np.max(gaps)))
+
+
+def _check_equivalence(model: LinearSystem, est0, kf_recs, y, report: PropositionReport) -> None:
     """Corrected variants against the Kalman trajectory, for every alpha."""
-    kf_recs = []
-    est = est0
-    for _ in range(steps):
-        est, rec = kf_step(model, est, y)
-        kf_recs.append(rec)
     variants = ("eukfa", "eukfc")
-    worst = dict.fromkeys(variants, 0.0)
-    for alpha in alphas:
+    devs = {variant: [] for variant in variants}
+    for alpha in EQUIVALENCE_ALPHAS:
         ests = (est0, est0)
         for rec_ref in kf_recs:
             # Both variants advance as one two-slice stack.
             ests, recs = zip(*sigma_step(model, variants, ests, y, alpha))
             for variant, rec in zip(variants, recs):
-                dev = max(_rel_frob(rec.gain, rec_ref.gain), _rel_frob(rec.posterior_cov, rec_ref.posterior_cov))
-                worst[variant] = max(worst[variant], dev)
+                devs[variant].append(max(_rel_frob(rec.gain, rec_ref.gain), _rel_frob(rec.posterior_cov, rec_ref.posterior_cov)))
     for variant in variants:
-        worst_attr, counter = f"worst_{variant}_rel", f"{variant}_failures"
-        setattr(report, worst_attr, max(getattr(report, worst_attr), worst[variant]))
-        if worst[variant] > 1e-9:
-            setattr(report, counter, getattr(report, counter) + 1)
+        report.record(variant, float(np.max(devs[variant])))
 
 
 def reproduce_config(example: int, seed: int = 0, ensemble: Optional[int] = None, steps: Optional[int] = None) -> ExperimentConfig:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import spd_sqrt_factor, symmetrize
+from .numerics import all_finite, spd_sqrt_factor, symmetrize
 
 Array = np.ndarray
 
@@ -232,7 +232,7 @@ def jacobian_fd(fn: Callable[[Array], Array], x: Array, h: Optional[float] = Non
         e[j] = h
         hi = np.asarray(fn(x + e), dtype=float)
         lo = np.asarray(fn(x - e), dtype=float)
-        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+        if not all_finite(hi, lo):
             raise FloatingPointError(f"non-finite function value while differencing column {j}")
         cols.append((hi - lo) / (2.0 * h))
     return np.column_stack(cols)

@@ -57,17 +57,17 @@ def test_ukf_suboptimality_property_suite():
     report = verify_propositions(seed=SEED, trials=100, checks=("suboptimality",))
     elapsed = time.perf_counter() - start
     ok = (
-        report.identity_failures == 0
-        and report.inequality_failures == 0
-        and report.distinctness_failures == 0
+        report.failures["identity"] == 0
+        and report.failures["inequality"] == 0
+        and report.failures["distinctness"] == 0
         and elapsed < 10.0
     )
     _criterion(
         "ukf-vs-kf property suite (100 random systems)",
         ok,
-        f"worst identity dev {report.worst_identity_abs:.2e}, "
-        f"worst margin {report.worst_inequality_margin:.2e}, "
-        f"smallest gap {report.smallest_distinctness_gap:.2e}, {elapsed:.1f}s",
+        f"worst identity dev {report.worst['identity']:.2e}, "
+        f"worst margin {report.worst['inequality']:.2e}, "
+        f"smallest gap {report.worst['distinctness']:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -75,11 +75,11 @@ def test_corrected_variants_equivalence_suite():
     start = time.perf_counter()
     report = verify_propositions(seed=SEED, trials=100, checks=("equivalence",))
     elapsed = time.perf_counter() - start
-    ok = report.eukfa_failures == 0 and report.eukfc_failures == 0 and elapsed < 30.0
+    ok = report.failures["eukfa"] == 0 and report.failures["eukfc"] == 0 and elapsed < 30.0
     _criterion(
         "eukf-a/eukf-c match kf over 50 steps and alpha in {1, 1.5, 3}",
         ok,
-        f"worst rel deviation {report.worst_equivalence_rel:.2e}, {elapsed:.1f}s",
+        f"worst rel deviation {max(report.worst['eukfa'], report.worst['eukfc']):.2e}, {elapsed:.1f}s",
     )
 
 

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 
 import ukfkit.harness as harness
 from ukfkit.harness import (
+    CHECKS,
     ExperimentConfig,
+    PropositionReport,
     TruthDiverged,
     example1_traces,
     export_csv,
@@ -288,10 +290,10 @@ def test_example1_traces_values():
 def test_verify_propositions_small_run_passes():
     report = verify_propositions(seed=10, trials=10)
     assert report.passed
-    assert report.worst_identity_abs < 1e-10
-    assert report.worst_inequality_margin > -1e-10
-    assert report.smallest_distinctness_gap > 1e-6
-    assert report.worst_equivalence_rel < 1e-9
+    assert report.worst["identity"] < 1e-10
+    assert report.worst["inequality"] > -1e-10
+    assert report.worst["distinctness"] > 1e-6
+    assert max(report.worst["eukfa"], report.worst["eukfc"]) < 1e-9
     assert "PASS" in report.summary()
 
 
@@ -308,30 +310,85 @@ def test_verify_propositions_exempts_zero_q_from_separation(monkeypatch):
 
     monkeypatch.setattr(harness, "random_detectable_system", zero_q_system)
     report = verify_propositions(seed=0, trials=3)
-    assert report.distinctness_failures == 0
-    assert report.identity_failures == 0  # identities hold trivially at Q = 0
+    assert report.failures["distinctness"] == 0
+    assert report.failures["identity"] == 0  # identities hold trivially at Q = 0
     assert report.passed
 
 
 def test_verify_reports_each_variants_own_worst_deviation():
-    # On this seed one random system (cond(A) ~ 6.6e3) pushes eukfa past the
-    # 1e-9 gate while eukfc stays near round-off; each line must say so.
+    # On this seed one random system has cond(A) ~ 6.6e3, so eukfa's worst deviation
+    # (about 1.4e-12) is far above eukfc's round-off; each line must show its own.
     report = verify_propositions(seed=34013, trials=10, checks=("equivalence",))
     for variant in ("eukfa", "eukfc"):
-        worst = getattr(report, f"worst_{variant}_rel")
-        assert (getattr(report, f"{variant}_failures") > 0) == (worst > 1e-9)
+        assert (report.failures[variant] > 0) == (report.worst[variant] > 1e-9)
     lines = report.summary().splitlines()
-    assert f"{report.worst_eukfa_rel:.3e}" in next(line for line in lines if line.startswith("eukf-a"))
-    assert f"{report.worst_eukfc_rel:.3e}" in next(line for line in lines if line.startswith("eukf-c"))
+    assert f"{report.worst['eukfa']:.3e}" in next(line for line in lines if line.startswith("eukf-a"))
+    assert f"{report.worst['eukfc']:.3e}" in next(line for line in lines if line.startswith("eukf-c"))
 
 
 def test_verify_propositions_check_selection():
     sub = verify_propositions(seed=11, trials=3, checks=("suboptimality",))
-    assert sub.passed and sub.worst_equivalence_rel == 0.0
+    assert sub.passed and sub.worst["eukfa"] == sub.worst["eukfc"] == 0.0
     eq = verify_propositions(seed=11, trials=3, checks=("equivalence",))
-    assert eq.passed and eq.worst_identity_abs == 0.0
+    assert eq.passed and eq.worst["identity"] == 0.0
     with pytest.raises(ValueError):
         verify_propositions(trials=1, checks=("nope",))
+
+
+@pytest.mark.parametrize(
+    "check, last_pass, first_fail",
+    [
+        ("identity", 1e-10, math.nextafter(1e-10, math.inf)),
+        ("inequality", -1e-10, math.nextafter(-1e-10, -math.inf)),
+        ("distinctness", math.nextafter(1e-6, math.inf), 1e-6),  # the gap must exceed 1e-6
+        ("eukfa", 1e-9, math.nextafter(1e-9, math.inf)),
+        ("eukfc", 1e-9, math.nextafter(1e-9, math.inf)),
+    ],
+)
+def test_check_table_bounds(check, last_pass, first_fail):
+    report = PropositionReport(trials=3)
+    report.record(check, last_pass)
+    assert report.failures[check] == 0 and report.passed
+    report.record(check, first_fail)
+    assert report.failures[check] == 1 and not report.passed
+    report.record(check, math.nan)
+    assert report.failures[check] == 2
+    assert sum(report.failures.values()) == 2
+    label = CHECKS[check][0]
+    assert next(line for line in report.summary().splitlines() if line.startswith(label)).endswith(
+        f": 1/3 pass ({CHECKS[check][1]} {report.worst[check]:.3e})"
+    )
+    assert report.summary().endswith("overall                 : FAIL")
+
+
+def test_check_table_folds_each_worst_value_from_its_start():
+    report = PropositionReport(trials=1)
+    assert report.worst == {"identity": 0.0, "inequality": math.inf, "distinctness": math.inf, "eukfa": 0.0, "eukfc": 0.0}
+    for check in CHECKS:
+        for value in (-1.0, 0.5, 0.25):
+            report.record(check, value)
+    assert report.worst == {"identity": 0.5, "inequality": -1.0, "distinctness": -1.0, "eukfa": 0.5, "eukfc": 0.5}
+
+
+def test_verify_steps_one_kalman_trajectory_per_system(monkeypatch):
+    # 4 systems (linear-ex1 plus 3 random ones); each runs 50 Kalman steps, or 10 for the
+    # suboptimality checks alone, 10 two-slice UKF steps and 50 eukfa/eukfc steps per alpha.
+    calls = dict.fromkeys(("kf_step", "sigma_step"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    expected = {
+        ("suboptimality", "equivalence"): (4 * 50, 4 * (10 + 3 * 50)),
+        ("suboptimality",): (4 * 10, 4 * 10),
+        ("equivalence",): (4 * 50, 4 * 3 * 50),
+    }
+    for checks, counts in expected.items():
+        calls.update(kf_step=0, sigma_step=0)
+        assert verify_propositions(seed=11, trials=3, checks=checks).passed
+        assert (calls["kf_step"], calls["sigma_step"]) == counts, checks
 
 
 def test_reproduce_config_defaults():
