@@ -33,7 +33,7 @@ from .statespace import (
     measure,
     step_dynamics,
 )
-from .ukf import deviations, propagate_sigma, sigma_points, sigma_step, ukf_step, ukf_weights
+from .ukf import sigma_step, ukf_step, ukf_weights
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "StateEstimate",
     "SystemModel",
     "TruthDiverged",
-    "deviations",
     "ekf_step",
     "enkf_init",
     "enkf_step",
@@ -71,12 +70,10 @@ __all__ = [
     "make_lorenz",
     "make_vdp",
     "measure",
-    "propagate_sigma",
     "random_detectable_system",
     "rcond_check",
     "reproduce_config",
     "run_experiment",
-    "sigma_points",
     "sigma_step",
     "simulate_truth",
     "solve_spd",

@@ -347,16 +347,17 @@ EQUIVALENCE_ALPHAS = (1.0, 1.5, 3.0)
 
 @dataclass
 class PropositionReport:
-    """Batch verification results over random linear systems: per check, the failing systems and the worst value."""
+    """Batch verification results over random linear systems: per check, the systems recorded, the failures and the worst value."""
 
-    trials: int
+    recorded: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHECKS, 0))
     failures: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHECKS, 0))
     worst: dict[str, float] = field(default_factory=lambda: {name: 0.0 if row[2] is max else math.inf for name, row in CHECKS.items()})
 
     def record(self, check: str, value: float) -> None:
-        """Fold one system's value for `check` into the worst value, and count the system if it fails."""
+        """Fold one system's value for `check` into the worst value, and count the system, as a failure if it fails."""
         _, _, fold, passes = CHECKS[check]
         self.worst[check] = fold(self.worst[check], value)
+        self.recorded[check] += 1
         self.failures[check] += not passes(value)
 
     @property
@@ -365,7 +366,7 @@ class PropositionReport:
 
     def summary(self) -> str:
         lines = [
-            f"{label:<24}: {self.trials - self.failures[name]}/{self.trials} pass ({worst_name} {self.worst[name]:.3e})"
+            f"{label:<24}: {self.recorded[name] - self.failures[name]}/{self.recorded[name]} pass ({worst_name} {self.worst[name]:.3e})"
             for name, (label, worst_name, _, _) in CHECKS.items()
         ]
         return "\n".join([*lines, f"{'overall':<24}: {'PASS' if self.passed else 'FAIL'}"])
@@ -394,7 +395,7 @@ def verify_propositions(
     if unknown or not checks:
         raise ValueError(f"checks must name suboptimality and/or equivalence, got {checks}")
     rng = np.random.default_rng(seed)
-    report = PropositionReport(trials=trials)
+    report = PropositionReport()
     # The first benchmark system always runs as a fixed case, on top of the
     # random trials; its one-step inequality margin is 9.730 - 9.098.
     cases = [(make_linear_ex1(), StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0))]

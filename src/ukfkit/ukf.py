@@ -9,9 +9,12 @@ is the current posterior mean.  The combination weights are
 which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
 are one recursion, :func:`sigma_step`, which advances a stack of estimates,
 one slice per filter; ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are
-one-slice calls of it.  They differ only in the sigma factor and where Q
-enters the covariances, which are weighted outer products of the
-propagated deviations, with R added to the output covariance.
+one-slice calls of it.  :func:`unscented_prior` is its one
+spread/propagate/centre step: it builds the sigma points from each slice's
+factor, pushes them through f and g, and subtracts the weighted means.  The
+filters differ only in the sigma factor and where Q enters the covariances,
+which are weighted outer products of the propagated deviations, with R
+added to the output covariance.
 
 alpha < 1 makes the center weight negative and the estimated covariances
 can lose definiteness; that surfaces as NotPositiveDefinite with the step
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlange
 
 from .kf import KfStep, kf_correct
-from .numerics import FilterDiverged, all_finite, spd_sqrt_factor, stack, symmetrize
+from .numerics import FilterDiverged, all_finite, stack, symmetrize
 from .statespace import (
     StateEstimate,
     SystemModel,
@@ -70,15 +73,6 @@ def _weights(alpha: float, l_x: int) -> Array:
     return w
 
 
-def sigma_points(center: Array, scale: Array, alpha: float, where: str = "") -> Array:
-    """Columns [c, c + p_i, c - p_i] with p_i from alpha * chol(l_x * scale).
-
-    `scale` is symmetrized first.
-    """
-    center = np.asarray(center, dtype=float)
-    return _spread(center, spd_sqrt_factor(center.size * symmetrize(scale), where), alpha)
-
-
 def _spread(center: Array, factor: Array, alpha: float) -> Array:
     """Columns [c, c + p_i, c - p_i] with p_i the columns of alpha * factor, for each slice of a stack."""
     p_sigma = alpha * factor
@@ -86,27 +80,9 @@ def _spread(center: Array, factor: Array, alpha: float) -> Array:
     return np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)
 
 
-def propagate_sigma(model: SystemModel, points: Array, k: int = 0) -> tuple[Array, Array]:
-    """Push sigma points through f, then their images through g; a stack (s, l_x, m) one set per call."""
-    xprop = _per_set(step_dynamics_batch, model, points)
-    if not all_finite(xprop):
-        raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
-    yprop = _per_set(measure_batch, model, xprop)
-    if not all_finite(yprop):
-        raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
-    return xprop, yprop
-
-
 def _per_set(batch_fn, model: SystemModel, points: Array) -> Array:
-    if points.ndim == 2:
-        return batch_fn(model, points)
+    """batch_fn on each (l, m) set of a stack (s, l, m), one set per call."""
     return batch_fn(model, points[0])[None] if len(points) == 1 else np.array([batch_fn(model, p) for p in points])
-
-
-def deviations(m: Array, w: Array) -> Array:
-    """Subtract the weighted column mean M @ w from every column."""
-    m = np.asarray(m, dtype=float)
-    return m - (m @ w)[:, None]
 
 
 def unscented_prior(
@@ -116,12 +92,17 @@ def unscented_prior(
 
     A factor S has S S^T = l_x times the sigma scale, as est.sigma_factor()
     for est.cov.  Returns the stacked (prior means, predicted outputs, state
-    deviations, output deviations) and the weights.
+    deviations, output deviations) and the weights.  Raises FilterDiverged
+    naming step k + 1 when f or g returns a non-finite value.
     """
     w = ukf_weights(alpha, model.l_x)
-    xprop, yprop = propagate_sigma(model, _spread(means, factors, alpha), k)
+    xprop = _per_set(step_dynamics_batch, model, _spread(means, factors, alpha))
+    if not all_finite(xprop):
+        raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
+    yprop = _per_set(measure_batch, model, xprop)
+    if not all_finite(yprop):
+        raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
     prior_mean, predicted_y = xprop @ w, yprop @ w
-    # The same subtraction as deviations(), without computing the means again.
     return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w
 
 

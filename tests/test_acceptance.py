@@ -20,8 +20,8 @@ from ukfkit.harness import (
     verify_propositions,
 )
 from ukfkit.numerics import spd_sqrt_factor
-from ukfkit.statespace import jacobian_dynamics, jacobian_fd, make_lorenz, make_vdp
-from ukfkit.ukf import sigma_points, ukf_weights
+from ukfkit.statespace import LinearSystem, StateEstimate, jacobian_dynamics, jacobian_fd, make_lorenz, make_vdp
+from ukfkit.ukf import unscented_prior
 
 SEED = 20240
 NONLINEAR_ENSEMBLE = 20_000
@@ -173,10 +173,10 @@ def test_numerics_suite():
             n = int(rng.integers(2, 6))
             p = random_spd(rng, n)
             center = rng.standard_normal(n)
-            pts = sigma_points(center, p, alpha)
-            w = ukf_weights(alpha, n)
-            dev = pts - center[:, None]
-            recon = (dev * w) @ dev.T
+            # Under identity dynamics the propagated deviations are the spread every sigma-point step runs.
+            identity = LinearSystem(A=np.eye(n), C=np.ones((1, n)), Q=np.eye(n), R=np.eye(1))
+            _, _, xdev, _, w = unscented_prior(identity, center[None], StateEstimate(center, p).sigma_factor()[None], alpha)
+            recon = (xdev[0] * w) @ xdev[0].T
             worst_recon = max(worst_recon, float(np.linalg.norm(recon - p) / np.linalg.norm(p)))
 
     worst_jac = 0.0

@@ -1,8 +1,13 @@
 import csv
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ukfkit.harness as harness
@@ -262,6 +267,30 @@ def test_export_csv_schema_and_round_trip(tmp_path):
         assert float(row[4]) == m.error_norm
 
 
+# Any double, NaN and +-inf included; `diverged` is not written to the CSV.
+_METRICS = st.builds(harness.FilterMetrics, st.floats(), st.floats(), st.floats(), st.floats(), st.just(False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_METRICS, _METRICS), min_size=1, max_size=4))
+def test_export_csv_round_trips_every_value_bitwise(rows):
+    records = [harness.FilterStepRecord(k, {"kf": kf, "eukfc": eukfc}) for k, (kf, eukfc) in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        export_csv(records, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            data = list(csv.reader(fh))[1:]
+    assert len(data) == len(rows)
+    for row, metrics in zip(data, rows):
+        written = [v for m in metrics for v in (m.trace, m.relerr, m.output_error, m.error_norm)]
+        for text, value in zip(row[1:], written, strict=True):
+            back = float(text)
+            if math.isnan(value):
+                assert math.isnan(back), text
+            else:
+                assert struct.pack("<d", back) == struct.pack("<d", value), (text, value)
+
+
 def test_export_csv_rejects_empty_inputs(tmp_path):
     with pytest.raises(ValueError):
         export_csv([], tmp_path / "x.csv")
@@ -313,6 +342,8 @@ def test_verify_propositions_exempts_zero_q_from_separation(monkeypatch):
     assert report.failures["distinctness"] == 0
     assert report.failures["identity"] == 0  # identities hold trivially at Q = 0
     assert report.passed
+    # Only linear-ex1 has a Q for the separation check; the three exempt systems are not counted as passes.
+    assert "ukf differs from kf     : 1/1 pass" in report.summary()
 
 
 def test_verify_reports_each_variants_own_worst_deviation():
@@ -335,6 +366,14 @@ def test_verify_propositions_check_selection():
         verify_propositions(trials=1, checks=("nope",))
 
 
+def test_verify_counts_each_check_over_the_systems_it_ran():
+    # linear-ex1 runs on top of the three random systems, so every check covers four.
+    lines = verify_propositions(seed=11, trials=3).summary().splitlines()
+    assert len(lines) == 6
+    for line in lines[:5]:
+        assert ": 4/4 pass (" in line, line
+
+
 @pytest.mark.parametrize(
     "check, last_pass, first_fail",
     [
@@ -346,7 +385,7 @@ def test_verify_propositions_check_selection():
     ],
 )
 def test_check_table_bounds(check, last_pass, first_fail):
-    report = PropositionReport(trials=3)
+    report = PropositionReport()
     report.record(check, last_pass)
     assert report.failures[check] == 0 and report.passed
     report.record(check, first_fail)
@@ -362,7 +401,7 @@ def test_check_table_bounds(check, last_pass, first_fail):
 
 
 def test_check_table_folds_each_worst_value_from_its_start():
-    report = PropositionReport(trials=1)
+    report = PropositionReport()
     assert report.worst == {"identity": 0.0, "inequality": math.inf, "distinctness": math.inf, "eukfa": 0.0, "eukfc": 0.0}
     for check in CHECKS:
         for value in (-1.0, 0.5, 0.25):

@@ -3,11 +3,15 @@
 No linter is a dependency of this project, so this is a small stand-in for
 pyflakes' unused-import check, built on the standard-library ``ast``.  A
 name counts as used when the module reads it anywhere, or, in a package
-``__init__``, when ``__all__`` lists it.
+``__init__``, when ``__all__`` lists it.  The package's ``__all__`` must
+also name each export once, and each must resolve: a name left behind by a
+deletion fails here.
 """
 
 import ast
 from pathlib import Path
+
+import ukfkit
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src" / "ukfkit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -44,3 +48,8 @@ def test_an_unused_import_is_reported(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["probe.py:2 os", "probe.py:5 pi"]
+
+
+def test_package_exports_resolve_once_each():
+    assert len(ukfkit.__all__) == len(set(ukfkit.__all__))
+    assert [name for name in ukfkit.__all__ if getattr(ukfkit, name, None) is None] == []

@@ -9,16 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ukfkit.eukf import eukfc_step
 from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
 from ukfkit.kf import evaluate_gain_cov, kf_step
-from ukfkit.numerics import FilterDiverged, spd_sqrt_factor, symmetrize
-from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
-from ukfkit.ukf import (
-    deviations,
-    propagate_sigma,
-    sigma_points,
-    ukf_step,
-    ukf_weights,
-    unscented_prior,
-)
+from ukfkit.numerics import FilterDiverged, spd_sqrt_factor
+from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz, make_vdp
+from ukfkit.ukf import ukf_step, ukf_weights, unscented_prior
 
 
 def test_weights_alpha_one():
@@ -59,91 +52,101 @@ def test_weights_reject_bad_arguments():
         ukf_weights(1.0, 0)
 
 
-def test_sigma_points_identity_scale():
-    pts = sigma_points(np.zeros(2), np.eye(2), 1.0)
+def _prior(model, est, alpha):
+    """unscented_prior of one estimate: (prior mean, predicted output, state deviations, output deviations, weights)."""
+    out = unscented_prior(model, est.mean[None], est.sigma_factor()[None], alpha, est.step)
+    return (*(a[0] for a in out[:4]), out[4])
+
+
+def _identity_system(n, c=None):
+    """x_{k+1} = x, so the propagated sigma points are the spread itself."""
+    c = np.ones((1, n)) if c is None else c
+    return LinearSystem(A=np.eye(n), C=c, Q=np.eye(n), R=np.eye(c.shape[0]))
+
+
+def test_unscented_prior_identity_scale():
+    _, _, xdev, _, _ = _prior(_identity_system(2), StateEstimate(np.zeros(2), np.eye(2)), 1.0)
     s = np.sqrt(2.0)
     expected = np.array([[0, s, 0, -s, 0], [0, 0, s, 0, -s]], dtype=float)
-    assert_allclose(pts, expected, rtol=1e-15, atol=1e-15)
+    assert_allclose(xdev, expected, rtol=1e-15, atol=1e-15)
 
 
-def test_sigma_points_symmetrize_the_scale():
-    skewed = np.array([[2.0, 0.3], [0.1, 1.0]])
-    assert_array_equal(sigma_points(np.ones(2), skewed, 1.5), sigma_points(np.ones(2), symmetrize(skewed), 1.5))
+_SPREAD = dict(seed=st.integers(0, 2**63 - 1), alpha=st.floats(0.8, 5.0), n=st.integers(1, 6))
 
 
-def test_sigma_points_weighted_mean_is_center():
-    rng = np.random.default_rng(1)
-    for alpha in (0.8, 1.0, 1.5, 3.0):
-        center = rng.standard_normal(3)
-        pts = sigma_points(center, random_spd(rng, 3), alpha)
-        w = ukf_weights(alpha, 3)
-        assert_allclose(pts @ w, center, atol=1e-12)
+def _identity_prior(seed, alpha, n):
+    """A random SPD covariance and center, and unscented_prior of them under x_{k+1} = x."""
+    rng = np.random.default_rng(seed)
+    p = random_spd(rng, n)
+    center = rng.standard_normal(n)
+    return center, p, _prior(_identity_system(n), StateEstimate(center, p), alpha)
 
 
-def test_sigma_points_reconstruct_covariance():
-    rng = np.random.default_rng(2)
-    for alpha in (0.8, 1.0, 1.5, 3.0):
-        for _ in range(25):
-            n = int(rng.integers(2, 6))
-            p = random_spd(rng, n)
-            center = rng.standard_normal(n)
-            pts = sigma_points(center, p, alpha)
-            w = ukf_weights(alpha, n)
-            dev = pts - center[:, None]
-            recon = (dev * w) @ dev.T
-            assert np.linalg.norm(recon - p) / np.linalg.norm(p) < 1e-10
+@settings(max_examples=200, deadline=None)
+@given(**_SPREAD)
+def test_sigma_points_weighted_mean_is_center(seed, alpha, n):
+    center, _, (prior_mean, _, _, _, _) = _identity_prior(seed, alpha, n)
+    assert_allclose(prior_mean, center, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_SPREAD)
+def test_sigma_points_reconstruct_covariance(seed, alpha, n):
+    _, p, (_, _, xdev, _, w) = _identity_prior(seed, alpha, n)
+    recon = (xdev * w) @ xdev.T
+    assert np.linalg.norm(recon - p) / np.linalg.norm(p) <= 1e-10
 
 
 def test_propagate_identity_dynamics():
     c = np.array([[1.0, -2.0]])
-    model = LinearSystem(A=np.eye(2), C=c, Q=np.eye(2), R=np.eye(1))
-    pts = sigma_points(np.array([0.5, -0.5]), np.eye(2), 1.5)
-    xprop, yprop = propagate_sigma(model, pts)
-    assert_allclose(xprop, pts, rtol=0)
-    assert_allclose(yprop, c @ pts, rtol=0)
+    est = StateEstimate(np.array([0.5, -0.5]), np.eye(2))
+    prior_mean, predicted_y, xdev, ydev, w = _prior(_identity_system(2, c), est, 1.5)
+    s = 1.5 * est.sigma_factor()
+    pts = est.mean[:, None] + np.hstack([np.zeros((2, 1)), s, -s])
+    assert_allclose(prior_mean, pts @ w, rtol=0)
+    assert_allclose(xdev, pts - prior_mean[:, None], rtol=0)
+    assert_allclose(predicted_y, c @ pts @ w, rtol=0)
+    assert_allclose(ydev, c @ pts - predicted_y[:, None], rtol=0)
 
 
 def test_propagate_lorenz_center_column():
-    model = make_lorenz()
-    pts = sigma_points(np.array([1.0, 1.0, 1.0]), np.eye(3), 1.5)
-    xprop, _ = propagate_sigma(model, pts)
-    assert_allclose(xprop[:, 0], [1.0, 1.26, 1.0 + 0.01 * (1.0 - 8.0 / 3.0)], rtol=1e-14)
+    prior_mean, _, xdev, _, _ = _prior(make_lorenz(), StateEstimate(np.array([1.0, 1.0, 1.0]), np.eye(3)), 1.5)
+    assert_allclose(prior_mean + xdev[:, 0], [1.0, 1.26, 1.0 + 0.01 * (1.0 - 8.0 / 3.0)], rtol=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_propagate_raises_on_non_finite():
-    model = make_lorenz()
-    pts = sigma_points(np.array([1.0, 1.0, 1.0]), np.eye(3), 1.5) * 1e200
-    with pytest.raises(FilterDiverged):
-        propagate_sigma(model, pts)  # x1 * x2 overflows
+    big = np.full((1, 3), 1e200)
+    with pytest.raises(FilterDiverged, match="sigma points became non-finite at step 1$"):
+        unscented_prior(make_lorenz(), big, 1e200 * np.eye(3)[None], 1.5)  # x1 * x2 overflows
+    huge_c = _identity_system(2, np.array([[1e308, 1e308]]))
+    with pytest.raises(FilterDiverged, match="sigma outputs became non-finite at step 4$"):
+        unscented_prior(huge_c, np.ones((1, 2)), np.eye(2)[None], 1.5, 3)  # the outputs near 2e308 overflow
 
 
 def test_deviations_center_and_annihilate():
-    w = ukf_weights(1.5, 2)
-    same = np.tile(np.array([[1.0], [2.0]]), (1, 5))
-    assert_allclose(deviations(same, w), np.zeros((2, 5)), rtol=0)
+    # A zero factor collapses every sigma point onto the center.
+    _, _, xdev, _, _ = unscented_prior(_identity_system(2), np.array([[1.0, 2.0]]), np.zeros((1, 2, 2)), 1.5)
+    assert_allclose(xdev, np.zeros((1, 2, 5)), rtol=0)
     rng = np.random.default_rng(4)
-    m = rng.standard_normal((3, 5))
-    w3 = ukf_weights(0.9, 2)
-    assert_allclose(deviations(m, w3) @ w3, np.zeros(3), atol=1e-14)
+    est = StateEstimate(rng.standard_normal(2), random_spd(rng, 2))
+    _, _, xdev, ydev, w = _prior(make_vdp(), est, 0.9)
+    assert_allclose(xdev @ w, np.zeros(2), atol=1e-14)
+    assert_allclose(ydev @ w, np.zeros(1), atol=1e-14)
 
 
-def test_unscented_prior_deviations_are_bitwise_those_of_deviations():
+def test_unscented_prior_stack_is_bitwise_its_slices():
     model = make_lorenz()
-    est = StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)
-    # A stack of two estimates; each slice is compared with the unstacked helpers.
-    other = StateEstimate(np.array([0.5, 2.0, 18.0]), np.diag([1.0, 0.3, 1.5]), 3)
-    stacked = unscented_prior(
-        model, np.array([est.mean, other.mean]), np.array([est.sigma_factor(), other.sigma_factor()]), 1.5, est.step
+    ests = (
+        StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3),
+        StateEstimate(np.array([0.5, 2.0, 18.0]), np.diag([1.0, 0.3, 1.5]), 3),
     )
-    w = stacked[-1]
-    for i, e in enumerate((est, other)):
-        prior_mean, predicted_y, xdev, ydev = (a[i] for a in stacked[:4])
-        xprop, yprop = propagate_sigma(model, sigma_points(e.mean, e.cov, 1.5), e.step)
-        assert_array_equal(prior_mean, xprop @ w)
-        assert_array_equal(predicted_y, yprop @ w)
-        assert_array_equal(xdev, deviations(xprop, w))
-        assert_array_equal(ydev, deviations(yprop, w))
+    stacked = unscented_prior(model, np.array([e.mean for e in ests]), np.array([e.sigma_factor() for e in ests]), 1.5, 3)
+    for i, e in enumerate(ests):
+        alone = _prior(model, e, 1.5)
+        for got, want in zip(stacked[:4], alone[:4]):
+            assert_array_equal(got[i], want)
+        assert stacked[4] is alone[4]
 
 
 def test_deviations_linear_closed_form():
@@ -152,12 +155,10 @@ def test_deviations_linear_closed_form():
     model = random_detectable_system(rng, l_x=3, l_y=1)
     p = random_spd(rng, 3)
     alpha = 1.5
-    pts = sigma_points(np.zeros(3), p, alpha)
-    xprop, _ = propagate_sigma(model, pts)
-    w = ukf_weights(alpha, 3)
+    _, _, xdev, _, _ = _prior(model, StateEstimate(np.zeros(3), p), alpha)
     s = alpha * np.linalg.cholesky(3 * p)
     expected = model.A @ np.hstack([np.zeros((3, 1)), s, -s])
-    assert_allclose(deviations(xprop, w), expected, atol=1e-12)
+    assert_allclose(xdev, expected, atol=1e-12)
 
 
 def test_ex1_unscented_output_covariances_hand_values():
