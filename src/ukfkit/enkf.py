@@ -1,18 +1,21 @@
-"""Stochastic ensemble Kalman filter with perturbed observations.
+"""Deterministic square-root ensemble Kalman filter (EnSRF).
 
 Serves as the large-N reference for the posterior covariance.  Sample
 statistics use the N-1 divisor; the innovation covariance uses the sample
-covariance of the predicted outputs plus the exact R (rather than sampling
-the observation noise), which removes one source of Monte-Carlo noise from
-the gain.  The noise draws are scaled by the model's ``q_factor`` and
-``r_factor``, which the model computes once.
+covariance of the predicted outputs plus the exact R.  The analysis draws
+no observation noise: the mean takes the Kalman update and the deviations
+the square-root update of Whitaker & Hamill (Mon. Wea. Rev. 130, 2002;
+Tippett et al., Mon. Wea. Rev. 131, 2003), whose sample covariance is the
+Kalman posterior P+ - K P_ez^T of the ensemble's own statistics.  The
+process-noise draws are scaled by the model's ``q_factor``, which the
+model computes once.
 
 Randomness is counter-based: every draw comes from a Philox stream keyed
 by (seed, step, draw kind), so member draws are independent of execution
 order and a rerun with the same seed is bit-identical no matter how the
 propagation is parallelized.  The member-sized work arrays (noise
-products, deviations, innovation) are allocated once per ensemble chain
-and handed from each step to the next.
+products, output deviations, deviation corrections) are allocated once per
+ensemble chain and handed from each step to the next.
 """
 
 from __future__ import annotations
@@ -20,18 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .kf import KfStep, check_innovation, check_measurement, kf_gain
-from .numerics import FilterDiverged, all_finite, symmetrize
+from .numerics import FilterDiverged, all_finite, spd_sqrt_factor, symmetrize
 from .statespace import StateEstimate, SystemModel, measure_batch, noise_factor, step_dynamics_batch
 
 Array = np.ndarray
 
-# Draw kinds keying the Philox streams.  The truth simulator in `harness`
-# uses kinds 3 and 4, so its noise never overlaps the ensemble's.
+# Draw kinds keying the Philox streams.  Kind 2 is unused, and the truth
+# simulator in `harness` uses kinds 3 and 4, so its noise never overlaps the
+# ensemble's.
 KIND_INIT = 0
 KIND_PROCESS = 1
-KIND_OBS = 2
 
 
 def _cell_key(seed: int, step: int, kind: int) -> Array:
@@ -76,8 +80,8 @@ class _Scratch:
     """Work arrays reused from one ensemble step to the next."""
 
     def __init__(self, l_x: int, l_y: int, n: int):
-        self.state = np.empty((l_x, n))  # process noise, then deviations and correction
-        self.output = np.empty((l_y, n))  # output deviations, then the innovation
+        self.state = np.empty((l_x, n))  # process noise, then the deviation correction
+        self.output = np.empty((l_y, n))  # output deviations
 
     def fits(self, l_x: int, l_y: int, n: int) -> bool:
         return self.state.shape == (l_x, n) and self.output.shape == (l_y, n)
@@ -111,17 +115,37 @@ def enkf_init(est: StateEstimate, n: int, seed: int) -> Ensemble:
     return Ensemble(members=members, seed=seed, step=est.step)
 
 
-def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
-    """Propagate, then assimilate the step-(k+1) measurement with perturbed observations.
+def _sqrt_gain(model: SystemModel, p_z: Array, gain: Array, where: str) -> Array:
+    """K L (L + L_R)^-1 for L = chol(P_z) and L_R = r_factor, by one triangular solve.
 
-    The new members are formed in the array f returns, or in a C-ordered
-    copy of it when it shares memory with ens.members (which is never
-    written to), is read-only or is not C-contiguous.
+    L + L_R is lower triangular with a positive diagonal.  Updating the
+    deviations with this gain leaves the ensemble with sample covariance
+    P+ - K P_ez^T, for any square roots L L^T = P_z and L_R L_R^T = R; with
+    R = 0 it is K.
+    """
+    factor = spd_sqrt_factor(p_z, where)
+    upper = (factor + model.r_factor).T  # F-ordered, as dtrtrs expects
+    x, info = dtrtrs(upper, (gain @ factor).T, lower=0, trans=0)  # (L + L_R)^T X^T = (K L)^T
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed with dtrtrs info {info} ({where})")
+    return x.T
+
+
+def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
+    """Propagate, then assimilate the step-(k+1) measurement with the square-root update.
+
+    mean = xbar + K (y - ybar) and deviations xdev - K L (L + L_R)^-1 ydev,
+    so the members' sample covariance is the Kalman posterior of the
+    ensemble's statistics, with no observation noise drawn.  The new members
+    are formed in the array f returns, or in a C-ordered copy of it when it
+    shares memory with ens.members (which is never written to), is read-only
+    or is not C-contiguous.
     """
     k = ens.step
     n = ens.size
     l_x, l_y = model.l_x, model.l_y
-    y = check_measurement(y, (l_y,), f"enkf step {k + 1}")
+    where = f"enkf step {k + 1}"
+    y = check_measurement(y, (l_y,), where)
     # Take the work arrays over from ens (list.pop is atomic), so that a
     # second step of ens, from this thread or another, allocates its own.
     try:
@@ -146,8 +170,9 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
 
     xbar = xf.mean(axis=1)
     ybar = yf.mean(axis=1)
-    xdev = np.subtract(xf, xbar[:, None], out=scratch.state)
+    # ydev first: g may return a view of xf, which xdev then overwrites.
     ydev = np.subtract(yf, ybar[:, None], out=scratch.output)
+    xdev = np.subtract(xf, xbar[:, None], out=xf)
     # einsum keeps a fixed summation order, so the reductions do not depend
     # on BLAS threading and reruns are bit-identical across thread counts.
     denom = float(n - 1)
@@ -155,24 +180,15 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
     p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R)
     check_innovation("enkf", k + 1, p_z, p_ez)
-    gain = kf_gain(p_z, p_ez, where=f"enkf step {k + 1}")
+    gain = kf_gain(p_z, p_ez, where=where)
 
-    # xa = xf + K (y + v - yf), formed in xf, which this step owns.
-    innovation = np.matmul(
-        model.r_factor,
-        philox_stream(ens.seed, k + 1, KIND_OBS).standard_normal((l_y, n)),
-        out=scratch.output,
-    )
-    np.add(y[:, None], innovation, out=innovation)
-    innovation -= yf
-    xf += np.matmul(gain, innovation, out=scratch.state)
-    xa = xf
-    if not all_finite(xa):
-        raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
-
-    mean = xa.mean(axis=1)
-    adev = np.subtract(xa, mean[:, None], out=scratch.state)
+    mean = xbar + gain @ (y - ybar)
+    correction = np.matmul(_sqrt_gain(model, p_z, gain, where), ydev, out=scratch.state)
+    adev = np.subtract(xdev, correction, out=xf)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
-    nxt = Ensemble(members=xa, seed=ens.seed, step=k + 1)
+    members = np.add(adev, mean[:, None], out=xf)
+    if not all_finite(members):
+        raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
+    nxt = Ensemble(members=members, seed=ens.seed, step=k + 1)
     nxt._scratch.append(scratch)
     return nxt, KfStep(xbar, prior_cov, gain, p_z, p_ez, mean, cov)

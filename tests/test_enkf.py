@@ -3,8 +3,9 @@ import threading
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from scipy.linalg import solve_triangular
 
-from ukfkit.enkf import KIND_OBS, KIND_PROCESS, Ensemble, PhiloxCells, enkf_init, enkf_step, philox_stream
+from ukfkit.enkf import KIND_PROCESS, Ensemble, PhiloxCells, enkf_init, enkf_step, philox_stream
 from ukfkit.harness import random_detectable_system, simulate_truth
 from ukfkit.kf import kf_gain, kf_step
 from ukfkit.numerics import FilterDiverged, symmetrize
@@ -141,24 +142,26 @@ def test_step_advances_bookkeeping():
 
 
 def _serial_step(model, members, seed, k, y):
-    """One EnKF step written out with inline draws, as one plain expression per quantity."""
+    """One square-root EnKF step written out with inline draws, as one plain expression per quantity."""
     n = members.shape[1]
     w = noise_factor(model.Q) @ philox_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
     xf = step_dynamics_batch(model, members) + w
     yf = measure_batch(model, xf)
     xbar = xf.mean(axis=1)
+    ybar = yf.mean(axis=1)
+    ydev = yf - ybar[:, None]
     xdev = xf - xbar[:, None]
-    ydev = yf - yf.mean(axis=1)[:, None]
     denom = float(n - 1)
     prior_cov = symmetrize(np.einsum("ik,jk->ij", xdev, xdev) / denom)
     p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
     p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R)
     gain = kf_gain(p_z, p_ez)
-    vr = noise_factor(model.R) @ philox_stream(seed, k + 1, KIND_OBS).standard_normal((model.l_y, n))
-    xa = xf + gain @ (y[:, None] + vr - yf)
-    mean = xa.mean(axis=1)
-    adev = xa - mean[:, None]
+    mean = xbar + gain @ (y - ybar)
+    factor = np.linalg.cholesky(p_z)
+    sqrt_gain = solve_triangular(factor + noise_factor(model.R), (gain @ factor).T, lower=True, trans="T").T
+    adev = xdev - sqrt_gain @ ydev
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
+    xa = adev + mean[:, None]
     return xa, (xbar, prior_cov, gain, p_z, p_ez, mean, cov)
 
 
@@ -183,6 +186,30 @@ def test_steps_equal_a_serial_reference(make_model):
         assert np.array_equal(ens.members, members)
         for got, want in zip(_outputs(ens, rec)[1:], expected):
             assert np.array_equal(got, want)
+
+
+def _noise_free_outputs():
+    base = _linear_4x2()
+    return LinearSystem(A=base.A, C=base.C, Q=base.Q, R=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "make_model", [make_lorenz, _linear_4x2, _noise_free_outputs], ids=["lorenz-3x1", "linear-4x2", "zero-r"]
+)
+def test_members_carry_the_kalman_posterior_of_their_own_statistics(make_model):
+    # The square-root update draws no observation noise, so the ensemble's
+    # sample moments are the Kalman update of its prior sample moments.
+    model = make_model()
+    n = 2000
+    ens = enkf_init(StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), n, seed=6)
+    ens, rec = enkf_step(model, ens, np.full(model.l_y, 0.3))
+    kalman = rec.prior_cov - rec.gain @ rec.cross_cov.T
+    assert np.linalg.norm(rec.posterior_cov - kalman) <= 1e-12 * np.linalg.norm(kalman)
+    sample_mean = ens.members.mean(axis=1)
+    dev = ens.members - sample_mean[:, None]
+    sample_cov = dev @ dev.T / (n - 1)
+    assert np.max(np.abs(sample_mean - rec.posterior_mean)) <= 1e-12 * max(1.0, np.max(np.abs(rec.posterior_mean)))
+    assert np.linalg.norm(sample_cov - rec.posterior_cov) <= 1e-12 * np.linalg.norm(rec.posterior_cov)
 
 
 def _identity_model():

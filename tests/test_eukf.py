@@ -114,11 +114,18 @@ def test_eukfa_gain_and_covariance_equal_kf_property(seed, alpha):
 
 
 def test_eukfa_equivalence_holds_on_verify_seed_34013():
-    # One of these random systems has an ill-conditioned A; forming P + A^{-1} Q A^{-T}
-    # before factoring it missed the 1e-9 gate there, at 1.868e-9.
+    # One of these random systems has an ill-conditioned A, cond(A) ~ 6.6e3; forming
+    # P + A^{-1} Q A^{-T} before factoring it missed the 1e-9 gate there, at 1.868e-9.
     report = verify_propositions(seed=34013, trials=10, checks=("equivalence",))
     assert report.passed, report.summary()
     assert report.worst["eukfa"] <= 1e-9
+    # eukfa's worst deviation (about 1.4e-12) is far above eukfc's round-off;
+    # each line of the report must show its own.
+    for variant in ("eukfa", "eukfc"):
+        assert (report.failures[variant] > 0) == (report.worst[variant] > 1e-9)
+    lines = report.summary().splitlines()
+    assert f"{report.worst['eukfa']:.3e}" in next(line for line in lines if line.startswith("eukf-a"))
+    assert f"{report.worst['eukfc']:.3e}" in next(line for line in lines if line.startswith("eukf-c"))
 
 
 @pytest.mark.parametrize("stepper", [eukfa_step, eukfc_step])
