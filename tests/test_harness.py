@@ -346,6 +346,17 @@ def test_verify_propositions_exempts_zero_q_from_separation(monkeypatch):
     assert "ukf differs from kf     : 1/1 pass" in report.summary()
 
 
+def test_verify_reports_each_variants_own_worst_deviation(seed_34013_report):
+    # On this seed eukfa's worst deviation (about 1.4e-12) is far above eukfc's
+    # round-off; each line of the report must show its own.
+    report = seed_34013_report
+    for variant in ("eukfa", "eukfc"):
+        assert (report.failures[variant] > 0) == (report.worst[variant] > 1e-9)
+    lines = report.summary().splitlines()
+    assert f"{report.worst['eukfa']:.3e}" in next(line for line in lines if line.startswith("eukf-a"))
+    assert f"{report.worst['eukfc']:.3e}" in next(line for line in lines if line.startswith("eukf-c"))
+
+
 def test_verify_propositions_check_selection():
     sub = verify_propositions(seed=11, trials=3, checks=("suboptimality",))
     assert sub.passed and sub.worst["eukfa"] == sub.worst["eukfc"] == 0.0
