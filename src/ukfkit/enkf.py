@@ -6,7 +6,9 @@ covariance of the predicted outputs plus the exact R.  The analysis draws
 no observation noise: the mean takes the Kalman update and the deviations
 the square-root update of Whitaker & Hamill (Mon. Wea. Rev. 130, 2002;
 Tippett et al., Mon. Wea. Rev. 131, 2003), whose sample covariance is the
-Kalman posterior P+ - K P_ez^T of the ensemble's own statistics.  The
+Kalman posterior P+ - K P_ez^T of the ensemble's own statistics.  That
+update is defined on the Cholesky factor of P_z which :func:`kf.kf_gain`
+makes for the gain and hands back, so P_z is factored once per step.  The
 process-noise draws are scaled by the model's ``q_factor``, which the
 model computes once.
 
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .kf import KfStep, check_innovation, check_measurement, kf_gain
-from .numerics import FilterDiverged, all_finite, spd_sqrt_factor, symmetrize
+from .kf import KfStep, check_measurement, kf_gain
+from .numerics import FilterDiverged, all_finite, symmetrize
 from .statespace import StateEstimate, SystemModel, measure_batch, noise_factor, step_dynamics_batch
 
 Array = np.ndarray
@@ -115,15 +117,14 @@ def enkf_init(est: StateEstimate, n: int, seed: int) -> Ensemble:
     return Ensemble(members=members, seed=seed, step=est.step)
 
 
-def _sqrt_gain(model: SystemModel, p_z: Array, gain: Array, where: str) -> Array:
-    """K L (L + L_R)^-1 for L = chol(P_z) and L_R = r_factor, by one triangular solve.
+def _sqrt_gain(model: SystemModel, factor: Array, gain: Array, where: str) -> Array:
+    """K L (L + L_R)^-1 for the lower factor L of P_z that :func:`kf_gain` returns and L_R = r_factor, by one triangular solve.
 
     L + L_R is lower triangular with a positive diagonal.  Updating the
     deviations with this gain leaves the ensemble with sample covariance
     P+ - K P_ez^T, for any square roots L L^T = P_z and L_R L_R^T = R; with
     R = 0 it is K.
     """
-    factor = spd_sqrt_factor(p_z, where)
     upper = (factor + model.r_factor).T  # F-ordered, as dtrtrs expects
     x, info = dtrtrs(upper, (gain @ factor).T, lower=0, trans=0)  # (L + L_R)^T X^T = (K L)^T
     if info != 0:
@@ -145,6 +146,8 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     n = ens.size
     l_x, l_y = model.l_x, model.l_y
     where = f"enkf step {k + 1}"
+    if ens.members.shape[0] != l_x:
+        raise ValueError(f"{where}: ensemble members have {ens.members.shape[0]} rows, expected {l_x}")
     y = check_measurement(y, (l_y,), where)
     # Take the work arrays over from ens (list.pop is atomic), so that a
     # second step of ens, from this thread or another, allocates its own.
@@ -179,11 +182,10 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     prior_cov = symmetrize(np.einsum("ik,jk->ij", xdev, xdev) / denom)
     p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
     p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R)
-    check_innovation("enkf", k + 1, p_z, p_ez)
-    gain = kf_gain(p_z, p_ez, where=where)
+    gain, factor = kf_gain("enkf", k + 1, p_z, p_ez)
 
     mean = xbar + gain @ (y - ybar)
-    correction = np.matmul(_sqrt_gain(model, p_z, gain, where), ydev, out=scratch.state)
+    correction = np.matmul(_sqrt_gain(model, factor, gain, where), ydev, out=scratch.state)
     adev = np.subtract(xdev, correction, out=xf)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
     members = np.add(adev, mean[:, None], out=xf)

@@ -53,9 +53,16 @@ class KfStep:
     posterior_cov: Array
 
 
-def kf_gain(p_z: Array, p_ez: Array, where: str = "") -> Array:
-    """Gain K solving K P_z = P_ez, for each slice of a stack; P_z and P_ez must be finite (:func:`check_innovation`)."""
-    return cholesky_solve(spd_sqrt_factor(p_z, where), p_ez.swapaxes(-1, -2), where).swapaxes(-1, -2)
+def kf_gain(name: str, k: int, p_z: Array, p_ez: Array) -> tuple[Array, Array]:
+    """(K, L): the gain K P_z = P_ez and the factor L L^T = P_z it is solved with, per slice of a stack.
+
+    FilterDiverged names filter `name` and step k unless P_z and P_ez are finite.
+    """
+    if not all_finite(p_z, p_ez):
+        raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
+    where = f"{name} step {k}"
+    factor = spd_sqrt_factor(p_z, where)
+    return cholesky_solve(factor, p_ez.swapaxes(-1, -2), where).swapaxes(-1, -2), factor
 
 
 def kf_update(
@@ -91,31 +98,22 @@ def check_measurement(y, shape: tuple[int, ...], where: str) -> Array:
     return y
 
 
-def check_innovation(name: str, k: int, p_z: Array, p_ez: Array) -> None:
-    """FilterDiverged naming filter `name` and step k unless P_z and P_ez are finite."""
-    if not all_finite(p_z, p_ez):
-        raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
-
-
 def kf_correct(
     names, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
 ) -> list[tuple[StateEstimate, KfStep]]:
     """Gain, update and record per filter for a stack of filters consuming the step-k measurement y.
 
     Slice i of every array belongs to filter names[i]; returns one (next
-    estimate, KfStep) pair per slice, or the pair alone for one name and
-    unstacked arrays.  A bad y raises ValueError, a non-finite P_z, P_ez or
-    posterior FilterDiverged, and a posterior that is not SPD
-    NotPositiveDefinite, all naming filters and step.  The SPD check caches
-    chol(l_x P) on each estimate for the next sigma-point step.
+    estimate, KfStep) pair per slice.  A bad y raises ValueError, a
+    non-finite P_z, P_ez (:func:`kf_gain`) or posterior FilterDiverged, and
+    a P_z or posterior that is not SPD NotPositiveDefinite, all naming
+    filters and step.  The SPD check caches chol(l_x P) on each estimate for
+    the next sigma-point step.
     """
-    if isinstance(names, str):
-        return kf_correct((names,), k, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
     label = "+".join(names)
     where = f"{label} step {k}"
     y = check_measurement(y, predicted_y.shape[1:], where)
-    check_innovation(label, k, p_z, p_ez)
-    gain = kf_gain(p_z, p_ez, where)
+    gain, _ = kf_gain(label, k, p_z, p_ez)
     mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y)
     cov = symmetrize(cov)
     if not all_finite(mean, cov):
@@ -128,16 +126,21 @@ def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tup
     """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
 
     The mean goes through f and g; the covariances use A = df/dx at the
-    posterior mean and C = dg/dx at the prior mean.
+    posterior mean and C = dg/dx at the prior mean.  A state of the wrong
+    length raises ValueError naming the filter and the step.
     """
-    a = jacobian_dynamics(model, est.mean)
+    k = est.step + 1
+    try:
+        a = jacobian_dynamics(model, est.mean)
+    except ValueError as exc:
+        raise ValueError(f"{name} step {k}: {exc}") from exc
     prior_mean = step_dynamics(model, est.mean)
     prior_cov = symmetrize(a @ est.cov @ a.T + model.Q)
     c = jacobian_measurement(model, prior_mean)
     p_z = symmetrize(c @ prior_cov @ c.T + model.R)
     p_ez = prior_cov @ c.T
     predicted_y = measure(model, prior_mean)
-    return kf_correct(name, est.step + 1, prior_mean, prior_cov, p_z, p_ez, y, predicted_y)
+    return kf_correct((name,), k, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
 
 
 def kf_step(model: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:

@@ -20,7 +20,9 @@ bytes.  The triangular solves call LAPACK ``dtrtrs`` directly, with the
 arguments ``scipy.linalg.solve_triangular`` passes, so the results are the
 same bits without that wrapper's per-call validation, which costs many
 times the small solve itself.  :func:`solve_spd` keeps the finiteness check;
-:func:`cholesky_solve` skips it for callers that have checked already.
+:func:`cholesky_solve` skips it: the filters' one caller,
+:func:`kf.kf_gain`, raises FilterDiverged on a non-finite P_z or P_ez before
+it factors P_z and solves for the gain.
 
 The helpers take a leading stack axis, one matrix per filter of a stacked
 step: the symmetrization and the Cholesky factorization run as one numpy

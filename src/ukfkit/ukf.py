@@ -151,11 +151,17 @@ def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[t
     order) from ests[i], all at one step.  eukfa's sigma factor, eukfc's
     C Q C^T and Q C^T terms, f and g see one slice at a time; the rest runs
     as stacked numpy calls, whose slices are the bits of one-slice stacks.
-    Returns one (next estimate, KfStep) pair per slice.
+    Returns one (next estimate, KfStep) pair per slice.  An unknown name, a
+    mixed step or a state of the wrong length raises ValueError naming the
+    filters and the step.
     """
     k = ests[0].step if ests else -1
-    if len(names) != len(ests) or not _SIGMA_SET.issuperset(names) or {est.step for est in ests} != {k}:
-        raise ValueError(f"expected one estimate at one step per filter in {SIGMA_FILTERS}, got {names}")
+    shape = (model.l_x,)
+    if len(names) != len(ests) or not _SIGMA_SET.issuperset(names) or {(est.step, est.mean.shape) for est in ests} != {(k, shape)}:
+        raise ValueError(
+            f"{'+'.join(map(str, names))} step {k + 1}: expected one state of shape {shape}"
+            f" at one step per filter in {SIGMA_FILTERS}, got {names}"
+        )
     factors = stack(
         [eukfa_sigma_scale(model, est) if name == "eukfa" else est.sigma_factor(f"{name} step {k}") for name, est in zip(names, ests)]
     )

@@ -155,7 +155,7 @@ def _serial_step(model, members, seed, k, y):
     prior_cov = symmetrize(np.einsum("ik,jk->ij", xdev, xdev) / denom)
     p_ez = np.einsum("ik,jk->ij", xdev, ydev) / denom
     p_z = symmetrize(np.einsum("ik,jk->ij", ydev, ydev) / denom + model.R)
-    gain = kf_gain(p_z, p_ez)
+    gain, _ = kf_gain("enkf", k + 1, p_z, p_ez)
     mean = xbar + gain @ (y - ybar)
     factor = np.linalg.cholesky(p_z)
     sqrt_gain = solve_triangular(factor + noise_factor(model.R), (gain @ factor).T, lower=True, trans="T").T

@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ukfkit.kf as kf
-from ukfkit.harness import random_detectable_system, random_spd
+from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
 from ukfkit.ekf import ekf_step
 from ukfkit.enkf import enkf_init, enkf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_step, kf_update
 from ukfkit.numerics import FilterDiverged
-from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1
+from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
 from ukfkit.ukf import ukf_step
 
 # Hand-derived one-step quantities for the first benchmark system
@@ -80,13 +80,19 @@ def test_innovation_full_observation_no_noise(monkeypatch):
 
 def test_gain_identity_pz():
     p_ez = np.array([[1.0], [2.0]])
-    assert_allclose(kf_gain(np.eye(1), p_ez), p_ez, rtol=0)
-    assert_allclose(kf_gain(np.eye(1), np.zeros((2, 1))), np.zeros((2, 1)), rtol=0)
+    assert_allclose(kf_gain("kf", 1, np.eye(1), p_ez)[0], p_ez, rtol=0)
+    assert_allclose(kf_gain("kf", 1, np.eye(1), np.zeros((2, 1)))[0], np.zeros((2, 1)), rtol=0)
 
 
 def test_gain_ex1_hand_value():
-    gain = kf_gain(np.array([[P_Z_HAND]]), P_EZ_HAND[:, None])
+    gain, factor = kf_gain("kf", 1, np.array([[P_Z_HAND]]), P_EZ_HAND[:, None])
     assert_allclose(gain[:, 0], P_EZ_HAND / P_Z_HAND, rtol=1e-13)
+    assert_allclose(factor, [[np.sqrt(P_Z_HAND)]], rtol=1e-15)
+
+
+def test_gain_of_a_non_finite_innovation_raises_filter_diverged():
+    with pytest.raises(FilterDiverged, match="^kf produced a non-finite innovation or cross covariance at step 3$"):
+        kf_gain("kf", 3, np.array([[np.nan]]), np.ones((2, 1)))
 
 
 def test_update_zero_gain_keeps_prior():
@@ -180,7 +186,40 @@ def test_bad_measurement_raises_value_error_naming_filter_and_step(name, y):
         FILTER_STEPS[name](est, y)
 
 
+@pytest.mark.parametrize("name", list(FILTER_STEPS))
+def test_wrong_length_state_raises_value_error_naming_filter_and_step(name):
+    est = StateEstimate(np.ones(3), np.eye(3), 4)
+    with pytest.raises(ValueError, match=f"^{name} step 5"):
+        FILTER_STEPS[name](est, np.zeros(2))
+
+
 def test_non_finite_posterior_raises_filter_diverged():
-    prior_mean = np.array([np.inf, 0.0])
+    prior_mean = np.array([[np.inf, 0.0]])
     with pytest.raises(FilterDiverged, match="kf .*step 3"):
-        kf_correct("kf", 3, prior_mean, np.eye(2), np.eye(1), np.zeros((2, 1)), np.zeros(1), np.zeros(1))
+        kf_correct(("kf",), 3, prior_mean, np.eye(2)[None], np.eye(1)[None], np.zeros((1, 2, 1)), np.zeros(1), np.zeros((1, 1)))
+
+
+# Cholesky factorizations in a step after the first: P_z once, in kf_gain,
+# whose factor the EnKF's square-root update reuses; and l_x P once, in the
+# posterior's SPD check, whose factor the next sigma-point step reuses.
+CHOLESKY_BUDGET = {kf_step: 2, ekf_step: 2, ukf_step: 2, eukfa_step: 2, eukfc_step: 2, enkf_step: 1}
+
+
+def _linear_4x2():
+    return random_detectable_system(np.random.default_rng(12), l_x=4, l_y=2)
+
+
+@pytest.mark.parametrize("make_model", [make_lorenz, _linear_4x2], ids=["lorenz-3x1", "linear-4x2"])
+@pytest.mark.parametrize("step", list(CHOLESKY_BUDGET), ids=lambda step: step.__name__)
+def test_second_step_keeps_to_its_cholesky_budget(monkeypatch, make_model, step):
+    model = make_model()
+    _, meas = simulate_truth(model, np.ones(model.l_x), 2, seed=4)
+    state = StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0)
+    if step is enkf_step:
+        state = enkf_init(state, 50, seed=0)
+    state, _ = step(model, state, meas[1])
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
+    step(model, state, meas[2])
+    assert len(calls) == CHOLESKY_BUDGET[step], calls
