@@ -3,7 +3,8 @@
 The mean is propagated through the full nonlinear dynamics; covariances use
 A = df/dx at the posterior mean and C = dg/dx at the prior mean.
 On a linear system every quantity coincides with the Kalman filter's, since
-both run :func:`kf.linearized_step`.
+both run :func:`kf.linearized_step`; stacked with other filters in
+:func:`ukf.sigma_step`, an ekf slice gets the same bits.
 """
 
 from __future__ import annotations

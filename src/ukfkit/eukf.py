@@ -18,8 +18,8 @@ gain is not the Kalman gain.  Both variants here repair that:
 
 Both are one-slice calls of the UKF's recursion, :func:`ukf.sigma_step`,
 which holds their sigma factor and covariance terms next to the UKF's, so
-that one stacked call advances all three.  With Q = 0 both coincide with
-the classical UKF.
+that one stacked call advances all three, and the kf or ekf next to them.
+With Q = 0 both coincide with the classical UKF.
 """
 
 from __future__ import annotations

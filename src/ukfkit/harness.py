@@ -223,10 +223,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
         step_rec: dict[str, KfStep] = {}
         failures: dict[str, str] = {}  # filters that fail at this step
         live = [name for name in cfg.filters if not diverged[name]]
-        # From the second step on, the live sigma-point filters (last in FILTER_ORDER) advance in one
+        # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one
         # stacked call.  The first step runs each through its own public step, which keeps those on
-        # every run's path: bench/spans.py times ukf_step, eukfa_step and eukfc_step by name.
-        stack = [name for name in live if name in SIGMA_FILTERS] if k > 1 else []
+        # every run's path: bench/spans.py times kf_step, ekf_step, ukf_step, eukfa_step and eukfc_step by name.
+        stack = [name for name in live if name != "enkf"] if k > 1 else []
         stacked = {}
         for name in live:
             if len(stack) > 1 and name == stack[0]:

@@ -14,10 +14,12 @@ computed by :func:`evaluate_gain_cov`, whose trace the Kalman gain
 minimizes.
 
 :func:`linearized_step` reads A and C as the model's Jacobians, so it is the
-Kalman filter on a :class:`LinearSystem` and the EKF on any other model.
-:func:`kf_correct`, the gain and update shared by every covariance-form
-filter, works on a stack of filters, one slice each; the kf and ekf pass a
-stack of one, and the sigma-point filters a stack of all that step together.
+Kalman filter on a :class:`LinearSystem` and the EKF on any other model; its
+prediction half, :func:`linearized_prior`, also gives the prior of a kf or
+ekf slice in :func:`ukf.sigma_step`.  :func:`kf_correct`, the gain and update
+shared by every covariance-form filter, works on a stack of filters, one
+slice each; ``kf_step`` and ``ekf_step`` pass a stack of one, and
+``sigma_step`` a stack of every filter that steps with it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def kf_gain(name: str, k: int, p_z: Array, p_ez: Array) -> tuple[Array, Array]:
 
     FilterDiverged names filter `name` and step k unless P_z and P_ez are finite.
     """
+    p_z, p_ez = np.asarray(p_z, dtype=float), np.asarray(p_ez, dtype=float)
     if not all_finite(p_z, p_ez):
         raise FilterDiverged(f"{name} produced a non-finite innovation or cross covariance at step {k}")
     where = f"{name} step {k}"
@@ -122,25 +125,32 @@ def kf_correct(
     return [(est, KfStep(prior_mean[i], prior_cov[i], gain[i], p_z[i], p_ez[i], est.mean, est.cov)) for i, est in enumerate(ests)]
 
 
-def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
-    """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
+def linearized_prior(name: str, model: SystemModel, est: StateEstimate) -> tuple[Array, Array, Array, Array, Array]:
+    """(x+, P+, C P+ C^T, P+ C^T, g(x+)) for filter `name` from est: the prediction half of :func:`linearized_step`.
 
-    The mean goes through f and g; the covariances use A = df/dx at the
-    posterior mean and C = dg/dx at the prior mean.  A state of the wrong
-    length raises ValueError naming the filter and the step.
+    A = df/dx at the posterior mean and C = dg/dx at the prior mean; R is
+    left for the caller to add.  A state of the wrong length raises
+    ValueError naming the filter and the step.
     """
-    k = est.step + 1
     try:
         a = jacobian_dynamics(model, est.mean)
     except ValueError as exc:
-        raise ValueError(f"{name} step {k}: {exc}") from exc
+        raise ValueError(f"{name} step {est.step + 1}: {exc}") from exc
     prior_mean = step_dynamics(model, est.mean)
     prior_cov = symmetrize(a @ est.cov @ a.T + model.Q)
     c = jacobian_measurement(model, prior_mean)
-    p_z = symmetrize(c @ prior_cov @ c.T + model.R)
-    p_ez = prior_cov @ c.T
-    predicted_y = measure(model, prior_mean)
-    return kf_correct((name,), k, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
+    return prior_mean, prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T, measure(model, prior_mean)
+
+
+def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
+    """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
+
+    The mean goes through f and g, the covariances through the Jacobians
+    (:func:`linearized_prior`).
+    """
+    prior_mean, prior_cov, p_z, p_ez, predicted_y = linearized_prior(name, model, est)
+    p_z = symmetrize(p_z + model.R)
+    return kf_correct((name,), est.step + 1, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
 
 
 def kf_step(model: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:

@@ -9,7 +9,9 @@ is the current posterior mean.  The combination weights are
 which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
 are one recursion, :func:`sigma_step`, which advances a stack of estimates,
 one slice per filter; ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are
-one-slice calls of it.  :func:`unscented_prior` is its one
+one-slice calls of it.  The stack also takes kf and ekf slices, whose prior
+is :func:`kf.linearized_prior`, so that one call per time step advances
+every covariance-form filter of a run.  :func:`unscented_prior` is its one
 spread/propagate/centre step: it builds the sigma points from each slice's
 factor, pushes them through f and g, and subtracts the weighted means.  The
 filters differ only in the sigma factor and where Q enters the covariances,
@@ -29,7 +31,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlange
 
-from .kf import KfStep, kf_correct
+from .kf import KfStep, kf_correct, linearized_prior
 from .numerics import FilterDiverged, all_finite, stack, symmetrize
 from .statespace import (
     StateEstimate,
@@ -43,7 +45,8 @@ from .statespace import (
 Array = np.ndarray
 
 SIGMA_FILTERS = ("ukf", "eukfa", "eukfc")
-_SIGMA_SET = frozenset(SIGMA_FILTERS)
+STACK_FILTERS = ("kf", "ekf", *SIGMA_FILTERS)
+_SIGMA_SET, _STACK_SET = frozenset(SIGMA_FILTERS), frozenset(STACK_FILTERS)
 
 # Reciprocal condition number (1-norm estimate) below which A counts as singular.
 _RCOND_MIN = 1e-12
@@ -145,10 +148,11 @@ def _lower_ones(n: int) -> Array:
 
 
 def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:
-    """One predict/update cycle of a stack of sigma-point filters, consuming the measurement at step k+1.
+    """One predict/update cycle of a stack of filters, consuming the measurement at step k+1.
 
-    Slice i runs filter names[i] ("ukf", "eukfa" or "eukfc", in any mix and
-    order) from ests[i], all at one step.  eukfa's sigma factor, eukfc's
+    Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and
+    order) from ests[i], all at one step.  kf and ekf slices take their
+    prior from :func:`kf.linearized_prior`; eukfa's sigma factor, eukfc's
     C Q C^T and Q C^T terms, f and g see one slice at a time; the rest runs
     as stacked numpy calls, whose slices are the bits of one-slice stacks.
     Returns one (next estimate, KfStep) pair per slice.  An unknown name, a
@@ -157,21 +161,32 @@ def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[t
     """
     k = ests[0].step if ests else -1
     shape = (model.l_x,)
-    if len(names) != len(ests) or not _SIGMA_SET.issuperset(names) or {(est.step, est.mean.shape) for est in ests} != {(k, shape)}:
+    if len(names) != len(ests) or not _STACK_SET.issuperset(names) or {(est.step, est.mean.shape) for est in ests} != {(k, shape)}:
         raise ValueError(
             f"{'+'.join(map(str, names))} step {k + 1}: expected one state of shape {shape}"
-            f" at one step per filter in {SIGMA_FILTERS}, got {names}"
+            f" at one step per filter in {STACK_FILTERS}, got {names}"
         )
-    factors = stack(
-        [eukfa_sigma_scale(model, est) if name == "eukfa" else est.sigma_factor(f"{name} step {k}") for name, est in zip(names, ests)]
-    )
-    prior_mean, predicted_y, xdev, ydev, w = unscented_prior(model, stack([est.mean for est in ests]), factors, alpha, k)
-    wx = xdev * w
-    p_prior = wx @ xdev.swapaxes(-1, -2)
-    p_z = (ydev * w) @ ydev.swapaxes(-1, -2)
-    p_ez = wx @ ydev.swapaxes(-1, -2)
+    sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
+    # A contiguous run of sigma slices, as run_experiment stacks them, is written through a slice: fancy indexing costs more.
+    at = slice(sigma[0], sigma[-1] + 1) if sigma and sigma[-1] - sigma[0] == len(sigma) - 1 else sigma
+    n, l_x, l_y = len(names), model.l_x, model.l_y
+    prior_mean, predicted_y = np.empty((n, l_x)), np.empty((n, l_y))
+    p_prior, p_z, p_ez = np.empty((n, l_x, l_x)), np.empty((n, l_y, l_y)), np.empty((n, l_x, l_y))
+    if sigma:
+        factors = stack(
+            [eukfa_sigma_scale(model, ests[i]) if names[i] == "eukfa" else ests[i].sigma_factor(f"{names[i]} step {k}") for i in sigma]
+        )
+        prior_mean[at], predicted_y[at], xdev, ydev, w = unscented_prior(model, stack([ests[i].mean for i in sigma]), factors, alpha, k)
+        wx = xdev * w
+        p_prior[at] = wx @ xdev.swapaxes(-1, -2)
+        p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
+        p_ez[at] = wx @ ydev.swapaxes(-1, -2)
     for i, name in enumerate(names):
-        # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
+        # kf and ekf linearize; ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and
+        # its C Q C^T, Q C^T terms.
+        if name not in _SIGMA_SET:
+            prior_mean[i], p_prior[i], p_z[i], p_ez[i], predicted_y[i] = linearized_prior(name, model, ests[i])
+            continue
         if name != "eukfa":
             p_prior[i] += model.Q
         if name == "eukfc":

@@ -195,25 +195,37 @@ def test_numerics_suite():
     )
 
 
+def _cli_bytes(args, out: str, threads: int) -> bytes:
+    """Run `python -m ukfkit *args` with every BLAS pool at `threads` threads and return the file it writes at `out`."""
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    subprocess.run([sys.executable, "-m", "ukfkit", *args], check=True, env=env, capture_output=True)
+    with open(out, "rb") as fh:
+        return fh.read()
+
+
 def test_reproduce_is_byte_deterministic(tmp_path):
     def run(out_dir, threads):
-        env = dict(os.environ)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(threads)
-        subprocess.run(
-            [
-                sys.executable, "-m", "ukfkit", "reproduce", "--example", "4",
-                "--out", str(out_dir), "--seed", str(SEED),
-                "--ensemble", "2000", "--steps", "1000",
-            ],
-            check=True,
-            env=env,
-            capture_output=True,
-        )
-        return (out_dir / "example4.csv").read_bytes()
+        args = ["reproduce", "--example", "4", "--out", str(out_dir), "--seed", str(SEED), "--ensemble", "2000", "--steps", "1000"]
+        return _cli_bytes(args, out_dir / "example4.csv", threads)
 
     first = run(tmp_path / "a", threads=1)
     second = run(tmp_path / "b", threads=4)
     ok = first == second and len(first) > 0
     _criterion("reproduce --example 4 is byte-identical across runs and thread counts", ok,
+               f"{len(first)} bytes")
+
+
+def test_linear_stack_run_is_byte_deterministic(tmp_path):
+    # Every filter but enkf advances as one stack from step 2, so this covers the kf and ekf slices on a linear model.
+    def run(threads):
+        out = tmp_path / f"threads{threads}.csv"
+        args = ["run", "--model", "linear-ex2", "--filters", "kf,ekf,ukf,eukfa,eukfc", "--alpha", "3",
+                "--steps", "500", "--seed", "3", "--out", str(out)]
+        return _cli_bytes(args, out, threads)
+
+    first, second = run(1), run(4)
+    ok = first == second and first.count(b"\n") == 501
+    _criterion("run --model linear-ex2 with every stacked filter is byte-identical across thread counts", ok,
                f"{len(first)} bytes")

@@ -156,20 +156,26 @@ def test_relerr_definition_with_and_without_enkf():
 
 
 def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
+    # Step 1 calls ukf_step, steps 2-4 the kf+ukf stack; the fifth call, the step-5 stack, fails, and so
+    # does ukf replayed alone, while kf replays and runs on.
     calls = {"n": 0}
-    original = harness.ukf_step
 
-    def flaky(model, est, y, alpha):
-        calls["n"] += 1
-        if calls["n"] >= 5:
-            raise FilterDiverged("synthetic failure")
-        return original(model, est, y, alpha)
+    def flaky(original):
+        def step(*args):
+            calls["n"] += 1
+            if calls["n"] >= 5:
+                raise FilterDiverged("synthetic failure")
+            return original(*args)
 
-    monkeypatch.setattr(harness, "ukf_step", flaky)
+        return step
+
+    for name in ("ukf_step", "sigma_step"):
+        monkeypatch.setattr(harness, name, flaky(getattr(harness, name)))
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=5, filters=("kf", "ukf"))
     records = run_experiment(cfg)
     for rec in records[:4]:
         assert not rec.metrics["ukf"].diverged
+    assert records[4].metrics["ukf"].failure == "FilterDiverged: synthetic failure"
     for rec in records[4:]:
         assert rec.metrics["ukf"].diverged
         assert math.isnan(rec.metrics["ukf"].trace)

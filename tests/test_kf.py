@@ -95,6 +95,15 @@ def test_gain_of_a_non_finite_innovation_raises_filter_diverged():
         kf_gain("kf", 3, np.array([[np.nan]]), np.ones((2, 1)))
 
 
+def test_gain_takes_nested_lists_as_arrays():
+    with pytest.raises(FilterDiverged, match="^kf produced a non-finite innovation or cross covariance at step 3$"):
+        kf_gain("kf", 3, [[np.nan]], [[1.0], [1.0]])
+    p_z, p_ez = [[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.3, -1.0], [2.0, 0.5]]
+    for got, want in zip(kf_gain("kf", 3, p_z, p_ez), kf_gain("kf", 3, np.array(p_z), np.array(p_ez))):
+        assert type(got) is np.ndarray
+        np.testing.assert_array_equal(got, want)
+
+
 def test_update_zero_gain_keeps_prior():
     prior_mean = np.array([1.0, 2.0])
     mean, cov = kf_update(prior_mean, np.eye(2), np.zeros((2, 1)), np.ones((2, 1)), np.array([5.0]), np.array([0.0]))

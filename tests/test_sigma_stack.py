@@ -1,21 +1,29 @@
-"""The stacked sigma-point step: each slice is bitwise the filter stepped on its own."""
+"""The stacked filter step: each slice is bitwise the filter stepped on its own."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import ukfkit.harness as harness
+from ukfkit.ekf import ekf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.harness import ExperimentConfig, random_detectable_system, random_spd, run_experiment, simulate_truth
-from ukfkit.kf import KfStep
+from ukfkit.kf import KfStep, kf_step
 from ukfkit.statespace import StateEstimate, make_lorenz, make_vdp
-from ukfkit.ukf import SIGMA_FILTERS, sigma_step, ukf_step
+from ukfkit.ukf import SIGMA_FILTERS, STACK_FILTERS, sigma_step, ukf_step
 
-ONE_AT_A_TIME = {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}
+# Each filter stepped alone; kf and ekf take no alpha.
+ONE_AT_A_TIME = {
+    "kf": lambda model, est, y, alpha: kf_step(model, est, y),
+    "ekf": lambda model, est, y, alpha: ekf_step(model, est, y),
+    "ukf": ukf_step,
+    "eukfa": eukfa_step,
+    "eukfc": eukfc_step,
+}
 
 
 def _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha):
@@ -40,8 +48,9 @@ def _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha):
 @given(
     seed=st.integers(0, 2**63 - 1),
     alpha=st.floats(1.0, 5.0),
-    names=st.lists(st.sampled_from(SIGMA_FILTERS), min_size=1, max_size=5).map(tuple),
+    names=st.lists(st.sampled_from(STACK_FILTERS), min_size=1, max_size=5).map(tuple),
 )
+@example(seed=1, alpha=1.5, names=("ekf", "kf", "ekf"))  # a stack with no sigma-point slice
 def test_stack_is_bitwise_one_filter_at_a_time_property(seed, alpha, names):
     rng = np.random.default_rng(seed)
     model = random_detectable_system(rng)
@@ -50,7 +59,7 @@ def test_stack_is_bitwise_one_filter_at_a_time_property(seed, alpha, names):
     _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha)
 
 
-@pytest.mark.parametrize("names", [SIGMA_FILTERS, ("eukfc", "ukf", "eukfc", "eukfa")], ids=["ordered", "mixed"])
+@pytest.mark.parametrize("names", [("ekf", *SIGMA_FILTERS), ("eukfc", "ukf", "ekf", "eukfc", "eukfa")], ids=["ordered", "mixed"])
 @pytest.mark.parametrize("make", [make_lorenz, make_vdp], ids=["lorenz", "vdp"])
 def test_stack_is_bitwise_one_filter_at_a_time_on_nonlinear_models(make, names):
     model = make()
@@ -61,8 +70,9 @@ def test_stack_is_bitwise_one_filter_at_a_time_on_nonlinear_models(make, names):
 def test_stack_rejects_unknown_filters_and_mixed_steps():
     model = make_lorenz()
     est = StateEstimate(np.ones(3), np.eye(3), 0)
-    with pytest.raises(ValueError, match="ekf"):
-        sigma_step(model, ("ukf", "ekf"), (est, est), np.ones(1))
+    for unknown in ("enkf", "pf"):
+        with pytest.raises(ValueError, match=unknown):
+            sigma_step(model, ("ukf", unknown), (est, est), np.ones(1))
     with pytest.raises(ValueError):
         sigma_step(model, ("ukf", "eukfc"), (est, StateEstimate(np.ones(3), np.eye(3), 1)), np.ones(1))
     with pytest.raises(ValueError):
@@ -73,13 +83,13 @@ def test_stack_rejects_unknown_filters_and_mixed_steps():
 
 def test_run_advances_the_sigma_filters_in_one_stacked_call_per_step(monkeypatch):
     calls = []
-    for name in ("sigma_step", "ukf_step", "eukfa_step", "eukfc_step"):
+    for name in ("sigma_step", "ekf_step", "ukf_step", "eukfa_step", "eukfc_step"):
         step = getattr(harness, name)
         label = (lambda args: tuple(args[1])) if name == "sigma_step" else (lambda args, name=name: name)
         monkeypatch.setattr(harness, name, lambda *args, step=step, label=label: calls.append(label(args)) or step(*args))
     run_experiment(ExperimentConfig(model="lorenz", steps=20, seed=7, filters=("ekf", "ukf", "eukfa", "eukfc")))
     # The first step runs each filter's own step; every later step is one stacked call.
-    assert calls == ["ukf_step", "eukfa_step", "eukfc_step"] + [SIGMA_FILTERS] * 19
+    assert calls == ["ekf_step", "ukf_step", "eukfa_step", "eukfc_step"] + [("ekf", *SIGMA_FILTERS)] * 19
 
 
 def test_a_failing_stack_is_replayed_so_each_filter_fails_alone():
