@@ -195,7 +195,7 @@ def test_numerics_suite():
     )
 
 
-def _cli_bytes(args, out: str, threads: int) -> bytes:
+def _cli_bytes(args, out, threads: int) -> bytes:
     """Run `python -m ukfkit *args` with every BLAS pool at `threads` threads and return the file it writes at `out`."""
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
