@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .kf import KfStep, check_measurement, kf_gain
 from .numerics import FilterDiverged, all_finite, symmetrize
@@ -41,10 +40,7 @@ KIND_PROCESS = 1
 
 
 def _cell_key(seed: int, step: int, kind: int) -> Array:
-    return np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(8 * step + kind)],
-        dtype=np.uint64,
-    )
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, 8 * step + kind], dtype=np.uint64)
 
 
 def philox_stream(seed: int, step: int, kind: int) -> np.random.Generator:
@@ -117,19 +113,16 @@ def enkf_init(est: StateEstimate, n: int, seed: int) -> Ensemble:
     return Ensemble(members=members, seed=seed, step=est.step)
 
 
-def _sqrt_gain(model: SystemModel, factor: Array, gain: Array, where: str) -> Array:
-    """K L (L + L_R)^-1 for the lower factor L of P_z that :func:`kf_gain` returns and L_R = r_factor, by one triangular solve.
+def _sqrt_gain(model: SystemModel, factor: Array, gain: Array) -> Array:
+    """K L (L + L_R)^-1 for the lower factor L of P_z that :func:`kf_gain` returns and L_R = r_factor, by one solve.
 
-    L + L_R is lower triangular with a positive diagonal.  Updating the
-    deviations with this gain leaves the ensemble with sample covariance
-    P+ - K P_ez^T, for any square roots L L^T = P_z and L_R L_R^T = R; with
-    R = 0 it is K.
+    L + L_R is lower triangular with a positive diagonal, so the solve with
+    its transpose, an upper triangle, pivots nowhere and gives the bits of a
+    triangular solve.  Updating the deviations with this gain leaves the
+    ensemble with sample covariance P+ - K P_ez^T, for any square roots
+    L L^T = P_z and L_R L_R^T = R; with R = 0 it is K.
     """
-    upper = (factor + model.r_factor).T  # F-ordered, as dtrtrs expects
-    x, info = dtrtrs(upper, (gain @ factor).T, lower=0, trans=0)  # (L + L_R)^T X^T = (K L)^T
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed with dtrtrs info {info} ({where})")
-    return x.T
+    return np.linalg.solve((factor + model.r_factor).T, (gain @ factor).T).T  # (L + L_R)^T X^T = (K L)^T
 
 
 def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
@@ -185,7 +178,7 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     gain, factor = kf_gain("enkf", k + 1, p_z, p_ez)
 
     mean = xbar + gain @ (y - ybar)
-    correction = np.matmul(_sqrt_gain(model, factor, gain, where), ydev, out=scratch.state)
+    correction = np.matmul(_sqrt_gain(model, factor, gain), ydev, out=scratch.state)
     adev = np.subtract(xdev, correction, out=xf)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
     members = np.add(adev, mean[:, None], out=xf)

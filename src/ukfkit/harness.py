@@ -12,7 +12,6 @@ the exception type and message; the other filters continue.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -239,14 +238,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
             except _STEP_ERRORS as exc:
                 diverged[name] = True
                 failures[name] = f"{type(exc).__name__}: {exc}"
-        tr_enkf = float(np.trace(step_rec["enkf"].posterior_cov)) if "enkf" in step_rec else None
+        tr_enkf = float(step_rec["enkf"].posterior_cov.trace()) if "enkf" in step_rec else None
         metrics = {}
         for name in cfg.filters:
             rec = step_rec.get(name)
             if rec is None:
                 metrics[name] = FilterMetrics(nan, nan, nan, nan, True, failures.get(name, ""))
                 continue
-            tr = float(np.trace(rec.posterior_cov))
+            tr = float(rec.posterior_cov.trace())
             z = y - measure(model, rec.posterior_mean)
             e = states[k] - rec.posterior_mean
             # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm: the same bits, less overhead.
@@ -268,21 +267,17 @@ def export_csv(records: list[FilterStepRecord], path) -> None:
     header = ["k"]
     for name in names:
         header += [f"trP_{name}", f"relerr_{name}", f"z_{name}", f"enorm_{name}"]
+    # "%.17g" formats as format(value, ".17g") does; no field needs CSV quoting.
+    row = "%d" + ",%.17g,%.17g,%.17g,%.17g" * len(names) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            fh.write(",".join(header) + "\n")
             for rec in records:
-                row = [str(rec.step)]
+                values = [rec.step]
                 for name in names:
                     m = rec.metrics[name]
-                    row += [
-                        f"{m.trace:.17g}",
-                        f"{m.relerr:.17g}",
-                        f"{m.output_error:.17g}",
-                        f"{m.error_norm:.17g}",
-                    ]
-                writer.writerow(row)
+                    values += (m.trace, m.relerr, m.output_error, m.error_norm)
+                fh.write(row % tuple(values))
     except OSError as exc:
         raise OSError(f"could not write results to {path}: {exc}") from exc
 

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FilterDiverged, all_finite, cholesky_solve, spd_sqrt_factor, symmetrize
-from .statespace import (
-    LinearSystem,
-    StateEstimate,
-    SystemModel,
-    jacobian_dynamics,
-    jacobian_measurement,
-    measure,
-    step_dynamics,
-)
+from .statespace import LinearSystem, StateEstimate, SystemModel, linearize
 
 Array = np.ndarray
 
@@ -129,17 +121,17 @@ def linearized_prior(name: str, model: SystemModel, est: StateEstimate) -> tuple
     """(x+, P+, C P+ C^T, P+ C^T, g(x+)) for filter `name` from est: the prediction half of :func:`linearized_step`.
 
     A = df/dx at the posterior mean and C = dg/dx at the prior mean; R is
-    left for the caller to add.  A state of the wrong length raises
-    ValueError naming the filter and the step.
+    left for the caller to add.  The state is checked once
+    (:func:`statespace.linearize`); a state of the wrong length, or an f, g
+    or Jacobian that returns the wrong shape, raises ValueError naming the
+    filter and the step.
     """
     try:
-        a = jacobian_dynamics(model, est.mean)
+        a, prior_mean, c, predicted_y = linearize(model, est.mean)
     except ValueError as exc:
         raise ValueError(f"{name} step {est.step + 1}: {exc}") from exc
-    prior_mean = step_dynamics(model, est.mean)
     prior_cov = symmetrize(a @ est.cov @ a.T + model.Q)
-    c = jacobian_measurement(model, prior_mean)
-    return prior_mean, prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T, measure(model, prior_mean)
+    return prior_mean, prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T, predicted_y
 
 
 def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:

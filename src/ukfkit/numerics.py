@@ -7,26 +7,17 @@ fails gets one retry with a trace-scaled diagonal jitter; anything worse
 raises :class:`NotPositiveDefinite` instead of being silently repaired,
 because a covariance that far gone usually means the filter has diverged.
 
-:func:`spd_sqrt_factor` and :func:`solve_spd` read only the lower triangle
-of M, as LAPACK does, so M must be exactly symmetric; they do not
-symmetrize it again.  Callers that hold a user-supplied matrix symmetrize
-it first.
-
-The factorization stays on ``np.linalg.cholesky`` rather than scipy's
-``dpotrf``: the numpy and scipy wheels bundle different OpenBLAS builds
-(0.3.31 in numpy 2.4, 0.3.30 in scipy 1.17), whose factors differ in the
-last bit on about 2% of random SPD matrices, so switching would change CSV
-bytes.  The triangular solves call LAPACK ``dtrtrs`` directly, with the
-arguments ``scipy.linalg.solve_triangular`` passes, so the results are the
-same bits without that wrapper's per-call validation, which costs many
-times the small solve itself.  :func:`solve_spd` keeps the finiteness check;
-:func:`cholesky_solve` skips it: the filters' one caller,
+The factorizations and solves are ``numpy.linalg`` calls, so numpy is the
+only runtime dependency.  :func:`spd_sqrt_factor` and :func:`solve_spd` read
+only the lower triangle of M, as LAPACK does, so M must be exactly
+symmetric; they do not symmetrize it again.  Callers that hold a
+user-supplied matrix symmetrize it first.  :func:`solve_spd` keeps the
+finiteness check; :func:`cholesky_solve` skips it: the filters' one caller,
 :func:`kf.kf_gain`, raises FilterDiverged on a non-finite P_z or P_ez before
 it factors P_z and solves for the gain.
 
 The helpers take a leading stack axis, one matrix per filter of a stacked
-step: the symmetrization and the Cholesky factorization run as one numpy
-call over the stack, the triangular solves matrix by matrix.  A slice of a
+step, and run each operation as one numpy call over the stack.  A slice of a
 stack gets the same bits as that matrix alone, provided the matrices are
 laid out in memory as they would be alone: the BLAS kernel that a product
 uses depends on the layout, and so do the last bits of its result.
@@ -35,7 +26,6 @@ uses depends on the layout, and so do the last bits of its result.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 
 class NotPositiveDefinite(Exception):
@@ -113,30 +103,20 @@ def solve_spd(m: np.ndarray, b: np.ndarray, where: str = "") -> np.ndarray:
 
 
 def cholesky_solve(factor: np.ndarray, b: np.ndarray, where: str = "") -> np.ndarray:
-    """X with L L^T X = B for a lower Cholesky factor L, by two triangular solves, without finiteness checks.
+    """X with L L^T X = B for a lower Cholesky factor L, by two solves, without finiteness checks.
 
-    Stacks L (s, n, n) and B (s, n, k) are solved matrix by matrix, into a stack of X laid out like B.
+    A stack L (s, n, n) is solved with B (s, n, k), or with vectors B (s, n),
+    in one ``np.linalg.solve`` call per factor.  The solve with L^T, an upper
+    triangle, pivots nowhere and gives the bits of a triangular solve; the
+    solve with L pivots by rows, which for n >= 2 can move the last bits
+    against a triangular solve, never for n = 1.
     """
-    if factor.ndim > 2:
-        if len(factor) == len(b) == 1:
-            return cholesky_solve(factor[0], b[0], where)[None]
-        x = np.empty_like(b)
-        for i, (f, rhs) in enumerate(zip(factor, b, strict=True)):
-            x[i] = cholesky_solve(f, rhs, where)
-        return x
-    if b.ndim not in (1, 2) or b.shape[0] != factor.shape[0]:
-        raise ValueError(f"shapes of m {factor.shape} and b {b.shape} are incompatible")
-    upper = factor.T  # F-ordered, as dtrtrs expects
-    # L y = b; a 1x1 factor is F-ordered itself, which scipy solves untransposed.
-    if factor.flags.f_contiguous:
-        y, info = dtrtrs(factor, b, lower=1, trans=0)
-    else:
-        y, info = dtrtrs(upper, b, lower=0, trans=1)
-    if info == 0:
-        x, info = dtrtrs(upper, y, lower=0, trans=0)  # L^T x = y
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed with dtrtrs info {info} ({where})")
-    return x
+    vector = b.ndim == factor.ndim - 1
+    rhs = b[..., None] if vector else b
+    if rhs.shape[:-1] != factor.shape[:-1]:
+        raise ValueError(f"shapes of m {factor.shape} and b {b.shape} are incompatible ({where})")
+    x = np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
+    return x[..., 0] if vector else x
 
 
 def rcond_check(m: np.ndarray, threshold: float = 1e-12) -> bool:

@@ -185,20 +185,28 @@ def _check_state(model: SystemModel, x: Array) -> Array:
 
 def step_dynamics(model: SystemModel, x: Array) -> Array:
     """Noise-free dynamics f(x)."""
-    x = _check_state(model, x)
-    out = np.asarray(model.f(x), dtype=float)
-    if out.shape != (model.l_x,):
-        raise ValueError(f"f returned shape {out.shape}, expected ({model.l_x},)")
-    return out
+    return _output(model.f, _check_state(model, x), (model.l_x,), "f")
 
 
 def measure(model: SystemModel, x: Array) -> Array:
     """Noise-free measurement g(x)."""
-    x = _check_state(model, x)
-    out = np.asarray(model.g(x), dtype=float)
-    if out.shape != (model.l_y,):
-        raise ValueError(f"g returned shape {out.shape}, expected ({model.l_y},)")
+    return _output(model.g, _check_state(model, x), (model.l_y,), "g")
+
+
+def _output(fn: Callable[[Array], Array], x: Array, shape: tuple[int, ...], name: str) -> Array:
+    out = np.asarray(fn(x), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
     return out
+
+
+def linearize(model: SystemModel, x: Array) -> tuple[Array, Array, Array, Array]:
+    """(A, f(x), C, g(f(x))) with A = df/dx at x and C = dg/dx at f(x): checks x once, and the shape of each result."""
+    x = _check_state(model, x)
+    a = _jacobian(model, x, model.jac_f, model.f, model.l_x, "dynamics")
+    fx = _output(model.f, x, (model.l_x,), "f")
+    c = _jacobian(model, fx, model.jac_g, model.g, model.l_y, "measurement")
+    return a, fx, c, _output(model.g, fx, (model.l_y,), "g")
 
 
 def step_dynamics_batch(model: SystemModel, xs: Array) -> Array:
@@ -240,16 +248,15 @@ def jacobian_fd(fn: Callable[[Array], Array], x: Array, h: Optional[float] = Non
 
 def jacobian_dynamics(model: SystemModel, x: Array) -> Array:
     """d f / d x at x: analytic when attached, central differences otherwise."""
-    return _jacobian(model, x, model.jac_f, model.f, model.l_x, "dynamics")
+    return _jacobian(model, _check_state(model, x), model.jac_f, model.f, model.l_x, "dynamics")
 
 
 def jacobian_measurement(model: SystemModel, x: Array) -> Array:
     """d g / d x at x: analytic when attached, central differences otherwise."""
-    return _jacobian(model, x, model.jac_g, model.g, model.l_y, "measurement")
+    return _jacobian(model, _check_state(model, x), model.jac_g, model.g, model.l_y, "measurement")
 
 
 def _jacobian(model: SystemModel, x: Array, jac_fn, fn, rows: int, kind: str) -> Array:
-    x = _check_state(model, x)
     jac = np.asarray(jac_fn(x), dtype=float) if jac_fn is not None else jacobian_fd(fn, x)
     if jac.shape != (rows, model.l_x):
         raise ValueError(f"{kind} Jacobian shape {jac.shape}, expected ({rows}, {model.l_x})")
@@ -319,9 +326,11 @@ def make_lorenz(
             ]
         )
 
+    eye = np.eye(3)
+
     def jac(x):
-        x1, x2, x3 = x
-        return np.eye(3) + ts * np.array(
+        x1, x2, x3 = np.asarray(x).tolist()  # Python floats build the array faster than numpy scalars
+        return eye + ts * np.array(
             [
                 [-sigma, sigma, 0.0],
                 [rho - x3, -1.0, -x1],

@@ -29,11 +29,11 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlange
 
 from .kf import KfStep, kf_correct, linearized_prior
 from .numerics import FilterDiverged, all_finite, stack, symmetrize
 from .statespace import (
+    LinearSystem,
     StateEstimate,
     SystemModel,
     jacobian_dynamics,
@@ -48,7 +48,7 @@ SIGMA_FILTERS = ("ukf", "eukfa", "eukfc")
 STACK_FILTERS = ("kf", "ekf", *SIGMA_FILTERS)
 _SIGMA_SET, _STACK_SET = frozenset(SIGMA_FILTERS), frozenset(STACK_FILTERS)
 
-# Reciprocal condition number (1-norm estimate) below which A counts as singular.
+# Reciprocal 1-norm condition number below which A counts as singular.
 _RCOND_MIN = 1e-12
 
 
@@ -72,8 +72,7 @@ def ukf_weights(alpha: float, l_x: int) -> Array:
 def _weights(alpha: float, l_x: int) -> Array:
     w = np.full(2 * l_x + 1, 1.0 / (2.0 * alpha**2 * l_x))
     w[0] = (alpha**2 - 1.0) / alpha**2
-    w.flags.writeable = False
-    return w
+    return _read_only(w)
 
 
 def _spread(center: Array, factor: Array, alpha: float) -> Array:
@@ -117,34 +116,62 @@ def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
     columns' signs flipped so that its diagonal is positive; so S is the
     Cholesky factor up to rounding, without the eps * cond(A)^2 loss of
     forming and factoring the sum.  chol(l_x P) is the estimate's cached
-    sigma factor, and L_Q is the model's ``q_factor``.  A^{-1}
-    is applied through one LU factorization; a Jacobian whose estimated
+    sigma factor, and L_Q is the model's ``q_factor``.  A Jacobian whose
     reciprocal 1-norm condition number is below 1e-12 raises
-    SingularDynamicsJacobian.
+    SingularDynamicsJacobian naming the step.  A LinearSystem's A is
+    constant, so its A^{-1} L_Q and that verdict are worked out once per model.
     """
     k = est.step
-    a = jacobian_dynamics(model, est.mean)
-    lu, piv, info = dgetrf(a)
-    if info == 0:
-        rcond, info = dgecon(lu, dlange("1", a))
-    if info != 0 or not rcond >= _RCOND_MIN:
+    if isinstance(model, LinearSystem):
+        spread = _linear_inverse_spread(model)
+    else:
+        spread = _inverse_spread(model, jacobian_dynamics(model, est.mean))
+    if spread is None:
         raise SingularDynamicsJacobian(f"dynamics Jacobian at step {k} is numerically singular")
-    where = f"eukfa step {k}"
-    inv_lq, _ = dgetrs(lu, piv, model.q_factor)  # A^{-1} L_Q
     n = model.l_x
-    stacked = np.concatenate((est.sigma_factor(where), math.sqrt(n) * inv_lq), axis=1)
-    qr, _, _, _ = dgeqrf(stacked.T, overwrite_a=1)  # the transpose is F-ordered, so no copy
-    r = qr[:n]
-    # The lower triangle of R^T, column j times sign(R_jj); R's strictly lower part holds Householder vectors.
-    return r.T * np.copysign(_lower_ones(n), r.diagonal())
+    stacked = np.concatenate((est.sigma_factor(f"eukfa step {k}"), spread), axis=1)
+    # The raw QR is LAPACK's output transposed: R^T is the lower triangle of its first n columns.
+    rt = np.linalg.qr(stacked.T, mode="raw")[0][:, :n]
+    return rt * np.copysign(_lower_ones(n), rt.diagonal())  # the lower triangle, column j times sign(R_jj)
+
+
+def _inverse_spread(model: SystemModel, a: Array) -> Array | None:
+    """sqrt(l_x) A^{-1} L_Q, or None when A is singular or 1 / (||A||_1 ||A^{-1}||_1) < 1e-12.
+
+    One LU solve of A X = [L_Q | I] gives A^{-1} as well, so this reciprocal
+    condition number is exact.  LAPACK's ``dgecon`` estimates it, up to about
+    1.7x too high, so the check is very slightly stricter than an estimate's.
+    """
+    n = model.l_x
+    try:
+        x = np.linalg.solve(a, _q_factor_and_eye(model))
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        return None
+    norms = np.abs(np.concatenate((a, x[:, n:]))).reshape(2, n, n).sum(axis=1).max(axis=1)  # ||A||_1, ||A^{-1}||_1
+    return math.sqrt(n) * x[:, :n] if 1.0 / (norms[0] * norms[1]) >= _RCOND_MIN else None
+
+
+@functools.lru_cache(maxsize=16)
+def _linear_inverse_spread(model: LinearSystem) -> Array | None:
+    return _read_only(_inverse_spread(model, model.A))
+
+
+@functools.lru_cache(maxsize=16)
+def _q_factor_and_eye(model: SystemModel) -> Array:
+    return _read_only(np.concatenate((model.q_factor, np.eye(model.l_x)), axis=1))
+
+
+def _read_only(a: Array | None) -> Array | None:
+    """a, made read-only, since a cache hands the same array to every caller."""
+    if a is not None:
+        a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=16)
 def _lower_ones(n: int) -> Array:
     """Read-only n x n matrix of ones on and below the diagonal; np.tri per call costs more than the product."""
-    ones = np.tri(n)
-    ones.flags.writeable = False
-    return ones
+    return _read_only(np.tri(n))
 
 
 def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ukfkit.eukf import SingularDynamicsJacobian, eukfa_sigma_scale, eukfa_step, eukfc_step
 from ukfkit.harness import random_detectable_system, random_spd
 from ukfkit.kf import kf_step
-from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
+from ukfkit.statespace import LinearSystem, StateEstimate, SystemModel, make_linear_ex1, make_lorenz
 from ukfkit.ukf import ukf_step
 
 
@@ -50,6 +50,39 @@ def test_sigma_scale_rejects_singular_jacobian():
     near = LinearSystem(A=np.diag([1.0, 1e-14]), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1))
     with pytest.raises(SingularDynamicsJacobian, match="step 4"):
         eukfa_sigma_scale(near, est)
+
+
+def test_singular_verdict_of_a_linear_model_names_each_step():
+    sys = LinearSystem(A=np.zeros((2, 2)), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.eye(1))
+    for k in (4, 9):
+        with pytest.raises(SingularDynamicsJacobian, match=f"step {k} "):
+            eukfa_sigma_scale(sys, StateEstimate(np.zeros(2), np.eye(2), k))
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), np.diag([1.0, 1e-14])], ids=["exactly-singular", "rcond-1e-14"])
+def test_sigma_scale_rejects_singular_jacobian_of_a_nonlinear_model(a):
+    # A SystemModel that is not a LinearSystem takes the per-step path: its Jacobian is inverted at every step.
+    model = SystemModel(l_x=2, l_y=1, f=lambda x: a @ x, g=lambda x: x[:1], Q=np.eye(2), R=np.eye(1), jac_f=lambda x: a)
+    est = StateEstimate(np.zeros(2), np.eye(2), 4)
+    with pytest.raises(SingularDynamicsJacobian, match="step 4"):
+        eukfa_sigma_scale(model, est)
+    with pytest.raises(SingularDynamicsJacobian, match="step 4"):
+        eukfa_step(model, est, np.zeros(1))
+
+
+def test_linear_model_inverts_its_dynamics_once_with_the_bits_of_the_per_step_path(monkeypatch):
+    linear = random_detectable_system(np.random.default_rng(5), l_x=3, l_y=1)
+    nonlinear = SystemModel(l_x=3, l_y=1, f=linear.f, g=linear.g, Q=linear.Q, R=linear.R, jac_f=linear.jac_f, jac_g=linear.jac_g)
+    est = StateEstimate(np.ones(3), random_spd(np.random.default_rng(6), 3), 0)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    factors = [eukfa_sigma_scale(linear, est) for _ in range(3)]
+    assert len(solves) == 1
+    factors += [eukfa_sigma_scale(nonlinear, est) for _ in range(3)]
+    assert len(solves) == 4
+    for factor in factors:
+        assert_array_equal(factor, factors[0])
 
 
 @pytest.mark.parametrize("stepper", [eukfa_step, eukfc_step])

@@ -5,10 +5,13 @@ pyflakes' unused-import check, built on the standard-library ``ast``.  A
 name counts as used when the module reads it anywhere, or, in a package
 ``__init__``, when ``__all__`` lists it.  The package's ``__all__`` must
 also name each export once, and each must resolve: a name left behind by a
-deletion fails here.
+deletion fails here.  numpy is the one runtime dependency: neither the
+package nor any command it runs imports scipy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import ukfkit
@@ -53,3 +56,35 @@ def test_an_unused_import_is_reported(tmp_path):
 def test_package_exports_resolve_once_each():
     assert len(ukfkit.__all__) == len(set(ukfkit.__all__))
     assert [name for name in ukfkit.__all__ if getattr(ukfkit, name, None) is None] == []
+
+
+def test_no_source_imports_scipy():
+    imported = []
+    for path in sorted((ROOT / "src" / "ukfkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append((path.name, node.module or ""))
+    assert [hit for hit in imported if hit[1].split(".")[0] == "scipy"] == []
+
+
+# Runs in a fresh interpreter, since this test process has scipy loaded.
+NO_SCIPY_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ukfkit
+from ukfkit import cli
+out = sys.argv[2]
+assert cli.main(["run", "--model", "lorenz", "--filters", "enkf,ekf,ukf,eukfa,eukfc", "--ensemble", "50",
+                 "--steps", "5", "--out", out + "/run.csv"]) == 0
+assert cli.main(["run", "--model", "linear-ex1", "--filters", "kf,eukfa", "--steps", "5", "--out", out + "/kf.csv"]) == 0
+assert cli.main(["verify", "--trials", "2"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE, str(ROOT / "src"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

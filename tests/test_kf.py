@@ -3,13 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ukfkit.kf as kf
+import ukfkit.statespace as statespace
 from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
 from ukfkit.ekf import ekf_step
 from ukfkit.enkf import enkf_init, enkf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_step, kf_update
 from ukfkit.numerics import FilterDiverged
-from ukfkit.statespace import LinearSystem, StateEstimate, make_linear_ex1, make_lorenz
+from ukfkit.statespace import LinearSystem, StateEstimate, SystemModel, make_linear_ex1, make_lorenz
 from ukfkit.ukf import ukf_step
 
 # Hand-derived one-step quantities for the first benchmark system
@@ -200,6 +201,24 @@ def test_wrong_length_state_raises_value_error_naming_filter_and_step(name):
     est = StateEstimate(np.ones(3), np.eye(3), 4)
     with pytest.raises(ValueError, match=f"^{name} step 5"):
         FILTER_STEPS[name](est, np.zeros(2))
+
+
+@pytest.mark.parametrize("step", [kf_step, ekf_step], ids=lambda step: step.__name__)
+def test_linearized_step_checks_the_state_once(monkeypatch, step):
+    calls = []
+    check = statespace._check_state
+    monkeypatch.setattr(statespace, "_check_state", lambda model, x: calls.append(x) or check(model, x))
+    step(make_linear_ex1(), StateEstimate(np.ones(2), np.eye(2), 0), np.zeros(1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", ["f", "g", "jac_f", "jac_g"])
+def test_linearized_step_checks_the_shape_of_what_the_model_returns(bad):
+    parts = {"f": lambda x: x, "g": lambda x: x[:1], "jac_f": lambda x: np.eye(2), "jac_g": lambda x: np.eye(2)[:1]}
+    parts[bad] = lambda x: np.zeros(5)
+    model = SystemModel(l_x=2, l_y=1, Q=np.eye(2), R=np.eye(1), **parts)
+    with pytest.raises(ValueError, match=r"^ekf step 5: .*shape \(5,\)"):
+        ekf_step(model, StateEstimate(np.ones(2), np.eye(2), 4), np.zeros(1))
 
 
 def test_non_finite_posterior_raises_filter_diverged():

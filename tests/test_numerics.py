@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg import solve_triangular
+from scipy.linalg import lu, solve_triangular
 
-from ukfkit.numerics import NotPositiveDefinite, rcond_check, solve_spd, spd_sqrt_factor, symmetrize
+from ukfkit.numerics import NotPositiveDefinite, cholesky_solve, rcond_check, solve_spd, spd_sqrt_factor, symmetrize
 
 
 def _random_spd(rng, n):
@@ -122,17 +124,20 @@ def test_solve_spd_rejects_non_finite_input(bad, value):
         solve_spd(m, b)
 
 
-def _solve_spd_reference(m, b):
-    """Two scipy triangular solves on the same Cholesky factor."""
-    factor = spd_sqrt_factor(m)
+def _two_triangular_solves(factor, b):
+    """The reference: scipy's triangular solves with L, then with L^T."""
     y = solve_triangular(factor, b, lower=True)
     return solve_triangular(factor.T, y, lower=False)
 
 
+_ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+# Rounding-error theorems assume that nothing underflows: entries of magnitude 1e-50 or more, or zero.
+_NORMAL_ENTRIES = st.just(0.0) | st.floats(1e-50, 10.0) | st.floats(-10.0, -1e-50)
+
+
 @st.composite
-def _spd_system(draw):
-    n = draw(st.integers(1, 5))
-    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+def _spd_system(draw, n=st.integers(1, 5), entries=_ENTRIES):
+    n = draw(n)
     g = draw(hnp.arrays(float, (n, n), elements=entries))
     b_shape = draw(st.sampled_from([(n,), (n, 1), (n, 2), (n, 3)]))
     b = draw(hnp.arrays(float, b_shape, elements=entries))
@@ -140,12 +145,64 @@ def _spd_system(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_spd_system())
-def test_solve_spd_is_bitwise_the_two_solve_triangular_reference(system):
+@given(_spd_system(n=st.just(1)))
+def test_cholesky_solve_of_order_one_is_bitwise_the_two_triangular_solves(system):
+    # Every paper model has one output, so its P_z is 1x1: there the solves must keep the reference's bits.
     m, b = system
-    x = solve_spd(m, b)
+    factor = spd_sqrt_factor(m)
+    x = cholesky_solve(factor, b)
     assert x.shape == b.shape
-    assert_array_equal(x, _solve_spd_reference(m, b))
+    assert_array_equal(x, _two_triangular_solves(factor, b))
+    assert_array_equal(solve_spd(m, b), x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_spd_system(n=st.just(3)), min_size=2, max_size=4), st.booleans())
+def test_cholesky_solve_gives_each_slice_of_a_stack_the_bits_of_its_matrix_alone(systems, vectors):
+    factors = np.array([spd_sqrt_factor(m) for m, _ in systems])
+    rhs = np.array([b.reshape(3, -1)[:, :1] for _, b in systems])
+    if vectors:
+        rhs = rhs[..., 0]
+    x = cholesky_solve(factors, rhs)
+    assert x.shape == rhs.shape
+    for i in range(len(systems)):
+        assert_array_equal(x[i], cholesky_solve(factors[i], rhs[i]))
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff of doubles (Higham, Accuracy and Stability, 2nd ed., 3.4)."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+def _exact(a):
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def _ge_growth(t):
+    """|P^T L~| |U~| for the partial-pivoting LU factors of T: Theorem 9.4 bounds a solve by gamma_3n times it."""
+    p, lower, upper = lu(t)
+    return np.abs(_exact(p @ lower)) @ np.abs(_exact(upper))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spd_system(n=st.integers(2, 5), entries=_NORMAL_ENTRIES))
+def test_cholesky_solve_meets_the_backward_error_bound_of_its_two_solves(system):
+    # For n >= 2 the solve with L pivots, so the last bits may differ from the reference's; the residual
+    # stays within what the two solves can produce.  Each is Gaussian elimination with partial pivoting:
+    # (L + E1) y = b and (L^T + E2) x = y, with |E1| <= gamma_3n G(L) and |E2| <= gamma_3n G(L^T) for
+    # G(T) = |P^T L~| |U~| (Higham, Theorem 9.4).  So b - L L^T x = (L E2 + E1 L^T + E1 E2) x exactly,
+    # and |b - L L^T x| <= (|L| D2 + D1 |L^T| + D1 D2) |x| with D = gamma_3n G, evaluated in exact arithmetic.
+    m, b = system
+    factor = spd_sqrt_factor(m)
+    x = cholesky_solve(factor, b)
+    n = len(factor)
+    low = _exact(factor)
+    xs = _exact(x.reshape(n, -1))
+    residual = _exact(b.reshape(n, -1)) - low @ (low.T @ xs)
+    d1, d2 = _gamma(3 * n) * _ge_growth(factor), _gamma(3 * n) * _ge_growth(factor.T)
+    bound = (np.abs(low) @ d2 + d1 @ np.abs(low.T) + d1 @ d2) @ np.abs(xs)
+    assert (np.abs(residual) <= bound).all()
 
 
 def test_rcond_check():
