@@ -60,17 +60,15 @@ class PhiloxCells:
     def __init__(self):
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
-        self._zeros = np.zeros(4, dtype=np.uint64)
+        zeros, self._key = np.zeros(4, dtype=np.uint64), np.zeros(2, dtype=np.uint64)
+        # Built once: each call writes its cell's key into self._key in place, and the state setter copies it.
+        self._state = dict(bit_generator="Philox", state={"counter": zeros, "key": self._key}, buffer=zeros, buffer_pos=4, has_uint32=0, uinteger=0)
 
     def __call__(self, seed: int, step: int, kind: int) -> np.random.Generator:
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._zeros, "key": _cell_key(seed, step, kind)},
-            "buffer": self._zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key = self._key
+        key[0] = seed & 0xFFFFFFFFFFFFFFFF  # as _cell_key
+        key[1] = 8 * step + kind
+        self._bitgen.state = self._state
         return self._gen
 
 

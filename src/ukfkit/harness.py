@@ -210,51 +210,54 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     model, x0, p0 = build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est0 = StateEstimate(x0, p0, 0)
-    filter_state: dict[str, object] = {}
-    for name in cfg.filters:
-        filter_state[name] = enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0
-    diverged = {name: False for name in cfg.filters}
-
-    nan = float("nan")
-    records = []
+    names = cfg.filters
+    filter_state = [enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0 for name in names]
+    # Row k - 1 holds step k; a filter's entries stay NaN where it has failed.
+    shape = (cfg.steps, len(names))
+    means, traces, outputs = np.full((*shape, model.l_x), np.nan), np.full(shape, np.nan), np.full((*shape, model.l_y), np.nan)
+    alive = np.zeros(shape, dtype=bool)
+    failures: dict[tuple[int, str], str] = {}
+    live = list(range(len(names)))
     for k in range(1, cfg.steps + 1):
         y = meas[k]
-        step_rec: dict[str, KfStep] = {}
-        failures: dict[str, str] = {}  # filters that fail at this step
-        live = [name for name in cfg.filters if not diverged[name]]
         # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one
         # stacked call.  The first step runs each through its own public step, which keeps those on
         # every run's path: bench/spans.py times kf_step, ekf_step, ukf_step, eukfa_step and eukfc_step by name.
-        stack = [name for name in live if name != "enkf"] if k > 1 else []
+        stack = [j for j in live if names[j] != "enkf"] if k > 1 else []
         stacked = {}
-        for name in live:
-            if len(stack) > 1 and name == stack[0]:
+        for j in list(live):
+            if len(stack) > 1 and j == stack[0]:
                 try:  # if the stacked call fails, each filter is replayed alone below and names its own failure
-                    stacked = dict(zip(stack, sigma_step(model, stack, [filter_state[n] for n in stack], y, cfg.alpha)))
+                    stacked = dict(zip(stack, sigma_step(model, [names[i] for i in stack], [filter_state[i] for i in stack], y, cfg.alpha)))
                 except (*_STEP_ERRORS, ValueError):
                     pass
             try:
-                filter_state[name], step_rec[name] = stacked.get(name) or _advance(name, model, filter_state[name], y, cfg.alpha)
+                filter_state[j], rec = stacked.get(j) or _advance(names[j], model, filter_state[j], y, cfg.alpha)
             except _STEP_ERRORS as exc:
-                diverged[name] = True
-                failures[name] = f"{type(exc).__name__}: {exc}"
-        tr_enkf = float(step_rec["enkf"].posterior_cov.trace()) if "enkf" in step_rec else None
-        metrics = {}
-        for name in cfg.filters:
-            rec = step_rec.get(name)
-            if rec is None:
-                metrics[name] = FilterMetrics(nan, nan, nan, nan, True, failures.get(name, ""))
+                live.remove(j)
+                failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
                 continue
-            tr = float(rec.posterior_cov.trace())
-            z = y - measure(model, rec.posterior_mean)
-            e = states[k] - rec.posterior_mean
-            # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm: the same bits, less overhead.
-            zval = float(z[0]) if model.l_y == 1 else math.sqrt(z.dot(z))
-            enorm = math.sqrt(e.dot(e))
-            relerr = abs(tr - tr_enkf) / tr_enkf if tr_enkf is not None else nan
-            metrics[name] = FilterMetrics(tr, relerr, zval, enorm, False)
-        records.append(FilterStepRecord(step=k, metrics=metrics))
-    return records
+            alive[k - 1, j] = True
+            means[k - 1, j] = rec.posterior_mean
+            traces[k - 1, j] = rec.posterior_cov.trace()
+            outputs[k - 1, j] = measure(model, rec.posterior_mean)
+    # Whole-run metrics; each element has the bits of the per-step Python float arithmetic on the same values.
+    errors = states[1:, None] - means
+    enorms = np.sqrt(np.vecdot(errors, errors))  # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm
+    z = meas[1:, None] - outputs
+    zvals = z[..., 0] if model.l_y == 1 else np.sqrt(np.vecdot(z, z))
+    relerrs = np.full(shape, np.nan)
+    if "enkf" in names:  # relative to the ensemble trace; NaN where it is missing or zero
+        tr_enkf = traces[:, names.index("enkf"), None]
+        np.divide(np.abs(traces - tr_enkf), tr_enkf, out=relerrs, where=tr_enkf != 0)
+    rows = zip(traces.tolist(), relerrs.tolist(), zvals.tolist(), enorms.tolist(), alive.tolist())
+    return [
+        FilterStepRecord(
+            step=k,
+            metrics={name: FilterMetrics(*m, not ok, failures.get((k, name), "")) for name, *m, ok in zip(names, *row)},
+        )
+        for k, row in enumerate(rows, 1)
+    ]
 
 
 def export_csv(records: list[FilterStepRecord], path) -> None:

@@ -11,6 +11,13 @@ special case f = A x, g = C x with exact Jacobians A and C.
 
 Model callables take a single state of shape (l_x,) and a column-stacked
 batch of shape (l_x, m); the batch helpers pass the whole batch in one call.
+Column j of a batch result must depend on column j alone: the sigma-point
+filters of one step share a batch, side by side, and the EnKF passes all its
+members.  A column then has the same bits in a batch of any width when its
+arithmetic is elementwise, or exact, as in the built-in nonlinear models (f
+elementwise, g a 0/1 selector row).  A general matrix product such as
+C @ x may round a column differently in a wider batch, so filters stacked
+on such a model agree with each filter run alone only to rounding.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ one-slice calls of it.  The stack also takes kf and ekf slices, whose prior
 is :func:`kf.linearized_prior`, so that one call per time step advances
 every covariance-form filter of a run.  :func:`unscented_prior` is its one
 spread/propagate/centre step: it builds the sigma points from each slice's
-factor, pushes them through f and g, and subtracts the weighted means.  The
-filters differ only in the sigma factor and where Q enters the covariances,
-which are weighted outer products of the propagated deviations, with R
-added to the output covariance.
+factor, pushes those of every slice through f and g in one call each, and
+subtracts the weighted means.  The filters differ only in the sigma factor
+and where Q enters the covariances, which are weighted outer products of the
+propagated deviations, with R added to the output covariance.
 
 alpha < 1 makes the center weight negative and the estimated covariances
 can lose definiteness; that surfaces as NotPositiveDefinite with the step
@@ -82,11 +82,6 @@ def _spread(center: Array, factor: Array, alpha: float) -> Array:
     return np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)
 
 
-def _per_set(batch_fn, model: SystemModel, points: Array) -> Array:
-    """batch_fn on each (l, m) set of a stack (s, l, m), one set per call."""
-    return batch_fn(model, points[0])[None] if len(points) == 1 else np.array([batch_fn(model, p) for p in points])
-
-
 def unscented_prior(
     model: SystemModel, means: Array, factors: Array, alpha: float, k: int = 0
 ) -> tuple[Array, Array, Array, Array, Array]:
@@ -95,13 +90,24 @@ def unscented_prior(
     A factor S has S S^T = l_x times the sigma scale, as est.sigma_factor()
     for est.cov.  Returns the stacked (prior means, predicted outputs, state
     deviations, output deviations) and the weights.  Raises FilterDiverged
-    naming step k + 1 when f or g returns a non-finite value.
+    naming step k + 1 when f or g returns a non-finite value.  f and g each
+    take one call for the whole stack, on its sigma points side by side as
+    (l, s m) columns.  A LinearSystem takes one stacked matmul by A and by C
+    over the (s, l, m) points instead: a wide product can round a slice
+    otherwise than a product over that slice alone, a stacked one does not.
     """
     w = ukf_weights(alpha, model.l_x)
-    xprop = _per_set(step_dynamics_batch, model, _spread(means, factors, alpha))
+    points = _spread(means, factors, alpha)
+    s, l_x, m = points.shape
+    linear = isinstance(model, LinearSystem)
+    if linear:
+        xprop = np.matmul(model.A, points)
+    else:
+        flat = step_dynamics_batch(model, points.swapaxes(0, 1).reshape(l_x, s * m))
+        xprop = flat.reshape(l_x, s, m).swapaxes(0, 1)
     if not all_finite(xprop):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
-    yprop = _per_set(measure_batch, model, xprop)
+    yprop = np.matmul(model.C, xprop) if linear else measure_batch(model, flat).reshape(model.l_y, s, m).swapaxes(0, 1)
     if not all_finite(yprop):
         raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
     prior_mean, predicted_y = xprop @ w, yprop @ w
@@ -179,9 +185,13 @@ def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[t
 
     Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and
     order) from ests[i], all at one step.  kf and ekf slices take their
-    prior from :func:`kf.linearized_prior`; eukfa's sigma factor, eukfc's
-    C Q C^T and Q C^T terms, f and g see one slice at a time; the rest runs
-    as stacked numpy calls, whose slices are the bits of one-slice stacks.
+    prior from :func:`kf.linearized_prior`; eukfa's sigma factor and
+    eukfc's C Q C^T and Q C^T terms see one slice at a time; f and g see the
+    sigma points of every slice in one call (see :func:`unscented_prior`);
+    the rest runs as stacked numpy calls, whose slices are the bits of
+    one-slice stacks.  A slice gets the bits of its filter stepped alone
+    when f and g give each column the same bits in any batch width (see
+    :mod:`statespace`); otherwise it agrees to rounding.
     Returns one (next estimate, KfStep) pair per slice.  An unknown name, a
     mixed step or a state of the wrong length raises ValueError naming the
     filters and the step.

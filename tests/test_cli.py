@@ -22,6 +22,19 @@ def test_run_writes_csv(tmp_path, capsys):
     assert "wrote 20 steps" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_ensemble_trace_gives_nan_relerr(tmp_path):
+    # With q = 0 and p0 = 0 every member stays on the mean: the ensemble trace is 0, so relerr has no value.
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("model = linear-ex2\nq = 0\np0 = 0\n")
+    out = tmp_path / "z.csv"
+    code = main(["run", "--config", str(cfg), "--filters", "enkf", "--ensemble", "50", "--steps", "5", "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["trP_enkf"], row["relerr_enkf"]) for row in rows] == [("0", "nan")] * 5
+
+
 def test_run_requires_model(tmp_path, capsys):
     code = main(["run", "--steps", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 1

@@ -23,7 +23,10 @@ from ukfkit.statespace import (
 
 def test_rewound_cells_draw_what_fresh_streams_draw():
     cells = PhiloxCells()
-    for seed, step, kind, shape in [(7, 3, 1, 4), (7, 3, 1, (2, 5)), (0, 0, 3, 1), (-5, 12, 4, 3), (2**64 + 9, 1, 2, 7)]:
+    cases = [(7, 3, 1, 4), (7, 3, 1, (2, 5)), (0, 0, 3, 1), (-5, 12, 4, 3), (2**64 + 9, 1, 2, 7)]
+    # One PhiloxCells called again and again, alternating kinds as the truth simulator does, with seeds at and above 2**63.
+    cases += [(seed, step, kind, 2) for seed in (2**63, 2**64 - 1, 2**63 + 12345) for step in (0, 9) for kind in (4, 3, 1)]
+    for seed, step, kind, shape in cases + cases[::-1]:
         fresh = philox_stream(seed, step, kind)
         rewound = cells(seed, step, kind)
         assert_array_equal(rewound.standard_normal(shape), fresh.standard_normal(shape))

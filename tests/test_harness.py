@@ -14,6 +14,8 @@ import ukfkit.harness as harness
 from ukfkit.harness import (
     CHECKS,
     ExperimentConfig,
+    FilterMetrics,
+    FilterStepRecord,
     PropositionReport,
     TruthDiverged,
     example1_traces,
@@ -24,7 +26,7 @@ from ukfkit.harness import (
     verify_propositions,
 )
 from ukfkit.numerics import FilterDiverged
-from ukfkit.statespace import LinearSystem, SystemModel, make_linear_ex2, make_lorenz
+from ukfkit.statespace import LinearSystem, SystemModel, make_linear_ex2, make_lorenz, measure
 
 
 def test_truth_noise_free_is_deterministic():
@@ -245,6 +247,55 @@ def test_output_and_error_norms_are_bitwise_np_linalg_norm():
         m = rec.metrics["kf"]
         assert m.output_error == float(np.linalg.norm(meas[k] - c @ est.mean))
         assert m.error_norm == float(np.linalg.norm(states[k] - est.mean))
+
+
+def _replayed_records(cfg):
+    """run_experiment's records worked out step by step: each filter stepped alone, each metric a Python float."""
+    model, x0, p0 = harness.build_model(cfg)
+    states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
+    est0 = harness.StateEstimate(x0, p0, 0)
+    state = {name: harness.enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0 for name in cfg.filters}
+    nan = float("nan")
+    records = []
+    for k in range(1, cfg.steps + 1):
+        y = meas[k]
+        recs, failures = {}, {}
+        for name in [name for name in cfg.filters if state[name] is not None]:
+            try:
+                state[name], recs[name] = harness._advance(name, model, state[name], y, cfg.alpha)
+            except harness._STEP_ERRORS as exc:
+                state[name] = None
+                failures[name] = f"{type(exc).__name__}: {exc}"
+        tr_enkf = float(recs["enkf"].posterior_cov.trace()) if "enkf" in recs else None
+        metrics = {}
+        for name in cfg.filters:
+            rec = recs.get(name)
+            if rec is None:
+                metrics[name] = FilterMetrics(nan, nan, nan, nan, True, failures.get(name, ""))
+                continue
+            tr = float(rec.posterior_cov.trace())
+            z = y - measure(model, rec.posterior_mean)
+            e = states[k] - rec.posterior_mean
+            zval = float(z[0]) if model.l_y == 1 else math.sqrt(z.dot(z))
+            relerr = abs(tr - tr_enkf) / tr_enkf if tr_enkf is not None else nan
+            metrics[name] = FilterMetrics(tr, relerr, zval, math.sqrt(e.dot(e)), False)
+        records.append(FilterStepRecord(step=k, metrics=metrics))
+    return records
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(model="lorenz", steps=40, seed=7, ensemble=200, filters=("enkf", "ekf", "ukf", "eukfa", "eukfc")),
+        dict(model="linear-ex1", steps=60, seed=1, alpha=0.2, filters=("kf", "ukf", "eukfa", "eukfc")),  # ukf fails at 40
+        dict(model="custom", steps=30, seed=3, ensemble=200, a=np.array([[0.9, 0.2], [-0.2, 0.9]]), c=np.eye(2), q=0.1,
+             filters=("enkf", "kf", "ukf", "eukfc")),
+    ],
+    ids=["lorenz", "failing", "two-outputs"],
+)
+def test_run_metrics_are_bitwise_a_per_step_replay(cfg):
+    cfg = ExperimentConfig(**cfg)
+    assert [repr(rec) for rec in run_experiment(cfg)] == [repr(rec) for rec in _replayed_records(cfg)]
 
 
 def test_export_csv_schema_and_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from ukfkit.ekf import ekf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.harness import ExperimentConfig, random_detectable_system, random_spd, run_experiment, simulate_truth
 from ukfkit.kf import KfStep, kf_step
-from ukfkit.statespace import StateEstimate, make_lorenz, make_vdp
+from ukfkit.statespace import StateEstimate, SystemModel, make_lorenz, make_vdp
 from ukfkit.ukf import SIGMA_FILTERS, STACK_FILTERS, sigma_step, ukf_step
 
 # Each filter stepped alone; kf and ekf take no alpha.
@@ -65,6 +65,61 @@ def test_stack_is_bitwise_one_filter_at_a_time_on_nonlinear_models(make, names):
     model = make()
     _, meas = simulate_truth(model, np.ones(model.l_x), 10, seed=3)
     _assert_stack_steps_bitwise_one_at_a_time(model, names, StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), meas, 1.5)
+
+
+def _counted(fn, calls, label):
+    def counted(x):
+        calls.append(label)
+        return fn(x)
+
+    return counted
+
+
+def test_a_stack_calls_f_and_g_once_and_a_linear_stack_calls_neither():
+    calls = []
+    lorenz = make_lorenz()
+    counted = SystemModel(
+        l_x=3,
+        l_y=1,
+        f=_counted(lorenz.f, calls, "f"),
+        g=_counted(lorenz.g, calls, "g"),
+        Q=lorenz.Q,
+        R=lorenz.R,
+        jac_f=lorenz.jac_f,
+        jac_g=lorenz.jac_g,
+    )
+    ests = [StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)] * 4
+    sigma_step(counted, ("ukf", "eukfa", "eukfc", "ukf"), ests, np.ones(1))
+    assert calls == ["f", "g"]
+    linear = random_detectable_system(np.random.default_rng(2), l_x=3, l_y=2)
+    for label in ("f", "g"):  # the model is frozen; only the test swaps in counting callables
+        object.__setattr__(linear, label, _counted(getattr(linear, label), calls, label))
+    sigma_step(linear, ("ukf", "eukfa", "eukfc"), [StateEstimate(np.ones(3), np.eye(3), 0)] * 3, np.ones(2))
+    assert calls == ["f", "g"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("l_y", [1, 2])
+def test_a_stack_of_a_matrix_product_model_agrees_with_each_filter_alone(l_y, seed):
+    # f and g are matrix products over all sigma slices at once: the wide product may round otherwise than the
+    # product over one slice's columns (a one-row C often does), so a slice agrees with its filter stepped alone
+    # to rounding, not bitwise.
+    rng = np.random.default_rng(seed)
+    linear = random_detectable_system(rng, l_x=3, l_y=l_y)
+    a, c = linear.A, linear.C
+    model = SystemModel(l_x=3, l_y=l_y, f=lambda x: a @ x, g=lambda x: c @ x, Q=linear.Q, R=linear.R, jac_f=lambda x: a, jac_g=lambda x: c)
+    names = ("ukf", "eukfa", "eukfc", "ekf", "ukf")
+    stacked = [StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)] * len(names)
+    alone = list(stacked)
+    for y in rng.standard_normal((10, l_y)):
+        results = sigma_step(model, names, stacked, y, 1.5)
+        for i, (name, (est, rec)) in enumerate(zip(names, results)):
+            alone[i], alone_rec = ONE_AT_A_TIME[name](model, alone[i], y, 1.5)
+            for got, want in [(est.mean, alone[i].mean), (est.cov, alone[i].cov)] + [
+                (getattr(rec, f.name), getattr(alone_rec, f.name)) for f in fields(KfStep)
+            ]:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        stacked = [est for est, _ in results]
 
 
 def test_stack_rejects_unknown_filters_and_mixed_steps():
