@@ -16,8 +16,8 @@ gain is not the Kalman gain.  Both variants here repair that:
   C Q C^T and Q C^T terms explicitly (C = measurement Jacobian at the
   propagated sigma mean).
 
-Both are one-slice calls of the UKF's recursion, :func:`ukf.sigma_step`,
-which holds their sigma factor and covariance terms next to the UKF's, so
+Both are one-slice calls (``ukf.sigma_step``) of the UKF's recursion,
+:func:`ukf.stack_step`, which holds their sigma factor and terms next to the UKF's, so
 that one stacked call advances all three, and the kf or ekf next to them.
 With Q = 0 both coincide with the classical UKF.
 """

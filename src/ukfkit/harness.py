@@ -7,7 +7,9 @@ z_{k|k} = y_k - g(x_hat_{k|k}), the posterior error norm against the
 simulated truth, and the trace error relative to the ensemble filter when
 one is running.  A filter that fails mid-run is flagged as diverged and
 reported as NaN from that step on, and its record at the failing step keeps
-the exception type and message; the other filters continue.
+the exception type and message; the other filters continue.  From step 2,
+all filters but enkf advance in one :func:`ukf.stack_step` call per step, on
+arrays carried between steps; every g(mean), for z, is one call after the loop.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .statespace import (
     make_linear_ex2,
     make_lorenz,
     make_vdp,
-    measure,
+    measure_batch,
     noise_cov,
     noise_factor,
     step_dynamics,
 )
-from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, sigma_step, ukf_step
+from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, sigma_step, stack_step, ukf_step
 
 Array = np.ndarray
 
@@ -144,31 +146,37 @@ class FilterStepRecord:
 
 
 def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tuple[Array, Array]:
-    """Sample one noisy trajectory and its measurements for steps 0..horizon."""
+    """Sample one noisy trajectory and its measurements for steps 0..horizon; g and the noise factors act outside the recursion."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    x0 = np.asarray(x0, dtype=float)
-    states = np.empty((horizon + 1, model.l_x))
-    meas = np.empty((horizon + 1, model.l_y))
-    states[0] = x0
     stream = PhiloxCells()
+    v = np.array([stream(seed, k, KIND_TRUTH_OBS).standard_normal(model.l_y) for k in range(horizon + 1)])
+    w = np.array([stream(seed, k, KIND_TRUTH_PROCESS).standard_normal(model.l_x) for k in range(horizon)])
+    process_noise = np.matmul(model.q_factor, w[..., None])[..., 0]  # per row, the bits of q_factor @ w[k]
+    states = np.empty((horizon + 1, model.l_x))
+    states[0] = np.asarray(x0, dtype=float)
     for k in range(horizon + 1):
         x = states[k]
         if not all_finite(x):
             raise TruthDiverged(f"truth state became non-finite at step {k}")
-        v = stream(seed, k, KIND_TRUTH_OBS).standard_normal(model.l_y)
-        meas[k] = measure(model, x) + model.r_factor @ v
         if k < horizon:
-            w = stream(seed, k, KIND_TRUTH_PROCESS).standard_normal(model.l_x)
-            states[k + 1] = step_dynamics(model, x) + model.q_factor @ w
-    return states, meas
+            states[k + 1] = step_dynamics(model, x) + process_noise[k]
+    return states, _outputs(model, states) + np.matmul(model.r_factor, v[..., None])[..., 0]
+
+
+def _outputs(model: SystemModel, xs: Array) -> Array:
+    """g of each row of xs (m, l_x) in one call: a stacked matmul keeps the bits of C @ x, a batch those of an exact g."""
+    if isinstance(model, LinearSystem):
+        return np.matmul(model.C, xs[..., None])[..., 0]
+    return measure_batch(model, xs.T).T
 
 
 def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Array, Array]:
     """Instantiate the configured model plus initial mean (ones; zeros for `custom`) and covariance (I).
 
     An `x0` not of length l_x, or a `p0` that is not a factorable covariance
-    (all-zero is allowed), raises ValueError naming the key.
+    (all-zero is allowed) or, with ukf, eukfa or eukfc, not positive
+    definite, raises ValueError naming the key (and those filters).
     """
     factory, keys = _FACTORIES[cfg.model]
     model = factory(**{key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None})
@@ -185,6 +193,12 @@ def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Array, Array]:
         noise_factor(p0)
     except (ValueError, NotPositiveDefinite) as exc:
         raise ValueError(f"p0 is not a covariance of dimension {model.l_x}: {exc}") from None
+    sigma = [name for name in cfg.filters if name in SIGMA_FILTERS]
+    if sigma:
+        try:
+            StateEstimate(x0, p0).sigma_factor()
+        except NotPositiveDefinite as exc:
+            raise ValueError(f"p0 must be positive definite for {', '.join(sigma)}: {exc}") from None
     return model, x0, p0
 
 
@@ -214,25 +228,33 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     filter_state = [enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0 for name in names]
     # Row k - 1 holds step k; a filter's entries stay NaN where it has failed.
     shape = (cfg.steps, len(names))
-    means, traces, outputs = np.full((*shape, model.l_x), np.nan), np.full(shape, np.nan), np.full((*shape, model.l_y), np.nan)
+    means, traces = np.full((*shape, model.l_x), np.nan), np.full(shape, np.nan)
     alive = np.zeros(shape, dtype=bool)
     failures: dict[tuple[int, str], str] = {}
     live = list(range(len(names)))
+    stack, carry = [], None  # the stacked filters and their posterior (means, covs, factors chol(l_x P)) as arrays
     for k in range(1, cfg.steps + 1):
         y = meas[k]
-        # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one
-        # stacked call.  The first step runs each through its own public step, which keeps those on
-        # every run's path: bench/spans.py times kf_step, ekf_step, ukf_step, eukfa_step and eukfc_step by name.
-        stack = [j for j in live if names[j] != "enkf"] if k > 1 else []
-        stacked = {}
-        for j in list(live):
-            if len(stack) > 1 and j == stack[0]:
-                try:  # if the stacked call fails, each filter is replayed alone below and names its own failure
-                    stacked = dict(zip(stack, sigma_step(model, [names[i] for i in stack], [filter_state[i] for i in stack], y, cfg.alpha)))
-                except (*_STEP_ERRORS, ValueError):
-                    pass
+        # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one stacked
+        # call.  The first step runs each through its own public step, which keeps those on every run's path:
+        # bench/spans.py times kf_step, ekf_step, ukf_step, eukfa_step and eukfc_step by name.
+        if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):
+            ests = [filter_state[j] for j in stack]
+            carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
+        solo = live
+        if carry is not None:
             try:
-                filter_state[j], rec = stacked.get(j) or _advance(names[j], model, filter_state[j], y, cfg.alpha)
+                rec, factors = stack_step(model, [names[j] for j in stack], k - 1, *carry, y, cfg.alpha)
+            except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
+                for j, mean, cov, factor in zip(stack, *carry):
+                    filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
+                carry = None
+            else:
+                carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), [j for j in live if names[j] == "enkf"]
+                alive[k - 1, stack], means[k - 1, stack], traces[k - 1, stack] = True, carry[0], np.trace(carry[1], axis1=1, axis2=2)
+        for j in list(solo):
+            try:
+                filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
             except _STEP_ERRORS as exc:
                 live.remove(j)
                 failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
@@ -240,8 +262,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
             alive[k - 1, j] = True
             means[k - 1, j] = rec.posterior_mean
             traces[k - 1, j] = rec.posterior_cov.trace()
-            outputs[k - 1, j] = measure(model, rec.posterior_mean)
-    # Whole-run metrics; each element has the bits of the per-step Python float arithmetic on the same values.
+    # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
+    outputs = np.full((*shape, model.l_y), np.nan)
+    outputs[alive] = _outputs(model, means[alive])
     errors = states[1:, None] - means
     enorms = np.sqrt(np.vecdot(errors, errors))  # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm
     z = meas[1:, None] - outputs

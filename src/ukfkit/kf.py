@@ -16,10 +16,10 @@ minimizes.
 :func:`linearized_step` reads A and C as the model's Jacobians, so it is the
 Kalman filter on a :class:`LinearSystem` and the EKF on any other model; its
 prediction half, :func:`linearized_prior`, also gives the prior of a kf or
-ekf slice in :func:`ukf.sigma_step`.  :func:`kf_correct`, the gain and update
-shared by every covariance-form filter, works on a stack of filters, one
-slice each; ``kf_step`` and ``ekf_step`` pass a stack of one, and
-``sigma_step`` a stack of every filter that steps with it.
+ekf slice in :func:`ukf.stack_step`.  :func:`correct_stack`, the gain and
+update shared by every covariance-form filter, works on a stack of filters,
+one slice each; ``kf_step`` and ``ekf_step`` pass a stack of one (through
+:func:`kf_correct`), and ``stack_step`` every filter that steps with it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class KfStep:
-    """All per-step filter quantities, shared by every filter in the package."""
+    """All per-step filter quantities, shared by every filter in the package; a stacked step's, one slice per filter."""
 
     prior_mean: Array
     prior_cov: Array
@@ -93,17 +93,16 @@ def check_measurement(y, shape: tuple[int, ...], where: str) -> Array:
     return y
 
 
-def kf_correct(
+def correct_stack(
     names, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
-) -> list[tuple[StateEstimate, KfStep]]:
-    """Gain, update and record per filter for a stack of filters consuming the step-k measurement y.
+) -> tuple[KfStep, Array]:
+    """Gain and update for a stack of filters consuming the step-k measurement y: (KfStep, chol(l_x P)) over the stack.
 
-    Slice i of every array belongs to filter names[i]; returns one (next
-    estimate, KfStep) pair per slice.  A bad y raises ValueError, a
-    non-finite P_z, P_ez (:func:`kf_gain`) or posterior FilterDiverged, and
-    a P_z or posterior that is not SPD NotPositiveDefinite, all naming
-    filters and step.  The SPD check caches chol(l_x P) on each estimate for
-    the next sigma-point step.
+    Slice i of every array belongs to filter names[i].  The posterior factors
+    come from the SPD check; the next sigma-point step spreads with them.  A
+    bad y raises ValueError, a non-finite P_z, P_ez (:func:`kf_gain`) or
+    posterior FilterDiverged, and a P_z or posterior that is not SPD
+    NotPositiveDefinite, all naming filters and step.
     """
     label = "+".join(names)
     where = f"{label} step {k}"
@@ -113,24 +112,37 @@ def kf_correct(
     cov = symmetrize(cov)
     if not all_finite(mean, cov):
         raise FilterDiverged(f"{label} produced a non-finite estimate at step {k}")
-    ests = StateEstimate.from_stack(mean, cov, k, where)
-    return [(est, KfStep(prior_mean[i], prior_cov[i], gain[i], p_z[i], p_ez[i], est.mean, est.cov)) for i, est in enumerate(ests)]
+    factors = spd_sqrt_factor(mean.shape[1] * cov, where)
+    return KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov), factors
 
 
-def linearized_prior(name: str, model: SystemModel, est: StateEstimate) -> tuple[Array, Array, Array, Array, Array]:
-    """(x+, P+, C P+ C^T, P+ C^T, g(x+)) for filter `name` from est: the prediction half of :func:`linearized_step`.
+def kf_correct(
+    names, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
+) -> list[tuple[StateEstimate, KfStep]]:
+    """:func:`correct_stack` as one (next estimate, KfStep) pair per slice; each estimate caches its factor."""
+    return unstack(k, *correct_stack(names, k, prior_mean, prior_cov, p_z, p_ez, y, predicted_y))
 
-    A = df/dx at the posterior mean and C = dg/dx at the prior mean; R is
-    left for the caller to add.  The state is checked once
-    (:func:`statespace.linearize`); a state of the wrong length, or an f, g
-    or Jacobian that returns the wrong shape, raises ValueError naming the
-    filter and the step.
+
+def unstack(k: int, rec: KfStep, factors: Array) -> list[tuple[StateEstimate, KfStep]]:
+    """One (estimate at step k, KfStep) pair per slice of a stacked record and its posterior factors."""
+    slices = zip(rec.prior_mean, rec.prior_cov, rec.gain, rec.innovation_cov, rec.cross_cov, rec.posterior_mean, rec.posterior_cov, factors)
+    return [(StateEstimate.with_factor(mean, cov, k, factor), KfStep(*prior, mean, cov)) for *prior, mean, cov, factor in slices]
+
+
+def linearized_prior(name: str, model: SystemModel, mean: Array, cov: Array, k: int) -> tuple[Array, Array, Array, Array, Array]:
+    """(x+, P+, C P+ C^T, P+ C^T, g(x+)) for filter `name` from the step-k posterior (mean, cov).
+
+    The prediction half of :func:`linearized_step`: A = df/dx at the
+    posterior mean and C = dg/dx at the prior mean; R is left for the caller
+    to add.  The state is checked once (:func:`statespace.linearize`); a
+    state of the wrong length, or an f, g or Jacobian that returns the wrong
+    shape, raises ValueError naming the filter and step k + 1.
     """
     try:
-        a, prior_mean, c, predicted_y = linearize(model, est.mean)
+        a, prior_mean, c, predicted_y = linearize(model, mean)
     except ValueError as exc:
-        raise ValueError(f"{name} step {est.step + 1}: {exc}") from exc
-    prior_cov = symmetrize(a @ est.cov @ a.T + model.Q)
+        raise ValueError(f"{name} step {k + 1}: {exc}") from exc
+    prior_cov = symmetrize(a @ cov @ a.T + model.Q)
     return prior_mean, prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T, predicted_y
 
 
@@ -140,7 +152,7 @@ def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tup
     The mean goes through f and g, the covariances through the Jacobians
     (:func:`linearized_prior`).
     """
-    prior_mean, prior_cov, p_z, p_ez, predicted_y = linearized_prior(name, model, est)
+    prior_mean, prior_cov, p_z, p_ez, predicted_y = linearized_prior(name, model, est.mean, est.cov, est.step)
     p_z = symmetrize(p_z + model.R)
     return kf_correct((name,), est.step + 1, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
 

@@ -44,11 +44,6 @@ def all_finite(*arrays: np.ndarray) -> bool:
     return True
 
 
-def stack(arrays) -> np.ndarray:
-    """np.array(arrays); a single array gains its stack axis as a view instead of a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return (M + M^T) / 2, for each matrix of a stack (..., n, n)."""
     m = np.asarray(m, dtype=float)

@@ -158,19 +158,12 @@ class StateEstimate:
         )
 
     @classmethod
-    def from_stack(cls, means: Array, covs: Array, step: int, where: str = "") -> list[StateEstimate]:
-        """Unchecked estimates from means (s, l_x) and symmetric covariances (s, l_x, l_x).
-
-        Their sigma factors come from one stacked factorization, which raises
-        NotPositiveDefinite naming `where` when a covariance is not SPD.
-        """
-        out = []
-        for mean, cov, factor in zip(means, covs, spd_sqrt_factor(means.shape[1] * covs, where)):
-            est = object.__new__(cls)
-            for name, value in (("mean", mean), ("cov", cov), ("step", step), ("_sigma_factor", factor)):
-                object.__setattr__(est, name, value)
-            out.append(est)
-        return out
+    def with_factor(cls, mean: Array, cov: Array, step: int, factor: Array) -> StateEstimate:
+        """An unchecked estimate from a mean, a symmetric covariance and its factor chol(l_x cov), which it caches."""
+        est = object.__new__(cls)
+        for name, value in (("mean", mean), ("cov", cov), ("step", step), ("_sigma_factor", factor)):
+            object.__setattr__(est, name, value)
+        return est
 
     def sigma_factor(self, where: str = "") -> Array:
         """Lower Cholesky factor of l_x * cov, the unscaled sigma-point spread.

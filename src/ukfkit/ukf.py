@@ -7,11 +7,13 @@ is the current posterior mean.  The combination weights are
     w[0] = (alpha^2 - 1) / alpha^2,    w[i] = 1 / (2 alpha^2 l_x),
 
 which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
-are one recursion, :func:`sigma_step`, which advances a stack of estimates,
-one slice per filter; ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are
-one-slice calls of it.  The stack also takes kf and ekf slices, whose prior
-is :func:`kf.linearized_prior`, so that one call per time step advances
-every covariance-form filter of a run.  :func:`unscented_prior` is its one
+are one recursion, :func:`stack_step`, which advances a stack of filters
+held as arrays, one slice per filter; :func:`sigma_step` runs it on
+estimates, and ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are one-slice
+calls of that.  The stack also takes kf and ekf slices, whose prior is
+:func:`kf.linearized_prior`, so that one call per time step advances every
+covariance-form filter of a run, which carries the arrays from step to
+step.  :func:`unscented_prior` is its one
 spread/propagate/centre step: it builds the sigma points from each slice's
 factor, pushes those of every slice through f and g in one call each, and
 subtracts the weighted means.  The filters differ only in the sigma factor
@@ -30,8 +32,8 @@ import math
 
 import numpy as np
 
-from .kf import KfStep, kf_correct, linearized_prior
-from .numerics import FilterDiverged, all_finite, stack, symmetrize
+from .kf import KfStep, correct_stack, linearized_prior, unstack
+from .numerics import FilterDiverged, all_finite, symmetrize
 from .statespace import (
     LinearSystem,
     StateEstimate,
@@ -127,17 +129,20 @@ def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
     SingularDynamicsJacobian naming the step.  A LinearSystem's A is
     constant, so its A^{-1} L_Q and that verdict are worked out once per model.
     """
-    k = est.step
+    return _inflated_factor(model, est.mean, est.sigma_factor(f"eukfa step {est.step}"), est.step)
+
+
+def _inflated_factor(model: SystemModel, mean: Array, factor: Array, k: int) -> Array:
+    """:func:`eukfa_sigma_scale` from the step-k posterior mean and its factor chol(l_x P)."""
     if isinstance(model, LinearSystem):
         spread = _linear_inverse_spread(model)
     else:
-        spread = _inverse_spread(model, jacobian_dynamics(model, est.mean))
+        spread = _inverse_spread(model, jacobian_dynamics(model, mean))
     if spread is None:
         raise SingularDynamicsJacobian(f"dynamics Jacobian at step {k} is numerically singular")
     n = model.l_x
-    stacked = np.concatenate((est.sigma_factor(f"eukfa step {k}"), spread), axis=1)
     # The raw QR is LAPACK's output transposed: R^T is the lower triangle of its first n columns.
-    rt = np.linalg.qr(stacked.T, mode="raw")[0][:, :n]
+    rt = np.linalg.qr(np.concatenate((factor, spread), axis=1).T, mode="raw")[0][:, :n]
     return rt * np.copysign(_lower_ones(n), rt.diagonal())  # the lower triangle, column j times sign(R_jj)
 
 
@@ -180,40 +185,40 @@ def _lower_ones(n: int) -> Array:
     return _read_only(np.tri(n))
 
 
-def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:
-    """One predict/update cycle of a stack of filters, consuming the measurement at step k+1.
+def _stack_error(names, k: int, l_x: int) -> ValueError:
+    return ValueError(
+        f"{'+'.join(map(str, names))} step {k + 1}: expected one state of shape {(l_x,)}"
+        f" at one step per filter in {STACK_FILTERS}, got {names}"
+    )
 
-    Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and
-    order) from ests[i], all at one step.  kf and ekf slices take their
-    prior from :func:`kf.linearized_prior`; eukfa's sigma factor and
+
+def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, factors: Array, y, alpha: float = 1.5) -> tuple[KfStep, Array]:
+    """One predict/update cycle of a stack of filters at step k, as arrays, consuming the measurement at step k+1.
+
+    Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and order)
+    from the posterior means[i] (l_x,), covs[i] and factors[i] = chol(l_x
+    covs[i]), which sigma-point slices spread with.  kf and ekf slices take
+    their prior from :func:`kf.linearized_prior`; eukfa's sigma factor and
     eukfc's C Q C^T and Q C^T terms see one slice at a time; f and g see the
-    sigma points of every slice in one call (see :func:`unscented_prior`);
-    the rest runs as stacked numpy calls, whose slices are the bits of
-    one-slice stacks.  A slice gets the bits of its filter stepped alone
-    when f and g give each column the same bits in any batch width (see
-    :mod:`statespace`); otherwise it agrees to rounding.
-    Returns one (next estimate, KfStep) pair per slice.  An unknown name, a
-    mixed step or a state of the wrong length raises ValueError naming the
-    filters and the step.
+    sigma points of every slice in one call (:func:`unscented_prior`); the
+    rest runs as stacked numpy calls, with the bits of one-slice stacks when
+    f and g keep a column's bits in any batch width (see :mod:`statespace`).
+    Returns :func:`kf.correct_stack`'s stacked KfStep and posterior factors.
+    An unknown name or a wrong shape raises ValueError naming filters and step.
     """
-    k = ests[0].step if ests else -1
-    shape = (model.l_x,)
-    if len(names) != len(ests) or not _STACK_SET.issuperset(names) or {(est.step, est.mean.shape) for est in ests} != {(k, shape)}:
-        raise ValueError(
-            f"{'+'.join(map(str, names))} step {k + 1}: expected one state of shape {shape}"
-            f" at one step per filter in {STACK_FILTERS}, got {names}"
-        )
-    sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
-    # A contiguous run of sigma slices, as run_experiment stacks them, is written through a slice: fancy indexing costs more.
-    at = slice(sigma[0], sigma[-1] + 1) if sigma and sigma[-1] - sigma[0] == len(sigma) - 1 else sigma
     n, l_x, l_y = len(names), model.l_x, model.l_y
+    if not n or not _STACK_SET.issuperset(names) or means.shape != (n, l_x) or covs.shape != (n, l_x, l_x) or factors.shape != covs.shape:
+        raise _stack_error(names, k, l_x)
+    sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
+    # A contiguous run of sigma slices, as run_experiment stacks them, is read and written through a slice: an index list costs more.
+    at = slice(sigma[0], sigma[-1] + 1) if sigma and sigma[-1] - sigma[0] == len(sigma) - 1 else sigma
     prior_mean, predicted_y = np.empty((n, l_x)), np.empty((n, l_y))
     p_prior, p_z, p_ez = np.empty((n, l_x, l_x)), np.empty((n, l_y, l_y)), np.empty((n, l_x, l_y))
     if sigma:
-        factors = stack(
-            [eukfa_sigma_scale(model, ests[i]) if names[i] == "eukfa" else ests[i].sigma_factor(f"{names[i]} step {k}") for i in sigma]
-        )
-        prior_mean[at], predicted_y[at], xdev, ydev, w = unscented_prior(model, stack([ests[i].mean for i in sigma]), factors, alpha, k)
+        spread = factors[at]
+        if "eukfa" in names:
+            spread = np.array([_inflated_factor(model, means[i], factors[i], k) if names[i] == "eukfa" else factors[i] for i in sigma])
+        prior_mean[at], predicted_y[at], xdev, ydev, w = unscented_prior(model, means[at], spread, alpha, k)
         wx = xdev * w
         p_prior[at] = wx @ xdev.swapaxes(-1, -2)
         p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
@@ -222,7 +227,7 @@ def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[t
         # kf and ekf linearize; ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and
         # its C Q C^T, Q C^T terms.
         if name not in _SIGMA_SET:
-            prior_mean[i], p_prior[i], p_z[i], p_ez[i], predicted_y[i] = linearized_prior(name, model, ests[i])
+            prior_mean[i], p_prior[i], p_z[i], p_ez[i], predicted_y[i] = linearized_prior(name, model, means[i], covs[i], k)
             continue
         if name != "eukfa":
             p_prior[i] += model.Q
@@ -231,7 +236,22 @@ def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[t
             qct = model.Q @ c.T
             p_z[i] += c @ qct
             p_ez[i] += qct
-    return kf_correct(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z + model.R), p_ez, y, predicted_y)
+    return correct_stack(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z + model.R), p_ez, y, predicted_y)
+
+
+def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:
+    """:func:`stack_step` from one estimate per filter, all at one step, as one (next estimate, KfStep) pair per slice.
+
+    A mixed step or a state of the wrong length raises ValueError as well.
+    """
+    k = ests[0].step if ests else -1
+    l_x = model.l_x
+    if len(names) != len(ests) or not _STACK_SET.issuperset(names) or {(est.step, est.mean.shape) for est in ests} != {(k, (l_x,))}:
+        raise _stack_error(names, k, l_x)
+    # Only the sigma-point slices read their factor; kf and ekf slices may start from a P that has none.
+    factors = np.array([est.sigma_factor(f"{name} step {k}") if name in _SIGMA_SET else np.zeros((l_x, l_x)) for name, est in zip(names, ests)])
+    means, covs = np.array([est.mean for est in ests]), np.array([est.cov for est in ests])
+    return unstack(k + 1, *stack_step(model, names, k, means, covs, factors, y, alpha))
 
 
 def ukf_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:

@@ -35,6 +35,26 @@ def test_zero_ensemble_trace_gives_nan_relerr(tmp_path):
     assert [(row["trP_enkf"], row["relerr_enkf"]) for row in rows] == [("0", "nan")] * 5
 
 
+@pytest.mark.parametrize("filters", ["kf,ukf,eukfa,eukfc", "eukfc", "kf,ekf,enkf"])
+def test_zero_p0_is_rejected_only_with_a_sigma_point_filter(tmp_path, capsys, filters):
+    # ukf, eukfa and eukfc spread their first sigma points by chol(l_x p0); kf, ekf and enkf start from p0 = 0.
+    cfg = tmp_path / "p0.cfg"
+    cfg.write_text("model = linear-ex2\np0 = 0\n")
+    out = tmp_path / "p0.csv"
+    code = main(["run", "--config", str(cfg), "--filters", filters, "--ensemble", "50", "--steps", "5", "--out", str(out)])
+    sigma = [name for name in filters.split(",") if name in ("ukf", "eukfa", "eukfc")]
+    if sigma:
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: p0 must be positive definite for {', '.join(sigma)}: matrix of dimension 2 is not positive definite\n"
+        )
+        assert not out.exists()
+    else:
+        assert code == 0
+        with open(out, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 6
+
+
 def test_run_requires_model(tmp_path, capsys):
     code = main(["run", "--steps", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 1

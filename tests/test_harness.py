@@ -64,6 +64,19 @@ def test_truth_draws_are_those_of_fresh_philox_streams():
         x = model.f(x) + noise_factor(model.Q) @ w
 
 
+def test_truth_of_a_general_linear_system_is_bitwise_the_per_step_recursion():
+    # Full noise factors and a general C: the stacked products of the simulator keep the bits of one step at a time.
+    from ukfkit.enkf import philox_stream
+
+    model = harness.random_detectable_system(np.random.default_rng(8), l_x=4, l_y=2)
+    states, meas = simulate_truth(model, np.ones(4), 40, seed=5)
+    x = np.ones(4)
+    for k in range(41):
+        assert np.array_equal(states[k], x)
+        assert np.array_equal(meas[k], model.C @ x + model.r_factor @ philox_stream(5, k, harness.KIND_TRUTH_OBS).standard_normal(2))
+        x = model.A @ x + model.q_factor @ philox_stream(5, k, harness.KIND_TRUTH_PROCESS).standard_normal(4)
+
+
 def test_truth_lorenz_stays_bounded():
     model = make_lorenz()
     states, _ = simulate_truth(model, [1.0, 1.0, 1.0], 5000, seed=0)
@@ -171,7 +184,7 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
 
         return step
 
-    for name in ("ukf_step", "sigma_step"):
+    for name in ("ukf_step", "stack_step"):
         monkeypatch.setattr(harness, name, flaky(getattr(harness, name)))
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=5, filters=("kf", "ukf"))
     records = run_experiment(cfg)
@@ -290,8 +303,12 @@ def _replayed_records(cfg):
         dict(model="linear-ex1", steps=60, seed=1, alpha=0.2, filters=("kf", "ukf", "eukfa", "eukfc")),  # ukf fails at 40
         dict(model="custom", steps=30, seed=3, ensemble=200, a=np.array([[0.9, 0.2], [-0.2, 0.9]]), c=np.eye(2), q=0.1,
              filters=("enkf", "kf", "ukf", "eukfc")),
+        # bench/linear-4x2.cfg: a general C, so g(mean) is a real matrix product.
+        dict(model="custom", steps=40, seed=9, ensemble=200, q=0.1, r=0.1,
+             a=np.array([[0.9, 0.2, 0, 0], [-0.2, 0.9, 0.1, 0], [0, 0, 0.7, 0.3], [0, 0, -0.3, 0.7]]),
+             c=np.array([[1, 0, 0.5, 0], [0, 0.4, 0, 1.0]]), filters=("enkf", "ekf", "kf", "ukf", "eukfa", "eukfc")),
     ],
-    ids=["lorenz", "failing", "two-outputs"],
+    ids=["lorenz", "failing", "two-outputs", "linear-4x2"],
 )
 def test_run_metrics_are_bitwise_a_per_step_replay(cfg):
     cfg = ExperimentConfig(**cfg)

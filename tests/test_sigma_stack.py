@@ -14,7 +14,7 @@ from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.harness import ExperimentConfig, random_detectable_system, random_spd, run_experiment, simulate_truth
 from ukfkit.kf import KfStep, kf_step
 from ukfkit.statespace import StateEstimate, SystemModel, make_lorenz, make_vdp
-from ukfkit.ukf import SIGMA_FILTERS, STACK_FILTERS, sigma_step, ukf_step
+from ukfkit.ukf import SIGMA_FILTERS, STACK_FILTERS, sigma_step, stack_step, ukf_step
 
 # Each filter stepped alone; kf and ekf take no alpha.
 ONE_AT_A_TIME = {
@@ -65,6 +65,42 @@ def test_stack_is_bitwise_one_filter_at_a_time_on_nonlinear_models(make, names):
     model = make()
     _, meas = simulate_truth(model, np.ones(model.l_x), 10, seed=3)
     _assert_stack_steps_bitwise_one_at_a_time(model, names, StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), meas, 1.5)
+
+
+@pytest.mark.parametrize(
+    "make", [make_lorenz, lambda: random_detectable_system(np.random.default_rng(4), l_x=3, l_y=2)], ids=["lorenz", "linear"]
+)
+def test_the_array_core_carries_the_bits_of_sigma_step(make):
+    # The sigma slices are not contiguous, so the core reads and writes them by index.
+    model = make()
+    names = ("kf", "ukf", "ekf", "eukfa", "eukfc")
+    est0 = StateEstimate(np.ones(3), random_spd(np.random.default_rng(5), 3), 0)
+    _, meas = simulate_truth(model, np.ones(3), 10, seed=6)
+    n = len(names)
+    ests = [est0] * n
+    carry = np.array([est0.mean] * n), np.array([est0.cov] * n), np.array([est0.sigma_factor()] * n)
+    for k in range(1, len(meas)):
+        rec, factors = stack_step(model, names, k - 1, *carry, meas[k], 1.5)
+        results = sigma_step(model, names, ests, meas[k], 1.5)
+        for i, (est, est_rec) in enumerate(results):
+            assert est.step == k
+            assert_array_equal(rec.posterior_mean[i], est.mean)
+            assert_array_equal(rec.posterior_cov[i], est.cov)
+            assert_array_equal(factors[i], est.sigma_factor())
+            for field in fields(KfStep):
+                assert_array_equal(getattr(rec, field.name)[i], getattr(est_rec, field.name), err_msg=f"{names[i]} {field.name}")
+        carry = rec.posterior_mean, rec.posterior_cov, factors
+        ests = [est for est, _ in results]
+
+
+def test_the_array_core_rejects_arrays_of_the_wrong_shape():
+    model = make_lorenz()
+    x, p = np.ones((2, 3)), np.array([np.eye(3)] * 2)
+    for args in [(x[:1], p, p), (x, p[:1], p), (x, p, p[:, :2]), (np.ones((2, 2)), p, p)]:
+        with pytest.raises(ValueError, match=r"^ukf\+eukfc step 5: expected one state of shape \(3,\)"):
+            stack_step(model, ("ukf", "eukfc"), 4, *args, np.ones(1))
+    with pytest.raises(ValueError, match="enkf"):
+        stack_step(model, ("ukf", "enkf"), 4, x, p, p, np.ones(1))
 
 
 def _counted(fn, calls, label):
@@ -138,9 +174,9 @@ def test_stack_rejects_unknown_filters_and_mixed_steps():
 
 def test_run_advances_the_sigma_filters_in_one_stacked_call_per_step(monkeypatch):
     calls = []
-    for name in ("sigma_step", "ekf_step", "ukf_step", "eukfa_step", "eukfc_step"):
+    for name in ("stack_step", "ekf_step", "ukf_step", "eukfa_step", "eukfc_step"):
         step = getattr(harness, name)
-        label = (lambda args: tuple(args[1])) if name == "sigma_step" else (lambda args, name=name: name)
+        label = (lambda args: tuple(args[1])) if name == "stack_step" else (lambda args, name=name: name)
         monkeypatch.setattr(harness, name, lambda *args, step=step, label=label: calls.append(label(args)) or step(*args))
     run_experiment(ExperimentConfig(model="lorenz", steps=20, seed=7, filters=("ekf", "ukf", "eukfa", "eukfc")))
     # The first step runs each filter's own step; every later step is one stacked call.
