@@ -8,7 +8,8 @@ the square-root update of Whitaker & Hamill (Mon. Wea. Rev. 130, 2002;
 Tippett et al., Mon. Wea. Rev. 131, 2003), whose sample covariance is the
 Kalman posterior P+ - K P_ez^T of the ensemble's own statistics.  That
 update is defined on the Cholesky factor of P_z which :func:`kf.kf_gain`
-makes for the gain and hands back, so P_z is factored once per step.  The
+makes for the gain and hands back, so P_z is factored once per step; with
+one output its deviation correction is a broadcast product.  The
 process-noise draws are scaled by the model's ``q_factor``, which the
 model computes once.
 
@@ -176,7 +177,8 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     gain, factor = kf_gain("enkf", k + 1, p_z, p_ez)
 
     mean = xbar + gain @ (y - ybar)
-    correction = np.matmul(_sqrt_gain(model, factor, gain), ydev, out=scratch.state)
+    # With one output each element of the product is one multiplication: the broadcast product has its bits, for less.
+    correction = (np.multiply if l_y == 1 else np.matmul)(_sqrt_gain(model, factor, gain), ydev, out=scratch.state)
     adev = np.subtract(xdev, correction, out=xf)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
     members = np.add(adev, mean[:, None], out=xf)

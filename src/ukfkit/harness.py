@@ -9,14 +9,16 @@ one is running.  A filter that fails mid-run is flagged as diverged and
 reported as NaN from that step on, and its record at the failing step keeps
 the exception type and message; the other filters continue.  From step 2,
 all filters but enkf advance in one :func:`ukf.stack_step` call per step, on
-arrays carried between steps; every g(mean), for z, is one call after the loop.
+arrays carried between steps; every g(mean), for z, is one call after the loop,
+and every trace one sum of the stored diagonals.  The records hold one
+:class:`FilterMetrics` named tuple per filter and step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .statespace import (
     noise_factor,
     step_dynamics,
 )
-from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, sigma_step, stack_step, ukf_step
+from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, _rows, sigma_step, stack_step, ukf_step
 
 Array = np.ndarray
 
@@ -123,8 +125,7 @@ class ExperimentConfig:
             raise ValueError(f"the custom model needs a 2-d matrix a and a matrix c, got a={self.a!r}, c={self.c!r}")
 
 
-@dataclass(frozen=True)
-class FilterMetrics:
+class FilterMetrics(NamedTuple):
     """Per-filter scalars for one step; NaN once the filter has diverged.
 
     `failure` is "ExceptionType: message" at the step where the filter
@@ -228,11 +229,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     filter_state = [enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0 for name in names]
     # Row k - 1 holds step k; a filter's entries stay NaN where it has failed.
     shape = (cfg.steps, len(names))
-    means, traces = np.full((*shape, model.l_x), np.nan), np.full(shape, np.nan)
+    means, diagonals = np.full((*shape, model.l_x), np.nan), np.full((*shape, model.l_x), np.nan)
     alive = np.zeros(shape, dtype=bool)
     failures: dict[tuple[int, str], str] = {}
     live = list(range(len(names)))
-    stack, carry = [], None  # the stacked filters and their posterior (means, covs, factors chol(l_x P)) as arrays
+    carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
     for k in range(1, cfg.steps + 1):
         y = meas[k]
         # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one stacked
@@ -241,17 +242,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
         if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):
             ests = [filter_state[j] for j in stack]
             carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
+            stack_names, at = [names[j] for j in stack], _rows(stack)
         solo = live
         if carry is not None:
             try:
-                rec, factors = stack_step(model, [names[j] for j in stack], k - 1, *carry, y, cfg.alpha)
+                rec, factors = stack_step(model, stack_names, k - 1, *carry, y, cfg.alpha)
             except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
                 for j, mean, cov, factor in zip(stack, *carry):
                     filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
                 carry = None
             else:
                 carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), [j for j in live if names[j] == "enkf"]
-                alive[k - 1, stack], means[k - 1, stack], traces[k - 1, stack] = True, carry[0], np.trace(carry[1], axis1=1, axis2=2)
+                alive[k - 1, at], means[k - 1, at], diagonals[k - 1, at] = True, carry[0], carry[1].diagonal(0, 1, 2)
         for j in list(solo):
             try:
                 filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
@@ -259,9 +261,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
                 live.remove(j)
                 failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
                 continue
-            alive[k - 1, j] = True
-            means[k - 1, j] = rec.posterior_mean
-            traces[k - 1, j] = rec.posterior_cov.trace()
+            alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
+    traces = diagonals.sum(axis=-1)  # the bits of np.trace: one reduction per diagonal, as trace makes it
     # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
     outputs = np.full((*shape, model.l_y), np.nan)
     outputs[alive] = _outputs(model, means[alive])
@@ -273,14 +274,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     if "enkf" in names:  # relative to the ensemble trace; NaN where it is missing or zero
         tr_enkf = traces[:, names.index("enkf"), None]
         np.divide(np.abs(traces - tr_enkf), tr_enkf, out=relerrs, where=tr_enkf != 0)
-    rows = zip(traces.tolist(), relerrs.tolist(), zvals.tolist(), enorms.tolist(), alive.tolist())
-    return [
-        FilterStepRecord(
-            step=k,
-            metrics={name: FilterMetrics(*m, not ok, failures.get((k, name), "")) for name, *m, ok in zip(names, *row)},
-        )
-        for k, row in enumerate(rows, 1)
-    ]
+    rows = zip(traces.tolist(), relerrs.tolist(), zvals.tolist(), enorms.tolist(), (~alive).tolist())
+    records = [FilterStepRecord(k, dict(zip(names, map(FilterMetrics, *row)))) for k, row in enumerate(rows, 1)]
+    for (k, name), failure in failures.items():
+        records[k - 1].metrics[name] = records[k - 1].metrics[name]._replace(failure=failure)
+    return records
 
 
 def export_csv(records: list[FilterStepRecord], path) -> None:

@@ -15,8 +15,9 @@ minimizes.
 
 :func:`linearized_step` reads A and C as the model's Jacobians, so it is the
 Kalman filter on a :class:`LinearSystem` and the EKF on any other model; its
-prediction half, :func:`linearized_prior`, also gives the prior of a kf or
-ekf slice in :func:`ukf.stack_step`.  :func:`correct_stack`, the gain and
+covariance prediction, :func:`linearized_covs`, also gives the prior of the kf
+and ekf slices in :func:`ukf.stack_step`, which take f(mean) and g(f(mean))
+from the stack's one f and g call.  :func:`correct_stack`, the gain and
 update shared by every covariance-form filter, works on a stack of filters,
 one slice each; ``kf_step`` and ``ekf_step`` pass a stack of one (through
 :func:`kf_correct`), and ``stack_step`` every filter that steps with it.
@@ -73,7 +74,6 @@ def kf_update(
     The formula only: :func:`kf_correct` symmetrizes cov and checks that the
     result is finite and SPD.
     """
-    y = np.asarray(y, dtype=float)
     mean = prior_mean + (gain @ (y - predicted_y)[..., None])[..., 0]
     cov = prior_cov - gain @ cross_cov.swapaxes(-1, -2)
     return mean, cov
@@ -129,30 +129,26 @@ def unstack(k: int, rec: KfStep, factors: Array) -> list[tuple[StateEstimate, Kf
     return [(StateEstimate.with_factor(mean, cov, k, factor), KfStep(*prior, mean, cov)) for *prior, mean, cov, factor in slices]
 
 
-def linearized_prior(name: str, model: SystemModel, mean: Array, cov: Array, k: int) -> tuple[Array, Array, Array, Array, Array]:
-    """(x+, P+, C P+ C^T, P+ C^T, g(x+)) for filter `name` from the step-k posterior (mean, cov).
-
-    The prediction half of :func:`linearized_step`: A = df/dx at the
-    posterior mean and C = dg/dx at the prior mean; R is left for the caller
-    to add.  The state is checked once (:func:`statespace.linearize`); a
-    state of the wrong length, or an f, g or Jacobian that returns the wrong
-    shape, raises ValueError naming the filter and step k + 1.
-    """
-    try:
-        a, prior_mean, c, predicted_y = linearize(model, mean)
-    except ValueError as exc:
-        raise ValueError(f"{name} step {k + 1}: {exc}") from exc
-    prior_cov = symmetrize(a @ cov @ a.T + model.Q)
-    return prior_mean, prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T, predicted_y
+def linearized_covs(a: Array, cov: Array, c: Array, q: Array) -> tuple[Array, Array, Array]:
+    """(P+, C P+ C^T, P+ C^T) with P+ = A P A^T + Q, symmetrized, for Jacobians A and C; R is left for the caller to add."""
+    prior_cov = symmetrize(a @ cov @ a.T + q)
+    return prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T
 
 
 def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
     """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
 
-    The mean goes through f and g, the covariances through the Jacobians
-    (:func:`linearized_prior`).
+    The mean goes through f and g, the covariances through the Jacobians, A
+    at the posterior mean and C at the prior mean (:func:`linearized_covs`).
+    The state is checked once (:func:`statespace.linearize`); a state of the
+    wrong length, or an f, g or Jacobian that returns the wrong shape, raises
+    ValueError naming the filter and step k + 1.
     """
-    prior_mean, prior_cov, p_z, p_ez, predicted_y = linearized_prior(name, model, est.mean, est.cov, est.step)
+    try:
+        a, prior_mean, c, predicted_y = linearize(model, est.mean)
+    except ValueError as exc:
+        raise ValueError(f"{name} step {est.step + 1}: {exc}") from exc
+    prior_cov, p_z, p_ez = linearized_covs(a, est.cov, c, model.Q)
     p_z = symmetrize(p_z + model.R)
     return kf_correct((name,), est.step + 1, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
 

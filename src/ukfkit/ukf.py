@@ -10,15 +10,16 @@ which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
 are one recursion, :func:`stack_step`, which advances a stack of filters
 held as arrays, one slice per filter; :func:`sigma_step` runs it on
 estimates, and ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are one-slice
-calls of that.  The stack also takes kf and ekf slices, whose prior is
-:func:`kf.linearized_prior`, so that one call per time step advances every
-covariance-form filter of a run, which carries the arrays from step to
-step.  :func:`unscented_prior` is its one
-spread/propagate/centre step: it builds the sigma points from each slice's
-factor, pushes those of every slice through f and g in one call each, and
-subtracts the weighted means.  The filters differ only in the sigma factor
-and where Q enters the covariances, which are weighted outer products of the
-propagated deviations, with R added to the output covariance.
+calls of that.  The stack also takes kf and ekf slices, whose covariances
+come from :func:`kf.linearized_covs`, so that one call per time step
+advances every covariance-form filter of a run, which carries the arrays
+from step to step.  :func:`unscented_prior` is its one spread/propagate/
+centre step: it builds the sigma points from each slice's factor, pushes
+those of every slice, and the kf and ekf means of a SystemModel, through f
+and g in one call each, and subtracts the weighted means.  The filters
+differ only in the sigma factor and where Q enters the covariances, which
+are weighted outer products of the propagated deviations, with R added to
+the output covariance.
 
 alpha < 1 makes the center weight negative and the estimated covariances
 can lose definiteness; that surfaces as NotPositiveDefinite with the step
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .kf import KfStep, correct_stack, linearized_prior, unstack
+from .kf import KfStep, correct_stack, linearized_covs, unstack
 from .numerics import FilterDiverged, all_finite, symmetrize
 from .statespace import (
     LinearSystem,
@@ -98,22 +99,40 @@ def unscented_prior(
     over the (s, l, m) points instead: a wide product can round a slice
     otherwise than a product over that slice alone, a stacked one does not.
     """
+    return _sigma_prior(model, means, factors, alpha, k, means[:0])[:5]
+
+
+def _sigma_prior(model: SystemModel, means: Array, factors: Array, alpha: float, k: int, extra: Array):
+    """:func:`unscented_prior`, then f(x) (e, l_x) and g(f(x)) (e, l_y) of each state x of `extra` (e, l_x).
+
+    A SystemModel's f and g take the extra states as e more columns after the
+    sigma points, in the same call; the finiteness checks read the sigma
+    points only.  A LinearSystem multiplies each extra state by A, and that
+    by C, one at a time, with the bits of kf_step's products.
+    """
     w = ukf_weights(alpha, model.l_x)
-    points = _spread(means, factors, alpha)
-    s, l_x, m = points.shape
+    (s, l_x), m, e = means.shape, w.size, len(extra)
     linear = isinstance(model, LinearSystem)
     if linear:
-        xprop = np.matmul(model.A, points)
+        xprop = np.matmul(model.A, _spread(means, factors, alpha))
+        fx = np.array([model.A @ x for x in extra]).reshape(e, l_x).T if e else extra.T
     else:
-        flat = step_dynamics_batch(model, points.swapaxes(0, 1).reshape(l_x, s * m))
-        xprop = flat.reshape(l_x, s, m).swapaxes(0, 1)
+        fx = _spread(means, factors, alpha).swapaxes(0, 1).reshape(l_x, s * m)
+        fx = step_dynamics_batch(model, np.concatenate((fx, extra.T), axis=1) if e else fx)
+        xprop = fx[:, : s * m].reshape(l_x, s, m).swapaxes(0, 1)
     if not all_finite(xprop):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
-    yprop = np.matmul(model.C, xprop) if linear else measure_batch(model, flat).reshape(model.l_y, s, m).swapaxes(0, 1)
+    if linear:
+        yprop = np.matmul(model.C, xprop)
+        gx = np.array([model.C @ x for x in fx.T]).reshape(e, model.l_y).T if e else np.empty((model.l_y, 0))
+    else:
+        gx = measure_batch(model, fx)
+        yprop = gx[:, : s * m].reshape(model.l_y, s, m).swapaxes(0, 1)
     if not all_finite(yprop):
         raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
     prior_mean, predicted_y = xprop @ w, yprop @ w
-    return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w
+    last = slice(fx.shape[1] - e, None)  # the extra states' columns
+    return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w, fx[:, last].T, gx[:, last].T
 
 
 def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
@@ -192,43 +211,56 @@ def _stack_error(names, k: int, l_x: int) -> ValueError:
     )
 
 
+def _rows(rows: list[int]):
+    """Row indices as a slice when they are contiguous, as run_experiment stacks its filters: an index list costs more to read and write through."""
+    if not rows:
+        return slice(0)
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+
+
 def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, factors: Array, y, alpha: float = 1.5) -> tuple[KfStep, Array]:
     """One predict/update cycle of a stack of filters at step k, as arrays, consuming the measurement at step k+1.
 
     Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and order)
     from the posterior means[i] (l_x,), covs[i] and factors[i] = chol(l_x
-    covs[i]), which sigma-point slices spread with.  kf and ekf slices take
-    their prior from :func:`kf.linearized_prior`; eukfa's sigma factor and
-    eukfc's C Q C^T and Q C^T terms see one slice at a time; f and g see the
-    sigma points of every slice in one call (:func:`unscented_prior`); the
-    rest runs as stacked numpy calls, with the bits of one-slice stacks when
-    f and g keep a column's bits in any batch width (see :mod:`statespace`).
-    Returns :func:`kf.correct_stack`'s stacked KfStep and posterior factors.
-    An unknown name or a wrong shape raises ValueError naming filters and step.
+    covs[i]), which sigma-point slices spread with.  f and g see the sigma
+    points of every slice and the kf and ekf means in one call each
+    (:func:`unscented_prior`); kf and ekf slices take their covariances from
+    :func:`kf.linearized_covs`; eukfa's sigma factor and eukfc's C Q C^T and
+    Q C^T terms see one slice at a time; the rest runs as stacked numpy
+    calls, with the bits of one-slice stacks when f and g keep a column's
+    bits in any batch width (see :mod:`statespace`).  Returns
+    :func:`kf.correct_stack`'s stacked KfStep and posterior factors.  An
+    unknown name or a wrong shape raises ValueError naming filters and step.
     """
     n, l_x, l_y = len(names), model.l_x, model.l_y
     if not n or not _STACK_SET.issuperset(names) or means.shape != (n, l_x) or covs.shape != (n, l_x, l_x) or factors.shape != covs.shape:
         raise _stack_error(names, k, l_x)
     sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
-    # A contiguous run of sigma slices, as run_experiment stacks them, is read and written through a slice: an index list costs more.
-    at = slice(sigma[0], sigma[-1] + 1) if sigma and sigma[-1] - sigma[0] == len(sigma) - 1 else sigma
+    lin = [i for i, name in enumerate(names) if name not in _SIGMA_SET]
+    at, lin_at = _rows(sigma), _rows(lin)
     prior_mean, predicted_y = np.empty((n, l_x)), np.empty((n, l_y))
     p_prior, p_z, p_ez = np.empty((n, l_x, l_x)), np.empty((n, l_y, l_y)), np.empty((n, l_x, l_y))
-    if sigma:
-        spread = factors[at]
-        if "eukfa" in names:
-            spread = np.array([_inflated_factor(model, means[i], factors[i], k) if names[i] == "eukfa" else factors[i] for i in sigma])
-        prior_mean[at], predicted_y[at], xdev, ydev, w = unscented_prior(model, means[at], spread, alpha, k)
-        wx = xdev * w
-        p_prior[at] = wx @ xdev.swapaxes(-1, -2)
-        p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
-        p_ez[at] = wx @ ydev.swapaxes(-1, -2)
-    for i, name in enumerate(names):
-        # kf and ekf linearize; ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and
-        # its C Q C^T, Q C^T terms.
-        if name not in _SIGMA_SET:
-            prior_mean[i], p_prior[i], p_z[i], p_ez[i], predicted_y[i] = linearized_prior(name, model, means[i], covs[i], k)
-            continue
+    spread = factors[at]
+    if "eukfa" in names:
+        spread = spread.copy()
+        for j, i in enumerate(sigma):
+            if names[i] == "eukfa":
+                spread[j] = _inflated_factor(model, means[i], factors[i], k)
+    prior_mean[at], predicted_y[at], xdev, ydev, w, prior_mean[lin_at], predicted_y[lin_at] = _sigma_prior(model, means[at], spread, alpha, k, means[lin_at])
+    wx = xdev * w
+    p_prior[at] = wx @ xdev.swapaxes(-1, -2)
+    p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
+    p_ez[at] = wx @ ydev.swapaxes(-1, -2)
+    for i in lin:  # the covariances through the Jacobians
+        if isinstance(model, LinearSystem):
+            a, c = model.A, model.C
+        else:
+            a, c = jacobian_dynamics(model, means[i]), jacobian_measurement(model, prior_mean[i])
+        p_prior[i], p_z[i], p_ez[i] = linearized_covs(a, covs[i], c, model.Q)
+    for i in sigma:
+        # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
+        name = names[i]
         if name != "eukfa":
             p_prior[i] += model.Q
         if name == "eukfc":
@@ -236,7 +268,8 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
             qct = model.Q @ c.T
             p_z[i] += c @ qct
             p_ez[i] += qct
-    return correct_stack(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z + model.R), p_ez, y, predicted_y)
+    p_z += model.R
+    return correct_stack(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z), p_ez, y, predicted_y)
 
 
 def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ukfkit.harness as harness
+from ukfkit.enkf import enkf_step
 from ukfkit.harness import (
     CHECKS,
     ExperimentConfig,
@@ -196,6 +197,43 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
         assert math.isnan(rec.metrics["ukf"].trace)
         assert not rec.metrics["kf"].diverged
         assert math.isfinite(rec.metrics["kf"].trace)
+
+
+def test_an_ensemble_that_fails_mid_run_stops_while_the_stacked_filters_go_on(monkeypatch):
+    # enkf fails on its fourth call, at step 4; ekf, ukf, eukfa and eukfc run on in their stacked call, and from
+    # then on their relerr, which divides by the ensemble's trace, is NaN.
+    stepped = []
+
+    def failing(model, ens, y):
+        stepped.append(ens.step + 1)
+        if len(stepped) == 4:
+            raise FilterDiverged("synthetic ensemble failure")
+        return enkf_step(model, ens, y)
+
+    monkeypatch.setattr(harness, "enkf_step", failing)
+    stacked = ("ekf", "ukf", "eukfa", "eukfc")
+    records = run_experiment(ExperimentConfig(model="lorenz", steps=8, seed=5, ensemble=200, filters=("enkf", *stacked)))
+    assert stepped == [1, 2, 3, 4]  # never stepped again once it has failed
+    for rec in records:
+        enkf = rec.metrics["enkf"]
+        assert enkf.diverged == (rec.step >= 4)
+        assert math.isnan(enkf.trace) == (rec.step >= 4)
+        assert enkf.failure == ("FilterDiverged: synthetic ensemble failure" if rec.step == 4 else "")
+        for name in stacked:
+            metrics = rec.metrics[name]
+            assert not metrics.diverged and not metrics.failure
+            assert math.isfinite(metrics.trace) and math.isfinite(metrics.error_norm)
+            assert math.isnan(metrics.relerr) == (rec.step >= 4)
+
+
+def test_filter_metrics_is_an_immutable_record_with_the_dataclass_repr():
+    metrics = FilterMetrics(1.5, math.nan, -0.25, 2.0, False)
+    assert repr(metrics) == "FilterMetrics(trace=1.5, relerr=nan, output_error=-0.25, error_norm=2.0, diverged=False, failure='')"
+    assert FilterMetrics(trace=1.5, relerr=0.0, output_error=0.0, error_norm=0.0, diverged=True, failure="E: m").failure == "E: m"
+    with pytest.raises(AttributeError):
+        metrics.trace = 2.0
+    with pytest.raises(AttributeError):
+        metrics.failure = "x"
 
 
 def _overflowing_output_model():

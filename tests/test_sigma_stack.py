@@ -127,10 +127,15 @@ def test_a_stack_calls_f_and_g_once_and_a_linear_stack_calls_neither():
     ests = [StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)] * 4
     sigma_step(counted, ("ukf", "eukfa", "eukfc", "ukf"), ests, np.ones(1))
     assert calls == ["f", "g"]
+    # The ekf slice's f(mean) and g(f(mean)) are columns of the same two calls; its Jacobians are analytic.
+    calls.clear()
+    sigma_step(counted, ("ekf", "ukf", "eukfa", "eukfc"), ests, np.ones(1))
+    assert calls == ["f", "g"]
     linear = random_detectable_system(np.random.default_rng(2), l_x=3, l_y=2)
     for label in ("f", "g"):  # the model is frozen; only the test swaps in counting callables
         object.__setattr__(linear, label, _counted(getattr(linear, label), calls, label))
-    sigma_step(linear, ("ukf", "eukfa", "eukfc"), [StateEstimate(np.ones(3), np.eye(3), 0)] * 3, np.ones(2))
+    for names in [("ukf", "eukfa", "eukfc"), ("kf", "ekf", "ukf", "eukfa", "eukfc")]:
+        sigma_step(linear, names, [StateEstimate(np.ones(3), np.eye(3), 0)] * len(names), np.ones(2))
     assert calls == ["f", "g"]
 
 
