@@ -9,9 +9,9 @@ Tippett et al., Mon. Wea. Rev. 131, 2003), whose sample covariance is the
 Kalman posterior P+ - K P_ez^T of the ensemble's own statistics.  That
 update is defined on the Cholesky factor of P_z which :func:`kf.kf_gain`
 makes for the gain and hands back, so P_z is factored once per step; with
-one output its deviation correction is a broadcast product.  The
-process-noise draws are scaled by the model's ``q_factor``, which the
-model computes once.
+one output that factor is a square root and the deviation correction a
+broadcast product.  The process-noise draws are scaled by the model's
+``q_factor``, which the model computes once.
 
 Randomness is counter-based: every draw comes from a Philox stream keyed
 by (seed, step, draw kind), so member draws are independent of execution

@@ -52,6 +52,7 @@ def kf_gain(name: str, k: int, p_z: Array, p_ez: Array) -> tuple[Array, Array]:
     """(K, L): the gain K P_z = P_ez and the factor L L^T = P_z it is solved with, per slice of a stack.
 
     FilterDiverged names filter `name` and step k unless P_z and P_ez are finite.
+    With one output, L and K take LAPACK's bits but no LAPACK call (:mod:`numerics`).
     """
     p_z, p_ez = np.asarray(p_z, dtype=float), np.asarray(p_ez, dtype=float)
     if not all_finite(p_z, p_ez):

@@ -8,13 +8,18 @@ raises :class:`NotPositiveDefinite` instead of being silently repaired,
 because a covariance that far gone usually means the filter has diverged.
 
 The factorizations and solves are ``numpy.linalg`` calls, so numpy is the
-only runtime dependency.  :func:`spd_sqrt_factor` and :func:`solve_spd` read
-only the lower triangle of M, as LAPACK does, so M must be exactly
-symmetric; they do not symmetrize it again.  Callers that hold a
-user-supplied matrix symmetrize it first.  :func:`solve_spd` keeps the
-finiteness check; :func:`cholesky_solve` skips it: the filters' one caller,
-:func:`kf.kf_gain`, raises FilterDiverged on a non-finite P_z or P_ez before
-it factors P_z and solves for the gain.
+only runtime dependency.  At order one (P_z with one output) a factor is
+``np.sqrt`` and a solve divides for one right-hand side and multiplies by
+the reciprocal for more, as OpenBLAS's ``potrf`` and ``dgesv`` do, so the
+bits are LAPACK's when numpy links OpenBLAS, as its Linux and Windows
+wheels do; the tests pin them, so a BLAS that rounds otherwise (Accelerate,
+MKL) fails them instead of moving output bits.  :func:`spd_sqrt_factor` and
+:func:`solve_spd` read only the lower triangle of M, as LAPACK does, so M
+must be exactly symmetric; they do not symmetrize it again.  Callers that
+hold a user-supplied matrix symmetrize it first.  :func:`solve_spd` keeps
+the finiteness check; :func:`cholesky_solve` skips it: the filters' one
+caller, :func:`kf.kf_gain`, raises FilterDiverged on a non-finite P_z or
+P_ez before it factors P_z and solves for the gain.
 
 The helpers take a leading stack axis, one matrix per filter of a stacked
 step, and run each operation as one numpy call over the stack.  A slice of a
@@ -67,6 +72,8 @@ def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] == 1 and np.count_nonzero(m > 0) == m.size:
+        return np.sqrt(m)  # a 1x1 potrf is one correctly rounded square root; 0, < 0 and NaN take LAPACK's path
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -110,7 +117,11 @@ def cholesky_solve(factor: np.ndarray, b: np.ndarray, where: str = "") -> np.nda
     rhs = b[..., None] if vector else b
     if rhs.shape[:-1] != factor.shape[:-1]:
         raise ValueError(f"shapes of m {factor.shape} and b {b.shape} are incompatible ({where})")
-    x = np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
+    if factor.shape[-1] == 1:  # OpenBLAS's 1x1 dgesv: divide by L for one right-hand side (trsv), multiply by 1 / L for more (trsm)
+        op, pivot = (np.divide, factor) if rhs.shape[-1] == 1 else (np.multiply, 1.0 / factor)
+        x = op(op(rhs, pivot), pivot)
+    else:
+        x = np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
     return x[..., 0] if vector else x
 
 

@@ -156,6 +156,46 @@ def test_cholesky_solve_of_order_one_is_bitwise_the_two_triangular_solves(system
     assert_array_equal(solve_spd(m, b), x)
 
 
+# At order one the factor is a square root and each solve one division (one right-hand side) or one
+# product by the reciprocal (more), with no LAPACK call; these pin that it keeps numpy.linalg's bits.
+@pytest.mark.parametrize("k", [None, 1, 2, 3, 4], ids=lambda k: "vector" if k is None else f"k={k}")
+def test_cholesky_solve_of_order_one_is_bitwise_numpy_solve_at_every_magnitude(k):
+    rng = np.random.default_rng(1900 + (k or 0))
+    exp_m = rng.uniform(-300, 300, 5000)
+    factor = spd_sqrt_factor(10.0 ** exp_m[:, None, None])
+    # Exponents of b within 300 of those of m, so that every solution is a finite double.
+    exp_b = np.clip(exp_m[:, None] + rng.uniform(-300, 300, (exp_m.size, k or 1)), -300, 300)
+    b = rng.choice([-1.0, 1.0], exp_b.shape) * 10.0**exp_b
+    rhs = b[:, :, None] if k is None else b[:, None, :]
+    expected = np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
+    x = cholesky_solve(factor, b if k is None else rhs)
+    assert_array_equal(x, expected[..., 0] if k is None else expected)
+    assert_array_equal(cholesky_solve(factor[0], (b if k is None else rhs)[0]), x[0])
+
+
+def test_sqrt_factor_of_order_one_is_bitwise_numpy_cholesky():
+    rng = np.random.default_rng(1901)
+    extremes = [5e-324, np.finfo(float).tiny, 1.0, np.finfo(float).max, np.inf]
+    m = np.concatenate([10.0 ** rng.uniform(-323, 308, 100_000), extremes])[:, None, None]
+    assert_array_equal(spd_sqrt_factor(m), np.linalg.cholesky(m))
+    for one in m[-len(extremes) :]:
+        assert_array_equal(spd_sqrt_factor(one), np.linalg.cholesky(one))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+def test_sqrt_factor_of_order_one_rejects_a_zero_or_negative_entry_with_context(bad):
+    m = np.array([[[2.0]], [[bad]], [[3.0]]])
+    with pytest.raises(NotPositiveDefinite, match=r"^matrix of dimension 1 is not positive definite \(kf\+ukf step 4\)$"):
+        spd_sqrt_factor(m, where="kf+ukf step 4")
+    with pytest.raises(NotPositiveDefinite, match=r"\(ekf step 2\)$"):
+        spd_sqrt_factor(m[1], where="ekf step 2")
+
+
+def test_sqrt_factor_of_order_one_gives_a_nan_entry_what_lapack_gives():
+    m = np.array([[[2.0]], [[np.nan]], [[3.0]]])
+    assert_array_equal(spd_sqrt_factor(m, where="ukf step 1"), np.linalg.cholesky(m))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_spd_system(n=st.just(3)), min_size=2, max_size=4), st.booleans())
 def test_cholesky_solve_gives_each_slice_of_a_stack_the_bits_of_its_matrix_alone(systems, vectors):

@@ -21,7 +21,10 @@ export OPENBLAS_NUM_THREADS=${OPENBLAS_NUM_THREADS:-1}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Both trees read this tree's copy of the linear-4x2 config, so they get the same input.
+# Both trees read this tree's copy of the linear-4x2 config and the one-state config written
+# below, so they get the same input.  The one-state run is the only command whose gain solves
+# have a single right-hand side (l_x = l_y = 1).
+printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
 commands=(
     "run --model lorenz --filters ekf,ukf,eukfa,eukfc --steps 2000 --seed 7"
     "run --model vdp --filters ekf,ukf,eukfa,eukfc --steps 2000 --seed 7"
@@ -36,6 +39,7 @@ commands=(
     "reproduce --example 4 --ensemble 2000 --steps 300 --seed 20240"
     "verify --trials 100 --seed 0"
     "verify --trials 100 --seed 34013"
+    "run --config $work/one-state.cfg --filters enkf,kf,ekf,ukf,eukfa,eukfc --ensemble 2000 --steps 300 --seed 7"
 )
 
 run_all() {  # run_all TREE SIDE
