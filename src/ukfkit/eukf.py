@@ -17,8 +17,8 @@ gain is not the Kalman gain.  Both variants here repair that:
   propagated sigma mean).
 
 Both are one-slice calls (``ukf.sigma_step``) of the UKF's recursion,
-:func:`ukf.stack_step`, which holds their sigma factor and terms next to the UKF's, so
-that one stacked call advances all three, and the kf or ekf next to them.
+:func:`ukf.stack_step`, as the kf and ekf steps are; it holds their sigma
+factor and terms next to the UKF's, so one stacked call advances all five.
 With Q = 0 both coincide with the classical UKF.
 """
 

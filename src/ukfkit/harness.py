@@ -7,11 +7,12 @@ z_{k|k} = y_k - g(x_hat_{k|k}), the posterior error norm against the
 simulated truth, and the trace error relative to the ensemble filter when
 one is running.  A filter that fails mid-run is flagged as diverged and
 reported as NaN from that step on, and its record at the failing step keeps
-the exception type and message; the other filters continue.  From step 2,
-all filters but enkf advance in one :func:`ukf.stack_step` call per step, on
-arrays carried between steps; every g(mean), for z, is one call after the loop,
-and every trace one sum of the stored diagonals.  The records hold one
-:class:`FilterMetrics` named tuple per filter and step.
+the exception type and message; the other filters continue.  Step 1 runs
+each filter through its own public step, for all but enkf a one-slice stack;
+from step 2, all filters but enkf advance in one :func:`ukf.stack_step` call
+per step, on arrays carried between steps; every g(mean), for z, is one call
+after the loop, and every trace one sum of the stored diagonals.  The records
+hold one :class:`FilterMetrics` named tuple per filter and step.
 """
 
 from __future__ import annotations
@@ -316,8 +317,7 @@ def example1_traces(alpha: float = 1.5) -> dict[str, float]:
     model = make_linear_ex1()
     est0 = StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0)
     y = np.zeros(1)  # covariances and gains do not depend on the measurement
-    _, kf_rec = kf_step(model, est0, y)
-    _, ukf_rec = ukf_step(model, est0, y, alpha)
+    (_, kf_rec), (_, ukf_rec) = sigma_step(model, ("kf", "ukf"), (est0, est0), y, alpha)
     p_at_ukf = evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain)
     return {
         "tr_kf": float(np.trace(kf_rec.posterior_cov)),
@@ -406,7 +406,7 @@ def verify_propositions(
     Kalman gain's; and the two filters' own covariance trajectories
     separate.  The "equivalence" checks: both corrected variants reproduce
     the Kalman gain and posterior covariance at every step for every alpha.
-    All of them read one Kalman trajectory per system.
+    Each check steps the Kalman filter as slice 0 of the stack it checks.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -421,36 +421,30 @@ def verify_propositions(
     for _ in range(trials):
         model = random_detectable_system(rng)
         cases.append((model, StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)))
-    steps = EQUIVALENCE_STEPS if "equivalence" in checks else SUBOPTIMALITY_STEPS
     for model, est0 in cases:
         y = np.zeros(model.l_y)  # gains and covariances are measurement-independent
-        kf_ests, kf_recs = [est0], []  # kf_ests[j] is the posterior after j steps, kf_recs[j] the record of step j + 1
-        for _ in range(steps):
-            est, rec = kf_step(model, kf_ests[-1], y)
-            kf_ests.append(est)
-            kf_recs.append(rec)
         if "suboptimality" in checks:
-            _check_suboptimality(model, kf_ests, kf_recs, y, report)
+            _check_suboptimality(model, est0, y, report)
         if "equivalence" in checks:
-            _check_equivalence(model, est0, kf_recs, y, report)
+            _check_equivalence(model, est0, y, report)
     return report
 
 
-def _check_suboptimality(model: LinearSystem, kf_ests, kf_recs, y, report: PropositionReport) -> None:
+def _check_suboptimality(model: LinearSystem, est0, y, report: PropositionReport) -> None:
     """The UKF against the Kalman trajectory: one step from each Kalman posterior, and its own trajectory."""
     c, q = model.C, model.Q
     cqct, qct = c @ q @ c.T, q @ c.T
-    ukf_est = kf_ests[0]
+    kf_est = ukf_est = est0
     devs, margins, gaps = [], [], []
-    for j, kf_rec in enumerate(kf_recs[:SUBOPTIMALITY_STEPS]):
-        # Slice 0 is the matched step from the Kalman posterior; slice 1 continues the UKF's own trajectory.
-        (_, ukf_rec), (ukf_est, _) = sigma_step(model, ("ukf", "ukf"), (kf_ests[j], ukf_est), y, 1.5)
+    for _ in range(SUBOPTIMALITY_STEPS):
+        # Slice 1 is the UKF step from the Kalman posterior; slice 2 continues the UKF's own trajectory.
+        (kf_est, kf_rec), (_, ukf_rec), (ukf_est, _) = sigma_step(model, ("kf", "ukf", "ukf"), (kf_est, kf_est, ukf_est), y, 1.5)
         dev_z = np.max(np.abs(ukf_rec.innovation_cov + cqct - kf_rec.innovation_cov))
         devs.append(max(float(dev_z), float(np.max(np.abs(ukf_rec.cross_cov + qct - kf_rec.cross_cov)))))
         stats = (kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov)  # the true innovation statistics
         tr_kf, tr_ukf = (float(np.trace(evaluate_gain_cov(*stats, rec.gain))) for rec in (kf_rec, ukf_rec))
         margins.append(tr_ukf - tr_kf)
-        gaps.append(abs(float(np.trace(kf_ests[j + 1].cov)) - float(np.trace(ukf_est.cov))))
+        gaps.append(abs(float(np.trace(kf_est.cov)) - float(np.trace(ukf_est.cov))))
     # np.max and np.min, unlike the builtins, carry a NaN through to the check.
     report.record("identity", float(np.max(devs)))
     report.record("inequality", float(np.min(margins)))
@@ -459,15 +453,15 @@ def _check_suboptimality(model: LinearSystem, kf_ests, kf_recs, y, report: Propo
         report.record("distinctness", float(np.max(gaps)))
 
 
-def _check_equivalence(model: LinearSystem, est0, kf_recs, y, report: PropositionReport) -> None:
-    """Corrected variants against the Kalman trajectory, for every alpha."""
-    variants = ("eukfa", "eukfc")
+def _check_equivalence(model: LinearSystem, est0, y, report: PropositionReport) -> None:
+    """Corrected variants against the Kalman trajectory, for every alpha: slices 1 and 2 against slice 0 of one stack."""
+    names = ("kf", "eukfa", "eukfc")
+    variants = names[1:]
     devs = {variant: [] for variant in variants}
     for alpha in EQUIVALENCE_ALPHAS:
-        ests = (est0, est0)
-        for rec_ref in kf_recs:
-            # Both variants advance as one two-slice stack.
-            ests, recs = zip(*sigma_step(model, variants, ests, y, alpha))
+        ests = (est0,) * len(names)
+        for _ in range(EQUIVALENCE_STEPS):
+            ests, (rec_ref, *recs) = zip(*sigma_step(model, names, ests, y, alpha))
             for variant, rec in zip(variants, recs):
                 devs[variant].append(max(_rel_frob(rec.gain, rec_ref.gain), _rel_frob(rec.posterior_cov, rec_ref.posterior_cov)))
     for variant in variants:

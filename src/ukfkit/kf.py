@@ -13,14 +13,12 @@ arbitrary gain K under the true innovation statistics is
 computed by :func:`evaluate_gain_cov`, whose trace the Kalman gain
 minimizes.
 
-:func:`linearized_step` reads A and C as the model's Jacobians, so it is the
-Kalman filter on a :class:`LinearSystem` and the EKF on any other model; its
-covariance prediction, :func:`linearized_covs`, also gives the prior of the kf
-and ekf slices in :func:`ukf.stack_step`, which take f(mean) and g(f(mean))
-from the stack's one f and g call.  :func:`correct_stack`, the gain and
-update shared by every covariance-form filter, works on a stack of filters,
-one slice each; ``kf_step`` and ``ekf_step`` pass a stack of one (through
-:func:`kf_correct`), and ``stack_step`` every filter that steps with it.
+:func:`kf_step` is a one-slice :func:`ukf.sigma_step`: the stacked step
+runs kf and ekf slices, with their covariances predicted by
+:func:`linearized_covs` through the Jacobians (A and C of a
+:class:`LinearSystem`), next to the sigma-point slices.
+:func:`correct_stack`, the gain and update shared by every covariance-form
+filter, works on that stack, one slice per filter.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FilterDiverged, all_finite, cholesky_solve, spd_sqrt_factor, symmetrize
-from .statespace import LinearSystem, StateEstimate, SystemModel, linearize
+from .statespace import LinearSystem, StateEstimate
 
 Array = np.ndarray
 
@@ -72,8 +70,8 @@ def kf_update(
 ) -> tuple[Array, Array]:
     """Measurement update: mean += K (y - y_hat), cov = P+ - K P_ez^T, for one filter or a stack.
 
-    The formula only: :func:`kf_correct` symmetrizes cov and checks that the
-    result is finite and SPD.
+    The formula only: :func:`correct_stack` symmetrizes cov and checks that
+    the result is finite and SPD.
     """
     mean = prior_mean + (gain @ (y - predicted_y)[..., None])[..., 0]
     cov = prior_cov - gain @ cross_cov.swapaxes(-1, -2)
@@ -117,13 +115,6 @@ def correct_stack(
     return KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov), factors
 
 
-def kf_correct(
-    names, k: int, prior_mean: Array, prior_cov: Array, p_z: Array, p_ez: Array, y, predicted_y: Array
-) -> list[tuple[StateEstimate, KfStep]]:
-    """:func:`correct_stack` as one (next estimate, KfStep) pair per slice; each estimate caches its factor."""
-    return unstack(k, *correct_stack(names, k, prior_mean, prior_cov, p_z, p_ez, y, predicted_y))
-
-
 def unstack(k: int, rec: KfStep, factors: Array) -> list[tuple[StateEstimate, KfStep]]:
     """One (estimate at step k, KfStep) pair per slice of a stacked record and its posterior factors."""
     slices = zip(rec.prior_mean, rec.prior_cov, rec.gain, rec.innovation_cov, rec.cross_cov, rec.posterior_mean, rec.posterior_cov, factors)
@@ -136,24 +127,8 @@ def linearized_covs(a: Array, cov: Array, c: Array, q: Array) -> tuple[Array, Ar
     return prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T
 
 
-def linearized_step(name: str, model: SystemModel, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
-    """One predict/update cycle of filter `name`, consuming the measurement at step k+1.
-
-    The mean goes through f and g, the covariances through the Jacobians, A
-    at the posterior mean and C at the prior mean (:func:`linearized_covs`).
-    The state is checked once (:func:`statespace.linearize`); a state of the
-    wrong length, or an f, g or Jacobian that returns the wrong shape, raises
-    ValueError naming the filter and step k + 1.
-    """
-    try:
-        a, prior_mean, c, predicted_y = linearize(model, est.mean)
-    except ValueError as exc:
-        raise ValueError(f"{name} step {est.step + 1}: {exc}") from exc
-    prior_cov, p_z, p_ez = linearized_covs(a, est.cov, c, model.Q)
-    p_z = symmetrize(p_z + model.R)
-    return kf_correct((name,), est.step + 1, prior_mean[None], prior_cov[None], p_z[None], p_ez[None], y, predicted_y[None])[0]
-
-
 def kf_step(model: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
     """One Kalman predict/update cycle, consuming the measurement at step k+1."""
-    return linearized_step("kf", model, est, y)
+    from .ukf import sigma_step  # ukf imports this module
+
+    return sigma_step(model, ("kf",), (est,), y)[0]

@@ -63,9 +63,10 @@ class SystemModel:
 
     Q (l_x x l_x) and R (l_y x l_y) are kept as read-only float copies, and
     their noise factors ``q_factor`` and ``r_factor`` are computed once, here.
-    A Q or R of another shape raises ValueError naming it; one that cannot
-    be factored raises NotPositiveDefinite.  The model is frozen, so Q, R and
-    their factors stay in step; models compare by identity.
+    A Q or R of another shape or with a non-finite entry raises ValueError
+    naming it; one that cannot be factored raises NotPositiveDefinite.  The
+    model is frozen, so Q, R and their factors stay in step; models compare
+    by identity.
     """
 
     l_x: int
@@ -84,6 +85,8 @@ class SystemModel:
             m = np.array(getattr(self, name), dtype=float)
             if m.shape != (dim, dim):
                 raise ValueError(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
+            if not all_finite(m):
+                raise ValueError(f"{name} must be finite, got {m.tolist()}")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
             object.__setattr__(self, f"{name.lower()}_factor", noise_factor(m, name))
@@ -198,15 +201,6 @@ def _output(fn: Callable[[Array], Array], x: Array, shape: tuple[int, ...], name
     if out.shape != shape:
         raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
     return out
-
-
-def linearize(model: SystemModel, x: Array) -> tuple[Array, Array, Array, Array]:
-    """(A, f(x), C, g(f(x))) with A = df/dx at x and C = dg/dx at f(x): checks x once, and the shape of each result."""
-    x = _check_state(model, x)
-    a = _jacobian(model, x, model.jac_f, model.f, model.l_x, "dynamics")
-    fx = _output(model.f, x, (model.l_x,), "f")
-    c = _jacobian(model, fx, model.jac_g, model.g, model.l_y, "measurement")
-    return a, fx, c, _output(model.g, fx, (model.l_y,), "g")
 
 
 def step_dynamics_batch(model: SystemModel, xs: Array) -> Array:

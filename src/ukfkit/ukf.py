@@ -9,11 +9,11 @@ is the current posterior mean.  The combination weights are
 which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
 are one recursion, :func:`stack_step`, which advances a stack of filters
 held as arrays, one slice per filter; :func:`sigma_step` runs it on
-estimates, and ``ukf_step``, ``eukfa_step`` and ``eukfc_step`` are one-slice
-calls of that.  The stack also takes kf and ekf slices, whose covariances
-come from :func:`kf.linearized_covs`, so that one call per time step
-advances every covariance-form filter of a run, which carries the arrays
-from step to step.  :func:`unscented_prior` is its one spread/propagate/
+estimates, and each of the kf, ekf, ukf, eukfa and eukfc steps is a
+one-slice call of that.  The stack takes kf and ekf slices, whose
+covariances come from :func:`kf.linearized_covs`, so that one call per time
+step advances every covariance-form filter of a run, which carries the
+arrays from step to step.  :func:`unscented_prior` is its one spread/propagate/
 centre step: it builds the sigma points from each slice's factor, pushes
 those of every slice, and the kf and ekf means of a SystemModel, through f
 and g in one call each, and subtracts the weighted means.  The filters
@@ -108,7 +108,7 @@ def _sigma_prior(model: SystemModel, means: Array, factors: Array, alpha: float,
     A SystemModel's f and g take the extra states as e more columns after the
     sigma points, in the same call; the finiteness checks read the sigma
     points only.  A LinearSystem multiplies each extra state by A, and that
-    by C, one at a time, with the bits of kf_step's products.
+    by C, one at a time, with the bits of f and g on one state.
     """
     w = ukf_weights(alpha, model.l_x)
     (s, l_x), m, e = means.shape, w.size, len(extra)
@@ -231,7 +231,8 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     calls, with the bits of one-slice stacks when f and g keep a column's
     bits in any batch width (see :mod:`statespace`).  Returns
     :func:`kf.correct_stack`'s stacked KfStep and posterior factors.  An
-    unknown name or a wrong shape raises ValueError naming filters and step.
+    unknown name, a wrong shape, or an f, g or Jacobian that returns one,
+    raises ValueError naming filters and step.
     """
     n, l_x, l_y = len(names), model.l_x, model.l_y
     if not n or not _STACK_SET.issuperset(names) or means.shape != (n, l_x) or covs.shape != (n, l_x, l_x) or factors.shape != covs.shape:
@@ -241,33 +242,36 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     at, lin_at = _rows(sigma), _rows(lin)
     prior_mean, predicted_y = np.empty((n, l_x)), np.empty((n, l_y))
     p_prior, p_z, p_ez = np.empty((n, l_x, l_x)), np.empty((n, l_y, l_y)), np.empty((n, l_x, l_y))
-    spread = factors[at]
-    if "eukfa" in names:
-        spread = spread.copy()
-        for j, i in enumerate(sigma):
-            if names[i] == "eukfa":
-                spread[j] = _inflated_factor(model, means[i], factors[i], k)
-    prior_mean[at], predicted_y[at], xdev, ydev, w, prior_mean[lin_at], predicted_y[lin_at] = _sigma_prior(model, means[at], spread, alpha, k, means[lin_at])
-    wx = xdev * w
-    p_prior[at] = wx @ xdev.swapaxes(-1, -2)
-    p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
-    p_ez[at] = wx @ ydev.swapaxes(-1, -2)
-    for i in lin:  # the covariances through the Jacobians
-        if isinstance(model, LinearSystem):
-            a, c = model.A, model.C
-        else:
-            a, c = jacobian_dynamics(model, means[i]), jacobian_measurement(model, prior_mean[i])
-        p_prior[i], p_z[i], p_ez[i] = linearized_covs(a, covs[i], c, model.Q)
-    for i in sigma:
-        # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
-        name = names[i]
-        if name != "eukfa":
-            p_prior[i] += model.Q
-        if name == "eukfc":
-            c = jacobian_measurement(model, prior_mean[i])
-            qct = model.Q @ c.T
-            p_z[i] += c @ qct
-            p_ez[i] += qct
+    try:
+        spread = factors[at]
+        if "eukfa" in names:
+            spread = spread.copy()
+            for j, i in enumerate(sigma):
+                if names[i] == "eukfa":
+                    spread[j] = _inflated_factor(model, means[i], factors[i], k)
+        prior_mean[at], predicted_y[at], xdev, ydev, w, prior_mean[lin_at], predicted_y[lin_at] = _sigma_prior(model, means[at], spread, alpha, k, means[lin_at])
+        wx = xdev * w
+        p_prior[at] = wx @ xdev.swapaxes(-1, -2)
+        p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
+        p_ez[at] = wx @ ydev.swapaxes(-1, -2)
+        for i in lin:  # the covariances through the Jacobians
+            if isinstance(model, LinearSystem):
+                a, c = model.A, model.C
+            else:
+                a, c = jacobian_dynamics(model, means[i]), jacobian_measurement(model, prior_mean[i])
+            p_prior[i], p_z[i], p_ez[i] = linearized_covs(a, covs[i], c, model.Q)
+        for i in sigma:
+            # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
+            name = names[i]
+            if name != "eukfa":
+                p_prior[i] += model.Q
+            if name == "eukfc":
+                c = jacobian_measurement(model, prior_mean[i])
+                qct = model.Q @ c.T
+                p_z[i] += c @ qct
+                p_ez[i] += qct
+    except ValueError as exc:  # from the model's f, g or a Jacobian; correct_stack names its own
+        raise ValueError(f"{'+'.join(names)} step {k + 1}: {exc}") from exc
     p_z += model.R
     return correct_stack(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z), p_ez, y, predicted_y)
 

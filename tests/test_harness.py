@@ -522,8 +522,9 @@ def test_check_table_folds_each_worst_value_from_its_start():
 
 
 def test_verify_steps_one_kalman_trajectory_per_system(monkeypatch):
-    # 4 systems (linear-ex1 plus 3 random ones); each runs 50 Kalman steps, or 10 for the
-    # suboptimality checks alone, 10 two-slice UKF steps and 50 eukfa/eukfc steps per alpha.
+    # 4 systems (linear-ex1 plus 3 random ones); each check steps its own Kalman trajectory as slice 0 of
+    # the stack it checks, with no kf_step call: 10 kf+ukf+ukf steps for the suboptimality checks, and
+    # 50 kf+eukfa+eukfc steps per alpha for the equivalence checks.
     calls = dict.fromkeys(("kf_step", "sigma_step"), 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harness, name)):
@@ -532,9 +533,9 @@ def test_verify_steps_one_kalman_trajectory_per_system(monkeypatch):
 
         monkeypatch.setattr(harness, name, counted)
     expected = {
-        ("suboptimality", "equivalence"): (4 * 50, 4 * (10 + 3 * 50)),
-        ("suboptimality",): (4 * 10, 4 * 10),
-        ("equivalence",): (4 * 50, 4 * 3 * 50),
+        ("suboptimality", "equivalence"): (0, 4 * (10 + 3 * 50)),
+        ("suboptimality",): (0, 4 * 10),
+        ("equivalence",): (0, 4 * 3 * 50),
     }
     for checks, counts in expected.items():
         calls.update(kf_step=0, sigma_step=0)

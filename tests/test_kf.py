@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-import ukfkit.kf as kf
 import ukfkit.statespace as statespace
+import ukfkit.ukf as ukf
 from ukfkit.harness import random_detectable_system, random_spd, simulate_truth
 from ukfkit.ekf import ekf_step
 from ukfkit.enkf import enkf_init, enkf_step
 from ukfkit.eukf import eukfa_step, eukfc_step
-from ukfkit.kf import evaluate_gain_cov, kf_correct, kf_gain, kf_step, kf_update
-from ukfkit.numerics import FilterDiverged
-from ukfkit.statespace import LinearSystem, StateEstimate, SystemModel, make_linear_ex1, make_lorenz
+from ukfkit.kf import correct_stack, evaluate_gain_cov, kf_gain, kf_step, kf_update, linearized_covs
+from ukfkit.numerics import FilterDiverged, symmetrize
+from ukfkit.statespace import (
+    LinearSystem,
+    StateEstimate,
+    SystemModel,
+    jacobian_dynamics,
+    jacobian_measurement,
+    make_linear_ex1,
+    make_lorenz,
+    make_vdp,
+    measure,
+    step_dynamics,
+)
 from ukfkit.ukf import ukf_step
 
 # Hand-derived one-step quantities for the first benchmark system
@@ -66,16 +77,20 @@ def test_innovation_ex1_hand_values(ex1):
 
 def test_innovation_full_observation_no_noise(monkeypatch):
     # C = I with R = 0 leaves an exactly zero posterior, which the SPD check in
-    # kf_correct rejects, so P_z and P+ are read where kf_step hands them over.
+    # correct_stack rejects, so P_z and P+ are read where the stacked step hands them over.
     sys = LinearSystem(A=np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.zeros((2, 2)))
     seen = {}
 
+    class HandedOver(Exception):
+        pass
+
     def record(name, k, prior_mean, prior_cov, p_z, p_ez, y, predicted_y):
         seen.update(prior_cov=prior_cov, p_z=p_z)
-        return None, None
+        raise HandedOver
 
-    monkeypatch.setattr(kf, "kf_correct", record)
-    kf_step(sys, StateEstimate(np.zeros(2), random_spd(np.random.default_rng(0), 2), 0), np.zeros(2))
+    monkeypatch.setattr(ukf, "correct_stack", record)
+    with pytest.raises(HandedOver):
+        kf_step(sys, StateEstimate(np.zeros(2), random_spd(np.random.default_rng(0), 2), 0), np.zeros(2))
     assert_allclose(seen["p_z"], seen["prior_cov"], rtol=1e-15)
 
 
@@ -204,27 +219,86 @@ def test_wrong_length_state_raises_value_error_naming_filter_and_step(name):
 
 
 @pytest.mark.parametrize("step", [kf_step, ekf_step], ids=lambda step: step.__name__)
-def test_linearized_step_checks_the_state_once(monkeypatch, step):
+def test_kf_and_ekf_steps_check_a_state_only_where_a_jacobian_takes_it(monkeypatch, step):
+    # sigma_step's shape check is the one entry check; the Jacobians of a LinearSystem are its A and C, and
+    # a nonlinear model's Jacobians check the posterior mean and the prior mean they are taken at.
     calls = []
     check = statespace._check_state
     monkeypatch.setattr(statespace, "_check_state", lambda model, x: calls.append(x) or check(model, x))
     step(make_linear_ex1(), StateEstimate(np.ones(2), np.eye(2), 0), np.zeros(1))
-    assert len(calls) == 1
+    assert len(calls) == 0
+    est = StateEstimate(np.ones(3), np.eye(3), 0)
+    _, rec = step(make_lorenz(), est, np.zeros(1))
+    assert len(calls) == 2
+    assert_array_equal(calls[0], est.mean)
+    assert_array_equal(calls[1], rec.prior_mean)
 
 
-@pytest.mark.parametrize("bad", ["f", "g", "jac_f", "jac_g"])
-def test_linearized_step_checks_the_shape_of_what_the_model_returns(bad):
+# What each step calls of a model besides f and g: kf and ekf both Jacobians, eukfa jac_f for its sigma
+# factor, eukfc jac_g for its C Q C^T and Q C^T terms.
+MODEL_PARTS = {
+    "kf": ("f", "g", "jac_f", "jac_g"),
+    "ekf": ("f", "g", "jac_f", "jac_g"),
+    "ukf": ("f", "g"),
+    "eukfa": ("f", "g", "jac_f"),
+    "eukfc": ("f", "g", "jac_g"),
+}
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name, parts in MODEL_PARTS.items() for bad in parts])
+def test_every_step_names_itself_when_the_model_returns_the_wrong_shape(name, bad):
     parts = {"f": lambda x: x, "g": lambda x: x[:1], "jac_f": lambda x: np.eye(2), "jac_g": lambda x: np.eye(2)[:1]}
     parts[bad] = lambda x: np.zeros(5)
     model = SystemModel(l_x=2, l_y=1, Q=np.eye(2), R=np.eye(1), **parts)
-    with pytest.raises(ValueError, match=r"^ekf step 5: .*shape \(5,\)"):
-        ekf_step(model, StateEstimate(np.ones(2), np.eye(2), 4), np.zeros(1))
+    step = {"kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name]
+    with pytest.raises(ValueError, match=r"^" + name + r" step 5: .*shape \(5,\)") as raised:
+        step(model, StateEstimate(np.ones(2), np.eye(2), 4), np.zeros(1))
+    assert str(raised.value).count("step 5") == 1
 
 
 def test_non_finite_posterior_raises_filter_diverged():
     prior_mean = np.array([[np.inf, 0.0]])
     with pytest.raises(FilterDiverged, match="kf .*step 3"):
-        kf_correct(("kf",), 3, prior_mean, np.eye(2)[None], np.eye(1)[None], np.zeros((1, 2, 1)), np.zeros(1), np.zeros((1, 1)))
+        correct_stack(("kf",), 3, prior_mean, np.eye(2)[None], np.eye(1)[None], np.zeros((1, 2, 1)), np.zeros(1), np.zeros((1, 1)))
+
+
+def _textbook_step(model, est, y):
+    """The Kalman step on a model's Jacobians (the EKF on a nonlinear one), from the public pieces alone."""
+    prior_mean = step_dynamics(model, est.mean)
+    a, c = jacobian_dynamics(model, est.mean), jacobian_measurement(model, prior_mean)
+    prior_cov, p_z, p_ez = linearized_covs(a, est.cov, c, model.Q)
+    p_z = symmetrize(p_z + model.R)
+    gain, _ = kf_gain("kf", est.step + 1, p_z, p_ez)
+    mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, measure(model, prior_mean))
+    return StateEstimate(mean, symmetrize(cov), est.step + 1), (prior_mean, prior_cov, gain, p_z, p_ez)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_detectable_system(np.random.default_rng(21), l_y=1),
+        lambda: random_detectable_system(np.random.default_rng(22), l_y=2),
+        lambda: random_detectable_system(np.random.default_rng(23), l_x=4, l_y=2),
+        make_lorenz,
+        make_vdp,
+    ],
+    ids=["linear-ly1", "linear-ly2", "linear-4x2", "lorenz", "vdp"],
+)
+@pytest.mark.parametrize("step", [kf_step, ekf_step], ids=lambda step: step.__name__)
+def test_kf_and_ekf_steps_are_bitwise_the_textbook_kalman_step(make, step):
+    model = make()
+    _, meas = simulate_truth(model, np.ones(model.l_x), 20, seed=9)
+    est = ref = StateEstimate(np.ones(model.l_x), random_spd(np.random.default_rng(3), model.l_x), 0)
+    for y in meas[1:]:
+        est, rec = step(model, est, y)
+        ref, ref_prior = _textbook_step(model, ref, y)
+        for got, want in zip((rec.prior_mean, rec.prior_cov, rec.gain, rec.innovation_cov, rec.cross_cov), ref_prior):
+            assert_array_equal(got, want)
+        assert est.step == ref.step
+        assert_array_equal(est.mean, ref.mean)
+        assert_array_equal(est.cov, ref.cov)
+        assert_array_equal(rec.posterior_mean, ref.mean)
+        assert_array_equal(rec.posterior_cov, ref.cov)
 
 
 # LAPACK calls in a step after the first, as (np.linalg.cholesky, np.linalg.solve) by the number of outputs.

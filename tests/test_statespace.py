@@ -245,6 +245,19 @@ def test_noise_shapes_are_checked_where_they_enter():
         SystemModel(l_x=3, l_y=1, f=f, g=g, Q=0.01 * np.eye(3), R=np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dim, i, j", [(1, 0, 0), (2, 0, 0), (2, 1, 0)], ids=["1x1", "2x2-diagonal", "2x2-off-diagonal"])
+@pytest.mark.parametrize("name", ["Q", "R"])
+def test_non_finite_noise_is_rejected_where_it_enters(name, dim, i, j, bad):
+    # The factor alone would not catch it: LAPACK's Cholesky returns a NaN factor for a NaN pivot without an error.
+    noise = {"Q": np.eye(dim), "R": np.eye(dim)}
+    noise[name][i, j] = noise[name][j, i] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SystemModel(l_x=dim, l_y=dim, f=lambda x: x, g=lambda x: x, **noise)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        LinearSystem(A=np.eye(dim), C=np.eye(dim), **noise)
+
+
 def test_model_noise_and_its_factors_are_fixed_at_construction():
     from dataclasses import FrozenInstanceError
 
