@@ -33,7 +33,7 @@ from .statespace import (
     measure,
     step_dynamics,
 )
-from .ukf import sigma_step, ukf_step, ukf_weights
+from .ukf import ukf_step, ukf_weights
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "rcond_check",
     "reproduce_config",
     "run_experiment",
-    "sigma_step",
     "simulate_truth",
     "solve_spd",
     "spd_sqrt_factor",

@@ -155,13 +155,16 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
         philox_stream(ens.seed, k + 1, KIND_PROCESS).standard_normal((l_x, n)),
         out=scratch.state,
     )
-    xf = step_dynamics_batch(model, ens.members)
-    if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
-        xf = np.array(xf, order="C")
-    xf += w
-    if not all_finite(xf):
-        raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
-    yf = measure_batch(model, xf)
+    try:
+        xf = step_dynamics_batch(model, ens.members)
+        if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
+            xf = np.array(xf, order="C")
+        xf += w
+        if not all_finite(xf):
+            raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
+        yf = measure_batch(model, xf)
+    except ValueError as exc:  # from the model's f or g
+        raise ValueError(f"{where}: {exc}") from exc
 
     xbar = xf.mean(axis=1)
     ybar = yf.mean(axis=1)

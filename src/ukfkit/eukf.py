@@ -16,9 +16,9 @@ gain is not the Kalman gain.  Both variants here repair that:
   C Q C^T and Q C^T terms explicitly (C = measurement Jacobian at the
   propagated sigma mean).
 
-Both are one-slice calls (``ukf.sigma_step``) of the UKF's recursion,
-:func:`ukf.stack_step`, as the kf and ekf steps are; it holds their sigma
-factor and terms next to the UKF's, so one stacked call advances all five.
+Both are one-slice calls of the UKF's recursion, :func:`ukf.stack_step`,
+as the kf and ekf steps are; it holds their sigma factor and terms next to
+the UKF's, so one stacked call advances all five.
 With Q = 0 both coincide with the classical UKF.
 """
 
@@ -26,16 +26,16 @@ from __future__ import annotations
 
 from .kf import KfStep
 from .statespace import StateEstimate, SystemModel
-from .ukf import SingularDynamicsJacobian, eukfa_sigma_scale, sigma_step
+from .ukf import SingularDynamicsJacobian, _step_one, eukfa_sigma_scale
 
 __all__ = ["SingularDynamicsJacobian", "eukfa_sigma_scale", "eukfa_step", "eukfc_step"]
 
 
 def eukfa_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """UKF cycle with noise-inflated sigma points and no additive Q in the prior."""
-    return sigma_step(model, ("eukfa",), (est,), y, alpha)[0]
+    return _step_one("eukfa", model, est, y, alpha)
 
 
 def eukfc_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """UKF cycle with the C Q C^T and Q C^T corrections added to the output covariances."""
-    return sigma_step(model, ("eukfc",), (est,), y, alpha)[0]
+    return _step_one("eukfc", model, est, y, alpha)

@@ -13,12 +13,14 @@ from step 2, all filters but enkf advance in one :func:`ukf.stack_step` call
 per step, on arrays carried between steps; every g(mean), for z, is one call
 after the loop, and every trace one sum of the stored diagonals.  The records
 hold one :class:`FilterMetrics` named tuple per filter and step.
+``verify`` and the example-1 traces step :func:`ukf.stack_step` on carried
+arrays too, and reduce each check over the whole trajectory after the loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -41,7 +43,7 @@ from .statespace import (
     noise_factor,
     step_dynamics,
 )
-from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, _rows, sigma_step, stack_step, ukf_step
+from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, _rows, stack_step, ukf_step
 
 Array = np.ndarray
 
@@ -314,16 +316,24 @@ def example1_traces(alpha: float = 1.5) -> dict[str, float]:
     and tr_at_ukf_gain, the trace actually achieved by the UKF gain under
     the true innovation statistics.
     """
-    model = make_linear_ex1()
-    est0 = StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0)
-    y = np.zeros(1)  # covariances and gains do not depend on the measurement
-    (_, kf_rec), (_, ukf_rec) = sigma_step(model, ("kf", "ukf"), (est0, est0), y, alpha)
-    p_at_ukf = evaluate_gain_cov(kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov, ukf_rec.gain)
-    return {
-        "tr_kf": float(np.trace(kf_rec.posterior_cov)),
-        "tr_ukf": float(np.trace(ukf_rec.posterior_cov)),
-        "tr_at_ukf_gain": float(np.trace(p_at_ukf)),
-    }
+    rec = _trajectory(make_linear_ex1(), ("kf", "ukf"), StateEstimate(np.array([1.0, 1.0]), np.eye(2), 0), alpha, 1)
+    p_at_ukf = evaluate_gain_cov(rec.prior_cov[0, 0], rec.innovation_cov[0, 0], rec.cross_cov[0, 0], rec.gain[0, 1])
+    tr_kf, tr_ukf = np.trace(rec.posterior_cov[0], axis1=-2, axis2=-1).tolist()
+    return {"tr_kf": tr_kf, "tr_ukf": tr_ukf, "tr_at_ukf_gain": float(np.trace(p_at_ukf))}
+
+
+def _trajectory(model: SystemModel, names, est0: StateEstimate, alpha: float, steps: int, take=slice(None)) -> KfStep:
+    """`steps` steps of the stack `names` from est0, slice i from slice take[i]'s posterior: a KfStep of (steps, slices, ...) arrays.
+
+    The measurements are zero: gains and covariances do not depend on them.
+    """
+    carry = [np.array([a] * len(names)) for a in (est0.mean, est0.cov, est0.sigma_factor())]
+    y, recs = np.zeros(model.l_y), []
+    for k in range(steps):
+        rec, factors = stack_step(model, names, k, *(a[take] for a in carry), y, alpha)
+        recs.append(rec)
+        carry = rec.posterior_mean, rec.posterior_cov, factors
+    return KfStep(*(np.array([getattr(rec, f.name) for rec in recs]) for f in fields(KfStep)))
 
 
 def random_detectable_system(rng: np.random.Generator, l_x: Optional[int] = None, l_y: Optional[int] = None) -> LinearSystem:
@@ -391,10 +401,6 @@ class PropositionReport:
         return "\n".join([*lines, f"{'overall':<24}: {'PASS' if self.passed else 'FAIL'}"])
 
 
-def _rel_frob(x: Array, ref: Array) -> float:
-    return float(np.linalg.norm(x - ref) / max(np.linalg.norm(ref), 1e-12))
-
-
 def verify_propositions(
     seed: int = 0, trials: int = 100, checks: tuple[str, ...] = ("suboptimality", "equivalence")
 ) -> PropositionReport:
@@ -422,50 +428,45 @@ def verify_propositions(
         model = random_detectable_system(rng)
         cases.append((model, StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)))
     for model, est0 in cases:
-        y = np.zeros(model.l_y)  # gains and covariances are measurement-independent
         if "suboptimality" in checks:
-            _check_suboptimality(model, est0, y, report)
+            _check_suboptimality(model, est0, report)
         if "equivalence" in checks:
-            _check_equivalence(model, est0, y, report)
+            _check_equivalence(model, est0, report)
     return report
 
 
-def _check_suboptimality(model: LinearSystem, est0, y, report: PropositionReport) -> None:
+def _check_suboptimality(model: LinearSystem, est0: StateEstimate, report: PropositionReport) -> None:
     """The UKF against the Kalman trajectory: one step from each Kalman posterior, and its own trajectory."""
     c, q = model.C, model.Q
-    cqct, qct = c @ q @ c.T, q @ c.T
-    kf_est = ukf_est = est0
-    devs, margins, gaps = [], [], []
-    for _ in range(SUBOPTIMALITY_STEPS):
-        # Slice 1 is the UKF step from the Kalman posterior; slice 2 continues the UKF's own trajectory.
-        (kf_est, kf_rec), (_, ukf_rec), (ukf_est, _) = sigma_step(model, ("kf", "ukf", "ukf"), (kf_est, kf_est, ukf_est), y, 1.5)
-        dev_z = np.max(np.abs(ukf_rec.innovation_cov + cqct - kf_rec.innovation_cov))
-        devs.append(max(float(dev_z), float(np.max(np.abs(ukf_rec.cross_cov + qct - kf_rec.cross_cov)))))
-        stats = (kf_rec.prior_cov, kf_rec.innovation_cov, kf_rec.cross_cov)  # the true innovation statistics
-        tr_kf, tr_ukf = (float(np.trace(evaluate_gain_cov(*stats, rec.gain))) for rec in (kf_rec, ukf_rec))
-        margins.append(tr_ukf - tr_kf)
-        gaps.append(abs(float(np.trace(kf_est.cov)) - float(np.trace(ukf_est.cov))))
+    # Slice 1 is the UKF step from the Kalman posterior of slice 0; slice 2 continues the UKF's own trajectory.
+    rec = _trajectory(model, ("kf", "ukf", "ukf"), est0, 1.5, SUBOPTIMALITY_STEPS, take=[0, 0, 2])
+    p_z, p_ez = rec.innovation_cov, rec.cross_cov
+    dev_z = np.abs(p_z[:, 1] + c @ q @ c.T - p_z[:, 0])
+    dev_ez = np.abs(p_ez[:, 1] + q @ c.T - p_ez[:, 0])
+    # The cost of the Kalman and of the matched UKF gain under the true innovation statistics, slice 0's.
+    costs = np.trace(evaluate_gain_cov(rec.prior_cov[:, :1], p_z[:, :1], p_ez[:, :1], rec.gain[:, :2]), axis1=-2, axis2=-1)
+    traces = np.trace(rec.posterior_cov, axis1=-2, axis2=-1)
     # np.max and np.min, unlike the builtins, carry a NaN through to the check.
-    report.record("identity", float(np.max(devs)))
-    report.record("inequality", float(np.min(margins)))
+    report.record("identity", float(np.maximum(np.max(dev_z), np.max(dev_ez))))
+    report.record("inequality", float(np.min(costs[:, 1] - costs[:, 0])))
     # The separation claim only holds when Q is nonzero and visible through C; other systems are exempt.
     if q.any() and float(np.linalg.norm(c @ q)) > 0.0:
-        report.record("distinctness", float(np.max(gaps)))
+        report.record("distinctness", float(np.max(np.abs(traces[:, 0] - traces[:, 2]))))
 
 
-def _check_equivalence(model: LinearSystem, est0, y, report: PropositionReport) -> None:
+def _check_equivalence(model: LinearSystem, est0: StateEstimate, report: PropositionReport) -> None:
     """Corrected variants against the Kalman trajectory, for every alpha: slices 1 and 2 against slice 0 of one stack."""
-    names = ("kf", "eukfa", "eukfc")
-    variants = names[1:]
-    devs = {variant: [] for variant in variants}
+    devs = []
     for alpha in EQUIVALENCE_ALPHAS:
-        ests = (est0,) * len(names)
-        for _ in range(EQUIVALENCE_STEPS):
-            ests, (rec_ref, *recs) = zip(*sigma_step(model, names, ests, y, alpha))
-            for variant, rec in zip(variants, recs):
-                devs[variant].append(max(_rel_frob(rec.gain, rec_ref.gain), _rel_frob(rec.posterior_cov, rec_ref.posterior_cov)))
-    for variant in variants:
-        report.record(variant, float(np.max(devs[variant])))
+        rec = _trajectory(model, ("kf", "eukfa", "eukfc"), est0, alpha, EQUIVALENCE_STEPS)
+        for x in (rec.gain, rec.posterior_cov):  # the relative Frobenius deviation from slice 0
+            # np.linalg.norm's bits: sqrt(v.v) of the matrix raveled in memory order, which is column order for a
+            # gain (a transposed solve) and either order for a covariance, which is exactly symmetric.
+            cols = np.concatenate((x[:, :1], x[:, 1:] - x[:, :1]), axis=1).swapaxes(-1, -2).reshape(*x.shape[:2], -1)
+            norms = np.sqrt(np.vecdot(cols, cols))
+            devs.append(norms[:, 1:] / np.maximum(norms[:, :1], 1e-12))
+    for variant, worst in zip(("eukfa", "eukfc"), np.max(devs, axis=(0, 1)).tolist()):
+        report.record(variant, worst)
 
 
 def reproduce_config(example: int, seed: int = 0, ensemble: Optional[int] = None, steps: Optional[int] = None) -> ExperimentConfig:

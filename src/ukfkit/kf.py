@@ -13,7 +13,7 @@ arbitrary gain K under the true innovation statistics is
 computed by :func:`evaluate_gain_cov`, whose trace the Kalman gain
 minimizes.
 
-:func:`kf_step` is a one-slice :func:`ukf.sigma_step`: the stacked step
+:func:`kf_step` is a one-slice :func:`ukf.stack_step`: the stacked step
 runs kf and ekf slices, with their covariances predicted by
 :func:`linearized_covs` through the Jacobians (A and C of a
 :class:`LinearSystem`), next to the sigma-point slices.
@@ -79,9 +79,9 @@ def kf_update(
 
 
 def evaluate_gain_cov(prior_cov: Array, p_z: Array, p_ez: Array, gain: Array) -> Array:
-    """Posterior covariance achieved by an arbitrary gain under true statistics."""
-    cross = gain @ p_ez.T
-    return symmetrize(prior_cov + gain @ p_z @ gain.T - cross - cross.T)
+    """Posterior covariance achieved by an arbitrary gain under true statistics, for one gain or a stack."""
+    cross = gain @ p_ez.swapaxes(-1, -2)
+    return symmetrize(prior_cov + gain @ p_z @ gain.swapaxes(-1, -2) - cross - cross.swapaxes(-1, -2))
 
 
 def check_measurement(y, shape: tuple[int, ...], where: str) -> Array:
@@ -115,12 +115,6 @@ def correct_stack(
     return KfStep(prior_mean, prior_cov, gain, p_z, p_ez, mean, cov), factors
 
 
-def unstack(k: int, rec: KfStep, factors: Array) -> list[tuple[StateEstimate, KfStep]]:
-    """One (estimate at step k, KfStep) pair per slice of a stacked record and its posterior factors."""
-    slices = zip(rec.prior_mean, rec.prior_cov, rec.gain, rec.innovation_cov, rec.cross_cov, rec.posterior_mean, rec.posterior_cov, factors)
-    return [(StateEstimate.with_factor(mean, cov, k, factor), KfStep(*prior, mean, cov)) for *prior, mean, cov, factor in slices]
-
-
 def linearized_covs(a: Array, cov: Array, c: Array, q: Array) -> tuple[Array, Array, Array]:
     """(P+, C P+ C^T, P+ C^T) with P+ = A P A^T + Q, symmetrized, for Jacobians A and C; R is left for the caller to add."""
     prior_cov = symmetrize(a @ cov @ a.T + q)
@@ -129,6 +123,6 @@ def linearized_covs(a: Array, cov: Array, c: Array, q: Array) -> tuple[Array, Ar
 
 def kf_step(model: LinearSystem, est: StateEstimate, y) -> tuple[StateEstimate, KfStep]:
     """One Kalman predict/update cycle, consuming the measurement at step k+1."""
-    from .ukf import sigma_step  # ukf imports this module
+    from .ukf import _step_one  # ukf imports this module
 
-    return sigma_step(model, ("kf",), (est,), y)[0]
+    return _step_one("kf", model, est, y)

@@ -8,13 +8,13 @@ is the current posterior mean.  The combination weights are
 
 which sum to one for any alpha > 0.  The UKF and both variants in `eukf`
 are one recursion, :func:`stack_step`, which advances a stack of filters
-held as arrays, one slice per filter; :func:`sigma_step` runs it on
-estimates, and each of the kf, ekf, ukf, eukfa and eukfc steps is a
-one-slice call of that.  The stack takes kf and ekf slices, whose
-covariances come from :func:`kf.linearized_covs`, so that one call per time
-step advances every covariance-form filter of a run, which carries the
-arrays from step to step.  :func:`unscented_prior` is its one spread/propagate/
-centre step: it builds the sigma points from each slice's factor, pushes
+held as arrays, one slice per filter; each of the kf, ekf, ukf, eukfa and
+eukfc steps is a one-slice call of it on an estimate.  The stack takes kf
+and ekf slices, whose covariances come from :func:`kf.linearized_covs`, so
+that one call per time step advances every covariance-form filter of a run,
+and a caller that steps many (a run, ``verify``) carries the arrays from
+step to step.  :func:`unscented_prior` is its one spread/propagate/centre
+step: it builds the sigma points from each slice's factor, pushes
 those of every slice, and the kf and ekf means of a SystemModel, through f
 and g in one call each, and subtracts the weighted means.  The filters
 differ only in the sigma factor and where Q enters the covariances, which
@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from .kf import KfStep, correct_stack, linearized_covs, unstack
+from .kf import KfStep, correct_stack, linearized_covs
 from .numerics import FilterDiverged, all_finite, symmetrize
 from .statespace import (
     LinearSystem,
@@ -85,54 +86,42 @@ def _spread(center: Array, factor: Array, alpha: float) -> Array:
     return np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)
 
 
-def unscented_prior(
-    model: SystemModel, means: Array, factors: Array, alpha: float, k: int = 0
-) -> tuple[Array, Array, Array, Array, Array]:
+def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: float, k: int, extra: Array):
     """Sigma points around each mean (s, l_x) spread by alpha times its factor (s, l_x, l_x), pushed through f and g.
 
     A factor S has S S^T = l_x times the sigma scale, as est.sigma_factor()
     for est.cov.  Returns the stacked (prior means, predicted outputs, state
-    deviations, output deviations) and the weights.  Raises FilterDiverged
-    naming step k + 1 when f or g returns a non-finite value.  f and g each
-    take one call for the whole stack, on its sigma points side by side as
-    (l, s m) columns.  A LinearSystem takes one stacked matmul by A and by C
-    over the (s, l, m) points instead: a wide product can round a slice
-    otherwise than a product over that slice alone, a stacked one does not.
-    """
-    return _sigma_prior(model, means, factors, alpha, k, means[:0])[:5]
-
-
-def _sigma_prior(model: SystemModel, means: Array, factors: Array, alpha: float, k: int, extra: Array):
-    """:func:`unscented_prior`, then f(x) (e, l_x) and g(f(x)) (e, l_y) of each state x of `extra` (e, l_x).
-
-    A SystemModel's f and g take the extra states as e more columns after the
-    sigma points, in the same call; the finiteness checks read the sigma
-    points only.  A LinearSystem multiplies each extra state by A, and that
-    by C, one at a time, with the bits of f and g on one state.
+    deviations, output deviations), the weights, and f(x) (e, l_x) and
+    g(f(x)) (e, l_y) of each state x of `extra` (e, l_x).  FilterDiverged
+    names step k + 1 when f or g is non-finite at a sigma point.  f and g
+    take one call each for the whole stack: the sigma points side by side as
+    (l, s m) columns, then the extra states.  A LinearSystem takes stacked
+    matmuls by A and by C instead, which, unlike one wide product, round each
+    slice as a product over that slice alone.
     """
     w = ukf_weights(alpha, model.l_x)
-    (s, l_x), m, e = means.shape, w.size, len(extra)
+    (s, l_x), m = means.shape, w.size
     linear = isinstance(model, LinearSystem)
     if linear:
         xprop = np.matmul(model.A, _spread(means, factors, alpha))
-        fx = np.array([model.A @ x for x in extra]).reshape(e, l_x).T if e else extra.T
+        fx = np.matmul(model.A, extra[..., None])[..., 0]
     else:
         fx = _spread(means, factors, alpha).swapaxes(0, 1).reshape(l_x, s * m)
-        fx = step_dynamics_batch(model, np.concatenate((fx, extra.T), axis=1) if e else fx)
+        fx = step_dynamics_batch(model, np.concatenate((fx, extra.T), axis=1))
         xprop = fx[:, : s * m].reshape(l_x, s, m).swapaxes(0, 1)
     if not all_finite(xprop):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
     if linear:
         yprop = np.matmul(model.C, xprop)
-        gx = np.array([model.C @ x for x in fx.T]).reshape(e, model.l_y).T if e else np.empty((model.l_y, 0))
+        gx = np.matmul(model.C, fx[..., None])[..., 0]
     else:
         gx = measure_batch(model, fx)
         yprop = gx[:, : s * m].reshape(model.l_y, s, m).swapaxes(0, 1)
+        fx, gx = fx[:, s * m :].T, gx[:, s * m :].T  # the extra states' columns
     if not all_finite(yprop):
         raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
     prior_mean, predicted_y = xprop @ w, yprop @ w
-    last = slice(fx.shape[1] - e, None)  # the extra states' columns
-    return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w, fx[:, last].T, gx[:, last].T
+    return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w, fx, gx
 
 
 def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
@@ -249,7 +238,7 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
             for j, i in enumerate(sigma):
                 if names[i] == "eukfa":
                     spread[j] = _inflated_factor(model, means[i], factors[i], k)
-        prior_mean[at], predicted_y[at], xdev, ydev, w, prior_mean[lin_at], predicted_y[lin_at] = _sigma_prior(model, means[at], spread, alpha, k, means[lin_at])
+        prior_mean[at], predicted_y[at], xdev, ydev, w, prior_mean[lin_at], predicted_y[lin_at] = unscented_prior(model, means[at], spread, alpha, k, means[lin_at])
         wx = xdev * w
         p_prior[at] = wx @ xdev.swapaxes(-1, -2)
         p_z[at] = (ydev * w) @ ydev.swapaxes(-1, -2)
@@ -276,21 +265,20 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     return correct_stack(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z), p_ez, y, predicted_y)
 
 
-def sigma_step(model: SystemModel, names, ests, y, alpha: float = 1.5) -> list[tuple[StateEstimate, KfStep]]:
-    """:func:`stack_step` from one estimate per filter, all at one step, as one (next estimate, KfStep) pair per slice.
+def _step_one(name: str, model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
+    """Filter `name` stepped from one estimate as a one-slice :func:`stack_step`: (estimate at step k+1, KfStep).
 
-    A mixed step or a state of the wrong length raises ValueError as well.
+    Only a sigma-point filter factors P, so only its P must be SPD; a wrong-length state raises ValueError naming filter and step.
     """
-    k = ests[0].step if ests else -1
-    l_x = model.l_x
-    if len(names) != len(ests) or not _STACK_SET.issuperset(names) or {(est.step, est.mean.shape) for est in ests} != {(k, (l_x,))}:
-        raise _stack_error(names, k, l_x)
-    # Only the sigma-point slices read their factor; kf and ekf slices may start from a P that has none.
-    factors = np.array([est.sigma_factor(f"{name} step {k}") if name in _SIGMA_SET else np.zeros((l_x, l_x)) for name, est in zip(names, ests)])
-    means, covs = np.array([est.mean for est in ests]), np.array([est.cov for est in ests])
-    return unstack(k + 1, *stack_step(model, names, k, means, covs, factors, y, alpha))
+    k, l_x = est.step, model.l_x
+    if est.mean.shape != (l_x,):
+        raise _stack_error((name,), k, l_x)
+    factor = est.sigma_factor(f"{name} step {k}") if name in _SIGMA_SET else np.zeros((l_x, l_x))
+    rec, factors = stack_step(model, (name,), k, est.mean[None], est.cov[None], factor[None], y, alpha)
+    rec = KfStep(*(getattr(rec, f.name)[0] for f in fields(KfStep)))
+    return StateEstimate.with_factor(rec.posterior_mean, rec.posterior_cov, k + 1, factors[0]), rec
 
 
 def ukf_step(model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:
     """One UKF predict/update cycle, consuming the measurement at step k+1."""
-    return sigma_step(model, ("ukf",), (est,), y, alpha)[0]
+    return _step_one("ukf", model, est, y, alpha)

@@ -175,7 +175,8 @@ def test_numerics_suite():
             center = rng.standard_normal(n)
             # Under identity dynamics the propagated deviations are the spread every sigma-point step runs.
             identity = LinearSystem(A=np.eye(n), C=np.ones((1, n)), Q=np.eye(n), R=np.eye(1))
-            _, _, xdev, _, w = unscented_prior(identity, center[None], StateEstimate(center, p).sigma_factor()[None], alpha)
+            means = center[None]
+            _, _, xdev, _, w, _, _ = unscented_prior(identity, means, StateEstimate(center, p).sigma_factor()[None], alpha, 0, means[:0])
             recon = (xdev[0] * w) @ xdev[0].T
             worst_recon = max(worst_recon, float(np.linalg.norm(recon - p) / np.linalg.norm(p)))
 

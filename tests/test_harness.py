@@ -438,6 +438,27 @@ def test_verify_propositions_small_run_passes():
     assert "PASS" in report.summary()
 
 
+def test_verify_propositions_worst_values_are_pinned():
+    # Every worst value to the last bit, and the text `ukfkit verify` prints from them: a change of how the
+    # checks are stepped or reduced must keep both.
+    report = verify_propositions(seed=0, trials=10)
+    assert report.worst == {
+        "identity": 3.552713678800501e-15,
+        "inequality": 0.011885536065821989,
+        "distinctness": 0.26538660430875094,
+        "eukfa": 1.4263381963014506e-13,
+        "eukfc": 2.773108940770972e-15,
+    }
+    assert report.summary().splitlines() == [
+        "missing-term identities : 11/11 pass (worst abs deviation 3.553e-15)",
+        "gain-cost inequality    : 11/11 pass (worst margin 1.189e-02)",
+        "ukf differs from kf     : 11/11 pass (smallest trace gap 2.654e-01)",
+        "eukf-a matches kf       : 11/11 pass (worst rel deviation 1.426e-13)",
+        "eukf-c matches kf       : 11/11 pass (worst rel deviation 2.773e-15)",
+        "overall                 : PASS",
+    ]
+
+
 def test_verify_propositions_exempts_zero_q_from_separation(monkeypatch):
     # With Q = 0 the plain UKF coincides with the KF, so the trajectories
     # never separate; such systems must not count as separation failures.
@@ -524,8 +545,8 @@ def test_check_table_folds_each_worst_value_from_its_start():
 def test_verify_steps_one_kalman_trajectory_per_system(monkeypatch):
     # 4 systems (linear-ex1 plus 3 random ones); each check steps its own Kalman trajectory as slice 0 of
     # the stack it checks, with no kf_step call: 10 kf+ukf+ukf steps for the suboptimality checks, and
-    # 50 kf+eukfa+eukfc steps per alpha for the equivalence checks.
-    calls = dict.fromkeys(("kf_step", "sigma_step"), 0)
+    # 50 kf+eukfa+eukfc steps per alpha for the equivalence checks, each one stack_step call on arrays.
+    calls = dict.fromkeys(("kf_step", "stack_step"), 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harness, name)):
             calls[_name] += 1
@@ -538,9 +559,9 @@ def test_verify_steps_one_kalman_trajectory_per_system(monkeypatch):
         ("equivalence",): (0, 4 * 3 * 50),
     }
     for checks, counts in expected.items():
-        calls.update(kf_step=0, sigma_step=0)
+        calls.update(kf_step=0, stack_step=0)
         assert verify_propositions(seed=11, trials=3, checks=checks).passed
-        assert (calls["kf_step"], calls["sigma_step"]) == counts, checks
+        assert (calls["kf_step"], calls["stack_step"]) == counts, checks
 
 
 def test_reproduce_config_defaults():

@@ -220,7 +220,7 @@ def test_wrong_length_state_raises_value_error_naming_filter_and_step(name):
 
 @pytest.mark.parametrize("step", [kf_step, ekf_step], ids=lambda step: step.__name__)
 def test_kf_and_ekf_steps_check_a_state_only_where_a_jacobian_takes_it(monkeypatch, step):
-    # sigma_step's shape check is the one entry check; the Jacobians of a LinearSystem are its A and C, and
+    # The one-slice step's shape check is the one entry check; the Jacobians of a LinearSystem are its A and C, and
     # a nonlinear model's Jacobians check the posterior mean and the prior mean they are taken at.
     calls = []
     check = statespace._check_state
@@ -242,6 +242,7 @@ MODEL_PARTS = {
     "ukf": ("f", "g"),
     "eukfa": ("f", "g", "jac_f"),
     "eukfc": ("f", "g", "jac_g"),
+    "enkf": ("f", "g"),
 }
 
 
@@ -250,9 +251,13 @@ def test_every_step_names_itself_when_the_model_returns_the_wrong_shape(name, ba
     parts = {"f": lambda x: x, "g": lambda x: x[:1], "jac_f": lambda x: np.eye(2), "jac_g": lambda x: np.eye(2)[:1]}
     parts[bad] = lambda x: np.zeros(5)
     model = SystemModel(l_x=2, l_y=1, Q=np.eye(2), R=np.eye(1), **parts)
-    step = {"kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name]
+    est = StateEstimate(np.ones(2), np.eye(2), 4)
+    if name == "enkf":
+        step, est = enkf_step, enkf_init(est, 10, 0)
+    else:
+        step = {"kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name]
     with pytest.raises(ValueError, match=r"^" + name + r" step 5: .*shape \(5,\)") as raised:
-        step(model, StateEstimate(np.ones(2), np.eye(2), 4), np.zeros(1))
+        step(model, est, np.zeros(1))
     assert str(raised.value).count("step 5") == 1
 
 

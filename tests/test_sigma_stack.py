@@ -14,7 +14,7 @@ from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.harness import ExperimentConfig, random_detectable_system, random_spd, run_experiment, simulate_truth
 from ukfkit.kf import KfStep, kf_step
 from ukfkit.statespace import StateEstimate, SystemModel, make_lorenz, make_vdp
-from ukfkit.ukf import SIGMA_FILTERS, STACK_FILTERS, sigma_step, stack_step, ukf_step
+from ukfkit.ukf import SIGMA_FILTERS, STACK_FILTERS, stack_step, ukf_step
 
 # Each filter stepped alone; kf and ekf take no alpha.
 ONE_AT_A_TIME = {
@@ -26,22 +26,27 @@ ONE_AT_A_TIME = {
 }
 
 
+def _stacked(est, n):
+    """n copies of est as the (means, covs, factors) arrays a stack steps from."""
+    return np.array([est.mean] * n), np.array([est.cov] * n), np.array([est.sigma_factor()] * n)
+
+
 def _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha):
     """len(meas) - 1 steps of the stack `names` against each filter stepped alone, from the same est0."""
-    stacked = [est0] * len(names)
-    alone = list(stacked)
+    carry = _stacked(est0, len(names))
+    alone = [est0] * len(names)
     for k in range(1, len(meas)):
-        results = sigma_step(model, names, stacked, meas[k], alpha)
-        assert len(results) == len(names)
-        for i, (name, (est, rec)) in enumerate(zip(names, results)):
+        rec, factors = stack_step(model, names, k - 1, *carry, meas[k], alpha)
+        assert rec.posterior_mean.shape == (len(names), model.l_x)
+        for i, name in enumerate(names):
             alone[i], alone_rec = ONE_AT_A_TIME[name](model, alone[i], meas[k], alpha)
-            assert est.step == alone[i].step == k
-            assert_array_equal(est.mean, alone[i].mean)
-            assert_array_equal(est.cov, alone[i].cov)
-            assert_array_equal(est.sigma_factor(), alone[i].sigma_factor())
+            assert alone[i].step == k
+            assert_array_equal(rec.posterior_mean[i], alone[i].mean)
+            assert_array_equal(rec.posterior_cov[i], alone[i].cov)
+            assert_array_equal(factors[i], alone[i].sigma_factor())
             for field in fields(KfStep):
-                assert_array_equal(getattr(rec, field.name), getattr(alone_rec, field.name), err_msg=f"{name} {field.name}")
-        stacked = [est for est, _ in results]
+                assert_array_equal(getattr(rec, field.name)[i], getattr(alone_rec, field.name), err_msg=f"{name} {field.name}")
+        carry = rec.posterior_mean, rec.posterior_cov, factors
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,27 +75,12 @@ def test_stack_is_bitwise_one_filter_at_a_time_on_nonlinear_models(make, names):
 @pytest.mark.parametrize(
     "make", [make_lorenz, lambda: random_detectable_system(np.random.default_rng(4), l_x=3, l_y=2)], ids=["lorenz", "linear"]
 )
-def test_the_array_core_carries_the_bits_of_sigma_step(make):
+def test_the_array_core_carries_the_bits_of_each_filter_alone(make):
     # The sigma slices are not contiguous, so the core reads and writes them by index.
     model = make()
-    names = ("kf", "ukf", "ekf", "eukfa", "eukfc")
     est0 = StateEstimate(np.ones(3), random_spd(np.random.default_rng(5), 3), 0)
     _, meas = simulate_truth(model, np.ones(3), 10, seed=6)
-    n = len(names)
-    ests = [est0] * n
-    carry = np.array([est0.mean] * n), np.array([est0.cov] * n), np.array([est0.sigma_factor()] * n)
-    for k in range(1, len(meas)):
-        rec, factors = stack_step(model, names, k - 1, *carry, meas[k], 1.5)
-        results = sigma_step(model, names, ests, meas[k], 1.5)
-        for i, (est, est_rec) in enumerate(results):
-            assert est.step == k
-            assert_array_equal(rec.posterior_mean[i], est.mean)
-            assert_array_equal(rec.posterior_cov[i], est.cov)
-            assert_array_equal(factors[i], est.sigma_factor())
-            for field in fields(KfStep):
-                assert_array_equal(getattr(rec, field.name)[i], getattr(est_rec, field.name), err_msg=f"{names[i]} {field.name}")
-        carry = rec.posterior_mean, rec.posterior_cov, factors
-        ests = [est for est, _ in results]
+    _assert_stack_steps_bitwise_one_at_a_time(model, ("kf", "ukf", "ekf", "eukfa", "eukfc"), est0, meas, 1.5)
 
 
 def test_the_array_core_rejects_arrays_of_the_wrong_shape():
@@ -124,18 +114,18 @@ def test_a_stack_calls_f_and_g_once_and_a_linear_stack_calls_neither():
         jac_f=lorenz.jac_f,
         jac_g=lorenz.jac_g,
     )
-    ests = [StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3)] * 4
-    sigma_step(counted, ("ukf", "eukfa", "eukfc", "ukf"), ests, np.ones(1))
+    carry = _stacked(StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3), 4)
+    stack_step(counted, ("ukf", "eukfa", "eukfc", "ukf"), 3, *carry, np.ones(1))
     assert calls == ["f", "g"]
     # The ekf slice's f(mean) and g(f(mean)) are columns of the same two calls; its Jacobians are analytic.
     calls.clear()
-    sigma_step(counted, ("ekf", "ukf", "eukfa", "eukfc"), ests, np.ones(1))
+    stack_step(counted, ("ekf", "ukf", "eukfa", "eukfc"), 3, *carry, np.ones(1))
     assert calls == ["f", "g"]
     linear = random_detectable_system(np.random.default_rng(2), l_x=3, l_y=2)
     for label in ("f", "g"):  # the model is frozen; only the test swaps in counting callables
         object.__setattr__(linear, label, _counted(getattr(linear, label), calls, label))
     for names in [("ukf", "eukfa", "eukfc"), ("kf", "ekf", "ukf", "eukfa", "eukfc")]:
-        sigma_step(linear, names, [StateEstimate(np.ones(3), np.eye(3), 0)] * len(names), np.ones(2))
+        stack_step(linear, names, 0, *_stacked(StateEstimate(np.ones(3), np.eye(3), 0), len(names)), np.ones(2))
     assert calls == ["f", "g"]
 
 
@@ -150,31 +140,31 @@ def test_a_stack_of_a_matrix_product_model_agrees_with_each_filter_alone(l_y, se
     a, c = linear.A, linear.C
     model = SystemModel(l_x=3, l_y=l_y, f=lambda x: a @ x, g=lambda x: c @ x, Q=linear.Q, R=linear.R, jac_f=lambda x: a, jac_g=lambda x: c)
     names = ("ukf", "eukfa", "eukfc", "ekf", "ukf")
-    stacked = [StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)] * len(names)
-    alone = list(stacked)
-    for y in rng.standard_normal((10, l_y)):
-        results = sigma_step(model, names, stacked, y, 1.5)
-        for i, (name, (est, rec)) in enumerate(zip(names, results)):
+    est0 = StateEstimate(rng.standard_normal(3), random_spd(rng, 3), 0)
+    carry = _stacked(est0, len(names))
+    alone = [est0] * len(names)
+    for k, y in enumerate(rng.standard_normal((10, l_y))):
+        rec, factors = stack_step(model, names, k, *carry, y, 1.5)
+        for i, name in enumerate(names):
             alone[i], alone_rec = ONE_AT_A_TIME[name](model, alone[i], y, 1.5)
-            for got, want in [(est.mean, alone[i].mean), (est.cov, alone[i].cov)] + [
-                (getattr(rec, f.name), getattr(alone_rec, f.name)) for f in fields(KfStep)
+            for got, want in [(rec.posterior_mean[i], alone[i].mean), (rec.posterior_cov[i], alone[i].cov)] + [
+                (getattr(rec, f.name)[i], getattr(alone_rec, f.name)) for f in fields(KfStep)
             ]:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
-        stacked = [est for est, _ in results]
+        carry = rec.posterior_mean, rec.posterior_cov, factors
 
 
 def test_stack_rejects_unknown_filters_and_mixed_steps():
     model = make_lorenz()
+    # An array stack has one step k for every slice, so a mixed step cannot be passed.
     est = StateEstimate(np.ones(3), np.eye(3), 0)
     for unknown in ("enkf", "pf"):
         with pytest.raises(ValueError, match=unknown):
-            sigma_step(model, ("ukf", unknown), (est, est), np.ones(1))
+            stack_step(model, ("ukf", unknown), 0, *_stacked(est, 2), np.ones(1))
     with pytest.raises(ValueError):
-        sigma_step(model, ("ukf", "eukfc"), (est, StateEstimate(np.ones(3), np.eye(3), 1)), np.ones(1))
+        stack_step(model, ("ukf", "eukfc"), 0, *_stacked(est, 1), np.ones(1))
     with pytest.raises(ValueError):
-        sigma_step(model, ("ukf", "eukfc"), (est,), np.ones(1))
-    with pytest.raises(ValueError):
-        sigma_step(model, (), (), np.ones(1))
+        stack_step(model, (), 0, *(a[:0] for a in _stacked(est, 1)), np.ones(1))
 
 
 def test_run_advances_the_sigma_filters_in_one_stacked_call_per_step(monkeypatch):

@@ -54,8 +54,10 @@ def test_weights_reject_bad_arguments():
 
 def _prior(model, est, alpha):
     """unscented_prior of one estimate: (prior mean, predicted output, state deviations, output deviations, weights)."""
-    out = unscented_prior(model, est.mean[None], est.sigma_factor()[None], alpha, est.step)
-    return (*(a[0] for a in out[:4]), out[4])
+    means = est.mean[None]
+    prior_mean, predicted_y, xdev, ydev, w, fx, gx = unscented_prior(model, means, est.sigma_factor()[None], alpha, est.step, means[:0])
+    assert fx.shape == (0, model.l_x) and gx.shape == (0, model.l_y)
+    return prior_mean[0], predicted_y[0], xdev[0], ydev[0], w
 
 
 def _identity_system(n, c=None):
@@ -118,15 +120,16 @@ def test_propagate_lorenz_center_column():
 def test_propagate_raises_on_non_finite():
     big = np.full((1, 3), 1e200)
     with pytest.raises(FilterDiverged, match="sigma points became non-finite at step 1$"):
-        unscented_prior(make_lorenz(), big, 1e200 * np.eye(3)[None], 1.5)  # x1 * x2 overflows
+        unscented_prior(make_lorenz(), big, 1e200 * np.eye(3)[None], 1.5, 0, big[:0])  # x1 * x2 overflows
     huge_c = _identity_system(2, np.array([[1e308, 1e308]]))
     with pytest.raises(FilterDiverged, match="sigma outputs became non-finite at step 4$"):
-        unscented_prior(huge_c, np.ones((1, 2)), np.eye(2)[None], 1.5, 3)  # the outputs near 2e308 overflow
+        unscented_prior(huge_c, np.ones((1, 2)), np.eye(2)[None], 1.5, 3, np.ones((0, 2)))  # the outputs near 2e308 overflow
 
 
 def test_deviations_center_and_annihilate():
     # A zero factor collapses every sigma point onto the center.
-    _, _, xdev, _, _ = unscented_prior(_identity_system(2), np.array([[1.0, 2.0]]), np.zeros((1, 2, 2)), 1.5)
+    means = np.array([[1.0, 2.0]])
+    _, _, xdev, _, _, _, _ = unscented_prior(_identity_system(2), means, np.zeros((1, 2, 2)), 1.5, 0, means[:0])
     assert_allclose(xdev, np.zeros((1, 2, 5)), rtol=0)
     rng = np.random.default_rng(4)
     est = StateEstimate(rng.standard_normal(2), random_spd(rng, 2))
@@ -141,7 +144,8 @@ def test_unscented_prior_stack_is_bitwise_its_slices():
         StateEstimate(np.array([1.0, -2.0, 20.0]), np.diag([0.5, 1.0, 2.0]), 3),
         StateEstimate(np.array([0.5, 2.0, 18.0]), np.diag([1.0, 0.3, 1.5]), 3),
     )
-    stacked = unscented_prior(model, np.array([e.mean for e in ests]), np.array([e.sigma_factor() for e in ests]), 1.5, 3)
+    means = np.array([e.mean for e in ests])
+    stacked = unscented_prior(model, means, np.array([e.sigma_factor() for e in ests]), 1.5, 3, means[:0])
     for i, e in enumerate(ests):
         alone = _prior(model, e, 1.5)
         for got, want in zip(stacked[:4], alone[:4]):

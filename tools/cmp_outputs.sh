@@ -4,10 +4,11 @@
 #     tools/cmp_outputs.sh OTHER_TREE
 #
 # Runs every command below with this tree's src/ and with OTHER_TREE's src/,
-# one BLAS thread each (unless OPENBLAS_NUM_THREADS is set), and compares the
-# CSV files, stdout, stderr and exit code of each run.  The path in a
-# "wrote ... to PATH" line is ignored.  Prints each difference and exits 1 if
-# there is any, 0 when every output is identical.
+# once at each BLAS thread count in OPENBLAS_NUM_THREADS=1 and =2, and compares
+# the CSV files, stdout, stderr and exit code of each run with the other
+# tree's at the same count.  The path in a "wrote ... to PATH" line is
+# ignored.  Prints one line per command and count, each difference, and exits
+# 1 if there is any, 0 when every output is identical.
 set -u -o pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/ukfkit" ]; then
@@ -17,7 +18,7 @@ fi
 here=$(cd "$(dirname "$0")/.." && pwd)
 other=$(cd "$1" && pwd)
 python=${PYTHON:-python3}
-export OPENBLAS_NUM_THREADS=${OPENBLAS_NUM_THREADS:-1}
+threads=(1 2)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -42,35 +43,37 @@ commands=(
     "run --config $work/one-state.cfg --filters enkf,kf,ekf,ukf,eukfa,eukfc --ensemble 2000 --steps 300 --seed 7"
 )
 
-run_all() {  # run_all TREE SIDE
+run_all() {  # run_all TREE SIDE THREADS
     local i=0 cmd dir
     for cmd in "${commands[@]}"; do
         i=$((i + 1))
-        dir="$work/$2/$i"
+        dir="$work/$2/$3/$i"
         mkdir -p "$dir"
         case $cmd in
-            run*) set -- "$1" "$2" --out "$dir/run.csv" ;;
-            reproduce*) set -- "$1" "$2" --out "$dir" ;;
-            *) set -- "$1" "$2" ;;
+            run*) set -- "$1" "$2" "$3" --out "$dir/run.csv" ;;
+            reproduce*) set -- "$1" "$2" "$3" --out "$dir" ;;
+            *) set -- "$1" "$2" "$3" ;;
         esac
         # shellcheck disable=SC2086  # each command is a list of words
-        (cd "$dir" && PYTHONPATH="$1/src" "$python" -m ukfkit $cmd "${@:3}" >stdout 2>stderr; echo $? >exit)
+        (cd "$dir" && OPENBLAS_NUM_THREADS=$3 PYTHONPATH="$1/src" "$python" -m ukfkit $cmd "${@:4}" >stdout 2>stderr; echo $? >exit)
         sed -i 's/^\(wrote .* to \).*$/\1<out>/' "$dir/stdout"
     done
 }
 
-run_all "$here" this
-run_all "$other" other
 status=0
-i=0
-for cmd in "${commands[@]}"; do
-    i=$((i + 1))
-    if diff -r "$work/other/$i" "$work/this/$i" >"$work/diff" 2>&1; then
-        echo "same      $cmd"
-    else
-        echo "DIFFERENT $cmd"
-        sed 's/^/    /' "$work/diff" | cut -c1-160 | head -8
-        status=1
-    fi
+for t in "${threads[@]}"; do
+    run_all "$here" this "$t"
+    run_all "$other" other "$t"
+    i=0
+    for cmd in "${commands[@]}"; do
+        i=$((i + 1))
+        if diff -r "$work/other/$t/$i" "$work/this/$t/$i" >"$work/diff" 2>&1; then
+            echo "same      threads=$t  $cmd"
+        else
+            echo "DIFFERENT threads=$t  $cmd"
+            sed 's/^/    /' "$work/diff" | cut -c1-160 | head -8
+            status=1
+        fi
+    done
 done
 exit $status
