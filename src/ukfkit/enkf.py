@@ -13,12 +13,17 @@ one output that factor is a square root and the deviation correction a
 broadcast product.  The process-noise draws are scaled by the model's
 ``q_factor``, which the model computes once.
 
-Randomness is counter-based: every draw comes from a Philox stream keyed
-by (seed, step, draw kind), so member draws are independent of execution
-order and a rerun with the same seed is bit-identical no matter how the
-propagation is parallelized.  The member-sized work arrays (noise
-products, output deviations, deviation corrections) are allocated once per
-ensemble chain and handed from each step to the next.
+Randomness is keyed: every draw comes from a generator of its own (seed,
+step, draw kind) cell, so member draws are independent of execution order
+and a rerun with the same seed is bit-identical no matter how the
+propagation is parallelized.  The per-step process noise comes from SFC64
+seeded through a SeedSequence of the cell key (:func:`sfc64_stream`), which
+draws normals in about 70% of Philox's time.  The one initial draw per run
+stays on the counter-based Philox (:func:`philox_stream`), where moving it
+gains nothing measurable; so does the truth simulator in `harness`.
+The member-sized work arrays (noise draws and products, output deviations,
+deviation corrections) are allocated once per ensemble chain and handed
+from each step to the next.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from .statespace import StateEstimate, SystemModel, measure_batch, noise_factor,
 
 Array = np.ndarray
 
-# Draw kinds keying the Philox streams.  Kind 2 is unused, and the truth
-# simulator in `harness` uses kinds 3 and 4, so its noise never overlaps the
-# ensemble's.
+# Draw kinds keying the streams: init on Philox, process noise on SFC64.  Kind
+# 2 is unused, and the truth simulator in `harness` uses kinds 3 and 4, so its
+# noise never overlaps the ensemble's.
 KIND_INIT = 0
 KIND_PROCESS = 1
 
@@ -47,6 +52,11 @@ def _cell_key(seed: int, step: int, kind: int) -> Array:
 def philox_stream(seed: int, step: int, kind: int) -> np.random.Generator:
     """Counter-based generator for one (seed, step, kind) cell."""
     return np.random.Generator(np.random.Philox(key=_cell_key(seed, step, kind)))
+
+
+def sfc64_stream(seed: int, step: int, kind: int) -> np.random.Generator:
+    """SFC64 generator for one (seed, step, kind) cell, seeded by a SeedSequence of the cell key."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(_cell_key(seed, step, kind).tolist())))
 
 
 class PhiloxCells:
@@ -77,6 +87,7 @@ class _Scratch:
     """Work arrays reused from one ensemble step to the next."""
 
     def __init__(self, l_x: int, l_y: int, n: int):
+        self.noise = np.empty((l_x, n))  # standard normal process draws
         self.state = np.empty((l_x, n))  # process noise, then the deviation correction
         self.output = np.empty((l_y, n))  # output deviations
 
@@ -150,11 +161,8 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     if scratch is None or not scratch.fits(l_x, l_y, n):
         scratch = _Scratch(l_x, l_y, n)
 
-    w = np.matmul(
-        model.q_factor,
-        philox_stream(ens.seed, k + 1, KIND_PROCESS).standard_normal((l_x, n)),
-        out=scratch.state,
-    )
+    z = sfc64_stream(ens.seed, k + 1, KIND_PROCESS).standard_normal((l_x, n), out=scratch.noise)
+    w = np.matmul(model.q_factor, z, out=scratch.state)
     try:
         xf = step_dynamics_batch(model, ens.members)
         if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):

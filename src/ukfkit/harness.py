@@ -65,7 +65,7 @@ MODELS = tuple(_FACTORIES)
 LINEAR_MODELS = ("linear-ex1", "linear-ex2", "custom")
 FILTER_ORDER = ("enkf", "ekf", "kf", "ukf", "eukfa", "eukfc")
 
-# Truth-simulation draw kinds; disjoint from the ensemble filter's (0..2).
+# Truth-simulation draw kinds, on Philox cells; disjoint from the EnKF's (init 0 on Philox, process 1 on SFC64).
 KIND_TRUTH_PROCESS = 3
 KIND_TRUTH_OBS = 4
 

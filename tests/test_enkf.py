@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.linalg import solve_triangular
 
-from ukfkit.enkf import KIND_PROCESS, Ensemble, PhiloxCells, enkf_init, enkf_step, philox_stream
+from ukfkit.enkf import KIND_INIT, KIND_PROCESS, Ensemble, PhiloxCells, enkf_init, enkf_step, philox_stream, sfc64_stream
 from ukfkit.harness import random_detectable_system, simulate_truth
 from ukfkit.kf import kf_gain, kf_step
 from ukfkit.numerics import FilterDiverged, symmetrize
@@ -67,6 +67,44 @@ def test_streams_are_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_sfc64_cells_are_keyed_by_seed_step_and_kind():
+    def draws(seed, step, kind):
+        return sfc64_stream(seed, step, kind).standard_normal(6)
+
+    assert_array_equal(draws(7, 3, KIND_PROCESS), draws(7, 3, KIND_PROCESS))
+    for other in [(8, 3, KIND_PROCESS), (7, 4, KIND_PROCESS), (7, 3, KIND_INIT), (7, 3, 2)]:
+        assert not np.array_equal(draws(*other), draws(7, 3, KIND_PROCESS))
+    # Seeds are masked to 64 bits, as the Philox cells mask them, and seed a SeedSequence of the cell key.
+    for seed in (2**63, 2**63 + 12345, 2**64 - 1, 2**64 + 9, -1, -5):
+        masked = seed & (2**64 - 1)
+        assert_array_equal(draws(seed, 5, KIND_PROCESS), draws(masked, 5, KIND_PROCESS))
+        direct = np.random.Generator(np.random.SFC64(np.random.SeedSequence([masked, 8 * 5 + KIND_PROCESS])))
+        assert_array_equal(draws(seed, 5, KIND_PROCESS), direct.standard_normal(6))
+    assert not np.array_equal(draws(2**63, 5, KIND_PROCESS), draws(0, 5, KIND_PROCESS))
+
+
+def test_ensembles_stepped_alternately_draw_what_each_draws_alone():
+    model = make_lorenz()
+    _, meas = simulate_truth(model, np.ones(3), 6, seed=2)
+    est = StateEstimate(np.ones(3), np.eye(3), 0)
+
+    def alone(seed):
+        ens, outs = enkf_init(est, 200, seed), []
+        for k in range(1, 7):
+            ens, rec = enkf_step(model, ens, meas[k])
+            outs.append([a.copy() for a in _outputs(ens, rec)])
+        return outs
+
+    expected = {seed: alone(seed) for seed in (3, 4)}
+    ens = {seed: enkf_init(est, 200, seed) for seed in (3, 4)}
+    for k in range(1, 7):
+        for seed in (4, 3):
+            ens[seed], rec = enkf_step(model, ens[seed], meas[k])
+            for got, want in zip(_outputs(ens[seed], rec), expected[seed][k - 1]):
+                assert_array_equal(got, want)
+    assert not np.array_equal(expected[3][-1][0], expected[4][-1][0])
 
 
 def test_fixed_seed_reruns_are_bit_identical():
@@ -147,7 +185,7 @@ def test_step_advances_bookkeeping():
 def _serial_step(model, members, seed, k, y):
     """One square-root EnKF step written out with inline draws, as one plain expression per quantity."""
     n = members.shape[1]
-    w = noise_factor(model.Q) @ philox_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
+    w = noise_factor(model.Q) @ sfc64_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
     xf = step_dynamics_batch(model, members) + w
     yf = measure_batch(model, xf)
     xbar = xf.mean(axis=1)

@@ -249,6 +249,28 @@ def _overflowing_output_model():
     )
 
 
+def test_the_ensembles_draws_never_reach_the_rest_of_a_run(monkeypatch):
+    truths = []
+
+    def recording(*args):
+        truths.append(simulate_truth(*args))
+        return truths[-1]
+
+    monkeypatch.setattr(harness, "simulate_truth", recording)
+    sigma = ("ekf", "ukf", "eukfa", "eukfc")
+    runs = [
+        run_experiment(ExperimentConfig(model="lorenz", steps=60, seed=20240, ensemble=500, filters=filters))
+        for filters in (("enkf", *sigma), sigma)
+    ]
+    assert all(np.isfinite(r.metrics["enkf"].trace) for r in runs[0])
+    (states, meas), (states_alone, meas_alone) = truths
+    assert states.tobytes() == states_alone.tobytes() and meas.tobytes() == meas_alone.tobytes()
+    for name in sigma:
+        for field in ("trace", "output_error", "error_norm"):
+            with_enkf, alone = (np.array([getattr(r.metrics[name], field) for r in run]) for run in runs)
+            assert with_enkf.tobytes() == alone.tobytes(), (name, field)
+
+
 def _run_with_overflowing_output(monkeypatch, failing):
     monkeypatch.setattr(harness, "build_model", lambda cfg: (_overflowing_output_model(), np.zeros(1), np.eye(1)))
     records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, ensemble=100, filters=("ekf", failing)))

@@ -7,8 +7,10 @@
 # once at each BLAS thread count in OPENBLAS_NUM_THREADS=1 and =2, and compares
 # the CSV files, stdout, stderr and exit code of each run with the other
 # tree's at the same count.  The path in a "wrote ... to PATH" line is
-# ignored.  Prints one line per command and count, each difference, and exits
-# 1 if there is any, 0 when every output is identical.
+# ignored.  Prints one line per command and count, and under a differing one
+# what differs: for a CSV file the header names of the columns holding any
+# differing value, for any other output its first diff lines.  Exits 1 if
+# anything differs, 0 when every output is identical.
 set -u -o pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/ukfkit" ]; then
@@ -60,6 +62,32 @@ run_all() {  # run_all TREE SIDE THREADS
     done
 }
 
+csv_columns() {  # csv_columns OLD NEW: the names of the columns where NEW's values differ from OLD's
+    "$python" - "$1" "$2" <<'EOF_PY'
+import csv, sys
+old, new = (list(csv.reader(open(path, newline=""))) for path in sys.argv[1:])
+header = new[0] if new else []
+cols = [name for i, name in enumerate(header) if any(a[i:i + 1] != b[i:i + 1] for a, b in zip(old[1:], new[1:]))]
+notes = [] if old[:1] == new[:1] else ["header differs"]
+notes += [] if len(old) == len(new) else [f"{len(old) - 1} rows against {len(new) - 1}"]
+print("columns " + (" ".join(cols) or "(none)") + "".join(f"; {note}" for note in notes))
+EOF_PY
+}
+
+report() {  # report OLD_DIR NEW_DIR: each output of one command that differs between the two runs
+    local f
+    for f in $( (ls "$1"; ls "$2") | sort -u); do
+        if [ ! -f "$1/$f" ] || [ ! -f "$2/$f" ]; then
+            echo "    $f: only on one side"
+        elif ! cmp -s "$1/$f" "$2/$f"; then
+            case $f in
+                *.csv) echo "    $f: $(csv_columns "$1/$f" "$2/$f")" ;;
+                *) diff "$1/$f" "$2/$f" | sed "s/^/    $f: /" | cut -c1-160 | head -8 ;;
+            esac
+        fi
+    done
+}
+
 status=0
 for t in "${threads[@]}"; do
     run_all "$here" this "$t"
@@ -67,11 +95,11 @@ for t in "${threads[@]}"; do
     i=0
     for cmd in "${commands[@]}"; do
         i=$((i + 1))
-        if diff -r "$work/other/$t/$i" "$work/this/$t/$i" >"$work/diff" 2>&1; then
+        if diff -r "$work/other/$t/$i" "$work/this/$t/$i" >/dev/null 2>&1; then
             echo "same      threads=$t  $cmd"
         else
             echo "DIFFERENT threads=$t  $cmd"
-            sed 's/^/    /' "$work/diff" | cut -c1-160 | head -8
+            report "$work/other/$t/$i" "$work/this/$t/$i"
             status=1
         fi
     done
