@@ -239,9 +239,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
     for k in range(1, cfg.steps + 1):
         y = meas[k]
-        # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one stacked
-        # call.  The first step runs each through its own public step, which keeps those on every run's path:
-        # bench/spans.py times kf_step, ekf_step, ukf_step, eukfa_step and eukfc_step by name.
+        # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one stacked call.
+        # The first step runs each through its own public step: bench/spans.py hooks those by name, not the
+        # stacked call, and bench/test_bench.py needs a span in each of their layers (ekf, ukf, eukf).
         if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):
             ests = [filter_state[j] for j in stack]
             carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ukfkit.harness as harness
+from ukfkit.ekf import ekf_step
 from ukfkit.enkf import enkf_step
+from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.harness import (
     CHECKS,
     ExperimentConfig,
@@ -26,8 +28,10 @@ from ukfkit.harness import (
     simulate_truth,
     verify_propositions,
 )
+from ukfkit.kf import kf_step
 from ukfkit.numerics import FilterDiverged
 from ukfkit.statespace import LinearSystem, SystemModel, make_linear_ex2, make_lorenz, measure
+from ukfkit.ukf import SIGMA_FILTERS, ukf_step
 
 
 def test_truth_noise_free_is_deterministic():
@@ -295,6 +299,28 @@ def test_overflowing_ensemble_innovation_marks_only_enkf_diverged(monkeypatch):
     _run_with_overflowing_output(monkeypatch, "enkf")
 
 
+def test_a_filter_that_fails_at_step_1_on_a_real_model_leaves_the_others_bits_alone(monkeypatch):
+    # g is NaN beyond |x| = 2.  From x0 = 1 and p0 = 1 the UKF's sigma points sit at 1 +- 1.5, so its outputs
+    # turn NaN at step 1; the truth (Q = 1e-4) and the EKF's mean stay near 1.  No step function is patched.
+    model = SystemModel(
+        l_x=1,
+        l_y=1,
+        f=lambda x: x,
+        g=lambda x: np.where(np.abs(x) <= 2, x, np.nan),
+        Q=1e-4 * np.eye(1),
+        R=1e-2 * np.eye(1),
+        jac_f=lambda x: np.eye(1),
+        jac_g=lambda x: np.eye(1),
+    )
+    monkeypatch.setattr(harness, "build_model", lambda cfg: (model, np.ones(1), np.eye(1)))
+    records, alone = (
+        run_experiment(ExperimentConfig(model="lorenz", steps=20, seed=3, filters=filters)) for filters in (("ekf", "ukf"), ("ekf",))
+    )
+    assert records[0].metrics["ukf"].failure == "FilterDiverged: sigma outputs became non-finite at step 1"
+    assert not any(rec.metrics["ekf"].diverged for rec in records)
+    assert [repr(rec.metrics["ekf"]) for rec in records] == [repr(rec.metrics["ekf"]) for rec in alone]
+
+
 def test_divergence_keeps_first_failing_step_and_reason():
     # alpha = 0.2 makes the center weight strongly negative; the UKF covariance
     # on the first benchmark system loses definiteness at step 40.
@@ -316,14 +342,17 @@ def test_output_and_error_norms_are_bitwise_np_linalg_norm():
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est = harness.StateEstimate(x0, p0, 0)
     for k, rec in enumerate(records, 1):
-        est, _ = harness.kf_step(model, est, meas[k])
+        est, _ = kf_step(model, est, meas[k])
         m = rec.metrics["kf"]
         assert m.output_error == float(np.linalg.norm(meas[k] - c @ est.mean))
         assert m.error_norm == float(np.linalg.norm(states[k] - est.mean))
 
 
+_PUBLIC_STEPS = {"enkf": enkf_step, "kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}
+
+
 def _replayed_records(cfg):
-    """run_experiment's records worked out step by step: each filter stepped alone, each metric a Python float."""
+    """run_experiment's records worked out step by step: each filter stepped alone through its public step, each metric a Python float."""
     model, x0, p0 = harness.build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est0 = harness.StateEstimate(x0, p0, 0)
@@ -335,7 +364,8 @@ def _replayed_records(cfg):
         recs, failures = {}, {}
         for name in [name for name in cfg.filters if state[name] is not None]:
             try:
-                state[name], recs[name] = harness._advance(name, model, state[name], y, cfg.alpha)
+                alpha = (cfg.alpha,) if name in SIGMA_FILTERS else ()
+                state[name], recs[name] = _PUBLIC_STEPS[name](model, state[name], y, *alpha)
             except harness._STEP_ERRORS as exc:
                 state[name] = None
                 failures[name] = f"{type(exc).__name__}: {exc}"

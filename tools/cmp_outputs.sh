@@ -24,10 +24,13 @@ threads=(1 2)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Both trees read this tree's copy of the linear-4x2 config and the one-state config written
-# below, so they get the same input.  The one-state run is the only command whose gain solves
-# have a single right-hand side (l_x = l_y = 1).
+# Both trees read this tree's copy of the linear-4x2 config and the two configs written below,
+# so they get the same input.  The one-state run is the only command whose gain solves have a
+# single right-hand side (l_x = l_y = 1).  The zero-start run begins every filter at P = 0 with
+# no process noise: kf and ekf fail at step 1 (an exact zero posterior is not SPD) and enkf
+# runs on, so it covers the zero initial factor of the kf and ekf slices and a step-1 failure.
 printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
+printf '%s\n' "model = linear-ex2" "p0 = 0" "q = 0" >"$work/zero-start.cfg"
 commands=(
     "run --model lorenz --filters ekf,ukf,eukfa,eukfc --steps 2000 --seed 7"
     "run --model vdp --filters ekf,ukf,eukfa,eukfc --steps 2000 --seed 7"
@@ -43,6 +46,7 @@ commands=(
     "verify --trials 100 --seed 0"
     "verify --trials 100 --seed 34013"
     "run --config $work/one-state.cfg --filters enkf,kf,ekf,ukf,eukfa,eukfc --ensemble 2000 --steps 300 --seed 7"
+    "run --config $work/zero-start.cfg --filters enkf,kf,ekf --ensemble 2000 --steps 50 --seed 7"
 )
 
 run_all() {  # run_all TREE SIDE THREADS
