@@ -159,12 +159,13 @@ def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tu
     process_noise = np.matmul(model.q_factor, w[..., None])[..., 0]  # per row, the bits of q_factor @ w[k]
     states = np.empty((horizon + 1, model.l_x))
     states[0] = np.asarray(x0, dtype=float)
-    for k in range(horizon + 1):
-        x = states[k]
-        if not all_finite(x):
-            raise TruthDiverged(f"truth state became non-finite at step {k}")
-        if k < horizon:
-            states[k + 1] = step_dynamics(model, x) + process_noise[k]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a divergence raises TruthDiverged below
+        for k in range(horizon + 1):
+            x = states[k]
+            if not all_finite(x):
+                raise TruthDiverged(f"truth state became non-finite at step {k}")
+            if k < horizon:
+                states[k + 1] = step_dynamics(model, x) + process_noise[k]
     return states, _outputs(model, states) + np.matmul(model.r_factor, v[..., None])[..., 0]
 
 

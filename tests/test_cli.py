@@ -198,6 +198,17 @@ def test_divergent_truth_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_truth_divergence_prints_its_error_and_no_numpy_warning(tmp_path, capsys):
+    # Lorenz at ts = 0.05 overflows on the way to a non-finite truth state at step 25.
+    out = tmp_path / "x.csv"
+    code = main(["run", "--model", "lorenz", "--ts", "0.05", "--steps", "100", "--seed", "1",
+                 "--filters", "ekf,ukf", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: truth state became non-finite at step 25\n")
+    assert not out.exists()
+
+
 def test_diverged_filter_reports_step_and_reason(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code = main(["run", "--model", "linear-ex1", "--steps", "60", "--seed", "1", "--alpha", "0.2",

@@ -164,14 +164,43 @@ def test_linear_system_round_trip():
     assert_allclose(jacobian_measurement(model, x), c, rtol=0)
 
 
-def test_batch_evaluation_matches_loop():
-    model = make_lorenz()
-    rng = np.random.default_rng(2)
-    xs = rng.standard_normal((3, 11))
-    batched = step_dynamics_batch(model, xs)
-    looped = np.column_stack([step_dynamics(model, xs[:, i]) for i in range(11)])
-    assert_allclose(batched, looped, rtol=0)
-    assert_allclose(measure_batch(model, xs), np.column_stack([measure(model, xs[:, i]) for i in range(11)]), rtol=0)
+def _lorenz_expression(x, ts=0.01, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
+    x1, x2, x3 = x
+    return np.array([x1 + ts * sigma * (x2 - x1), x2 + ts * (x1 * (rho - x3) - x2), x3 + ts * (x1 * x2 - beta * x3)])
+
+
+def _vdp_expression(x, ts=0.05, mu=1.5):
+    x1, x2 = x
+    return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1**2) * x2 - x1)])
+
+
+@pytest.mark.parametrize("width", [1, 2, 22, 2000, 20000])
+@pytest.mark.parametrize(
+    "model, expression, inf",
+    [(make_lorenz(), _lorenz_expression, np.inf), (make_vdp(ts=0.05, mu=1.5), _vdp_expression, -np.inf)],
+    ids=["lorenz", "vdp"],
+)
+def test_batch_evaluation_matches_loop(model, expression, inf, width):
+    # The built-in f forms a batch in place; each column must keep the bits of the whole-array expression.
+    rng = np.random.default_rng(width)
+    xs = rng.normal(0.0, 10.0, (model.l_x, width))
+    xs[0, 0], xs[-1, -1] = np.nan, inf
+    before = xs.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = step_dynamics_batch(model, xs)
+        expected = expression(xs)
+        looped = np.column_stack([step_dynamics(model, xs[:, i]) for i in range(width)])
+        measured = measure_batch(model, xs)
+        measured_looped = np.column_stack([measure(model, xs[:, i]) for i in range(width)])
+    assert batched.dtype == expected.dtype and batched.shape == expected.shape
+    assert batched.tobytes() == expected.tobytes()
+    assert xs.tobytes() == before.tobytes()
+    # A fresh array, so enkf_step forms its members in it without a copy.
+    assert batched.flags.owndata and batched.flags.c_contiguous and batched.flags.writeable
+    assert not np.shares_memory(batched, xs)
+    if expression is _lorenz_expression:  # vdp's single state squares by libm pow (see the statespace docstring)
+        assert batched.tobytes() == looped.tobytes()
+    assert measured.tobytes() == measured_looped.tobytes()
 
 
 def test_dimension_errors():

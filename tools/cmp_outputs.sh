@@ -29,6 +29,8 @@ trap 'rm -rf "$work"' EXIT
 # single right-hand side (l_x = l_y = 1).  The zero-start run begins every filter at P = 0 with
 # no process noise: kf and ekf fail at step 1 (an exact zero posterior is not SPD) and enkf
 # runs on, so it covers the zero initial factor of the kf and ekf slices and a step-1 failure.
+# The last command's Lorenz truth overflows (ts = 0.05) and turns non-finite at step 25: the run
+# writes no CSV, exits 1 and prints its one error line, so it covers a truth-failure run's stderr.
 printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
 printf '%s\n' "model = linear-ex2" "p0 = 0" "q = 0" >"$work/zero-start.cfg"
 commands=(
@@ -47,6 +49,7 @@ commands=(
     "verify --trials 100 --seed 34013"
     "run --config $work/one-state.cfg --filters enkf,kf,ekf,ukf,eukfa,eukfc --ensemble 2000 --steps 300 --seed 7"
     "run --config $work/zero-start.cfg --filters enkf,kf,ekf --ensemble 2000 --steps 50 --seed 7"
+    "run --model lorenz --ts 0.05 --steps 100 --seed 1 --filters ekf,ukf"
 )
 
 run_all() {  # run_all TREE SIDE THREADS
