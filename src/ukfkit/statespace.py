@@ -15,13 +15,14 @@ Column j of a batch result must depend on column j alone: the sigma-point
 filters of one step share a batch, side by side, and the EnKF passes all its
 members.  A column then has the same bits in a batch of any width when its
 arithmetic is elementwise, or exact, as in the built-in nonlinear models (f
-elementwise, formed in place in one fresh array; g a 0/1 selector row).  A
-general matrix product such as C @ x may round a column differently in a
-wider batch, so filters stacked on such a model agree with each filter run
-alone only to rounding.  A single state is not a batch of width 1 for vdp:
-its f and jac square a scalar x1 by libm pow (np.float64 ** 2, not correctly
-rounded), one ulp off a batch's np.square in about 1 of 1200 normal draws,
-so vdp's truth and its filters may round x1**2 differently.
+elementwise, Lorenz's formed in place in one fresh array; g a 0/1 selector
+row).  A general matrix product such as C @ x may round a column differently
+in a wider batch, so filters stacked on such a model agree with each filter
+run alone only to rounding.  A single state is not a batch of width 1 for
+vdp: its f and jac square a scalar x1 by libm pow (np.float64 ** 2, not
+correctly rounded), while x1**2 on a batch row is np.square, one ulp apart in
+about 1 of 1200 normal draws, so vdp's truth and its filters may round x1**2
+differently.
 """
 
 from __future__ import annotations
@@ -273,14 +274,7 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
 
     def f(x):
         x1, x2 = x
-        if not isinstance(x, np.ndarray) or x.ndim < 2:  # one state: x1**2 is libm pow, whose bits the truth keeps
-            return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1**2) * x2 - x1)])
-        out = np.empty(x.shape)  # a batch: the same operations, in place (x1**2 on an array is np.square)
-        o1, o2 = out
-        np.multiply(mu, np.subtract(1.0, np.square(x1, out=o2), out=o2), out=o2)
-        np.add(x2, np.multiply(ts, np.subtract(np.multiply(o2, x2, out=o2), x1, out=o2), out=o2), out=o2)
-        np.add(x1, np.multiply(ts, x2, out=o1), out=o1)
-        return out
+        return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1**2) * x2 - x1)])
 
     def jac(x):
         x1, x2 = x

@@ -181,7 +181,7 @@ def _vdp_expression(x, ts=0.05, mu=1.5):
     ids=["lorenz", "vdp"],
 )
 def test_batch_evaluation_matches_loop(model, expression, inf, width):
-    # The built-in f forms a batch in place; each column must keep the bits of the whole-array expression.
+    # Lorenz's f forms a batch in place; each column of either model must keep the bits of the whole-array expression.
     rng = np.random.default_rng(width)
     xs = rng.normal(0.0, 10.0, (model.l_x, width))
     xs[0, 0], xs[-1, -1] = np.nan, inf
