@@ -143,7 +143,8 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     ensemble's statistics, with no observation noise drawn.  The new members
     are formed in the array f returns, or in a C-ordered copy of it when it
     shares memory with ens.members (which is never written to), is read-only
-    or is not C-contiguous.
+    or is not C-contiguous.  Non-finite members raise FilterDiverged, seen in
+    xbar and in the posterior mean and cov, not in a pass over the members.
     """
     k = ens.step
     n = ens.size
@@ -168,14 +169,14 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
         if np.shares_memory(xf, ens.members) or not (xf.flags.writeable and xf.flags.c_contiguous):
             xf = np.array(xf, order="C")
         xf += w
-        if not all_finite(xf):
+        xbar = np.add.reduce(xf, axis=1) / n  # np.mean's arithmetic, without its wrapper
+        if not all_finite(xbar):  # a non-finite member makes its row's sum non-finite
             raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
         yf = measure_batch(model, xf)
     except ValueError as exc:  # from the model's f or g
         raise ValueError(f"{where}: {exc}") from exc
 
-    xbar = xf.mean(axis=1)
-    ybar = yf.mean(axis=1)
+    ybar = np.add.reduce(yf, axis=1) / n
     # ydev first: g may return a view of xf, which xdev then overwrites.
     ydev = np.subtract(yf, ybar[:, None], out=scratch.output)
     xdev = np.subtract(xf, xbar[:, None], out=xf)
@@ -192,9 +193,9 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     correction = (np.multiply if l_y == 1 else np.matmul)(_sqrt_gain(model, factor, gain), ydev, out=scratch.state)
     adev = np.subtract(xdev, correction, out=xf)
     cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
-    members = np.add(adev, mean[:, None], out=xf)
-    if not all_finite(members):
+    if not all_finite(mean, cov):  # a non-finite deviation makes its row's sum of squares non-finite
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
+    members = np.add(adev, mean[:, None], out=xf)
     nxt = Ensemble(members=members, seed=ens.seed, step=k + 1)
     nxt._scratch.append(scratch)
     return nxt, KfStep(xbar, prior_cov, gain, p_z, p_ez, mean, cov)

@@ -7,14 +7,15 @@ z_{k|k} = y_k - g(x_hat_{k|k}), the posterior error norm against the
 simulated truth, and the trace error relative to the ensemble filter when
 one is running.  A filter that fails mid-run is flagged as diverged and
 reported as NaN from that step on, and its record at the failing step keeps
-the exception type and message; the other filters continue.  Step 1 runs
-each filter through its own public step, for all but enkf a one-slice stack;
-from step 2, all filters but enkf advance in one :func:`ukf.stack_step` call
-per step, on arrays carried between steps; every g(mean), for z, is one call
-after the loop, and every trace one sum of the stored diagonals.  The records
-hold one :class:`FilterMetrics` named tuple per filter and step.
-``verify`` and the example-1 traces step :func:`ukf.stack_step` on carried
-arrays too, and reduce each check over the whole trajectory after the loop.
+the exception type and message; the other filters continue.  Two groups run
+one after the other over the whole run, so neither evicts the other's working
+set from the cache at each step: first the covariance-form filters, by their
+public steps (one-slice stacks) at step 1 and one :func:`ukf.stack_step` call
+per step on carried arrays from step 2, then enkf; the first group to meet an
+error that ends the run raises it.  Every g(mean), for z, is one call after
+the loops, every trace one sum of the stored diagonals; the records hold one
+:class:`FilterMetrics` per filter and step.  ``verify`` and the example-1
+traces step :func:`ukf.stack_step` on carried arrays and check after the loop.
 """
 
 from __future__ import annotations
@@ -236,36 +237,34 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     means, diagonals = np.full((*shape, model.l_x), np.nan), np.full((*shape, model.l_x), np.nan)
     alive = np.zeros(shape, dtype=bool)
     failures: dict[tuple[int, str], str] = {}
-    live = list(range(len(names)))
-    carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
-    for k in range(1, cfg.steps + 1):
-        y = meas[k]
-        # From the second step on, every live filter but enkf (first in FILTER_ORDER) advances in one stacked call.
-        # The first step runs each through its own public step: bench/spans.py hooks those by name, not the
-        # stacked call, and bench/test_bench.py needs a span in each of their layers (ekf, ukf, eukf).
-        if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):
-            ests = [filter_state[j] for j in stack]
-            carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
-            stack_names, at = [names[j] for j in stack], _rows(stack)
-        solo = live
-        if carry is not None:
-            try:
-                rec, factors = stack_step(model, stack_names, k - 1, *carry, y, cfg.alpha)
-            except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
-                for j, mean, cov, factor in zip(stack, *carry):
-                    filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
-                carry = None
-            else:
-                carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), [j for j in live if names[j] == "enkf"]
-                alive[k - 1, at], means[k - 1, at], diagonals[k - 1, at] = True, carry[0], carry[1].diagonal(0, 1, 2)
-        for j in list(solo):
-            try:
-                filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
-            except _STEP_ERRORS as exc:
-                live.remove(j)
-                failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
-                continue
-            alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
+    for live in [j for j, name in enumerate(names) if name != "enkf"], [j for j, name in enumerate(names) if name == "enkf"]:
+        carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
+        for k in range(1, cfg.steps + 1 if live else 1):
+            y = meas[k]
+            # Step 1 runs each filter's own public step: bench/spans.py hooks those by name, and bench/test_bench.py needs their spans.
+            if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):  # enkf's group never stacks
+                ests = [filter_state[j] for j in stack]
+                carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
+                stack_names, at = [names[j] for j in stack], _rows(stack)
+            solo = live
+            if carry is not None:
+                try:
+                    rec, factors = stack_step(model, stack_names, k - 1, *carry, y, cfg.alpha)
+                except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
+                    for j, mean, cov, factor in zip(stack, *carry):
+                        filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
+                    carry = None
+                else:
+                    carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), []
+                    alive[k - 1, at], means[k - 1, at], diagonals[k - 1, at] = True, carry[0], carry[1].diagonal(0, 1, 2)
+            for j in list(solo):
+                try:
+                    filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
+                except _STEP_ERRORS as exc:
+                    live.remove(j)
+                    failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
+                    continue
+                alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
     traces = diagonals.sum(axis=-1)  # the bits of np.trace: one reduction per diagonal, as trace makes it
     # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
     outputs = np.full((*shape, model.l_y), np.nan)

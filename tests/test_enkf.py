@@ -171,6 +171,29 @@ def test_divergence_raises():
         enkf_step(model, ens, np.array([0.0]))
 
 
+def _nan_column(x):
+    out = np.array(x, dtype=float)
+    out[:, 3] = np.nan
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize(
+    "f, mean, y",
+    [
+        (_nan_column, 1.0, 0.0),  # the forecast: one member column turns NaN
+        (lambda x: x, -1e307, 1.7e308),  # the update: y - ybar overflows, so the posterior mean is infinite
+    ],
+    ids=["forecast", "update"],
+)
+def test_non_finite_members_raise_with_the_step(f, mean, y):
+    model = SystemModel(l_x=1, l_y=1, f=f, g=lambda x: x, Q=np.eye(1), R=np.eye(1))
+    ens = enkf_init(StateEstimate([mean], np.eye(1), 4), 10, seed=0)
+    with pytest.raises(FilterDiverged) as caught:
+        enkf_step(model, ens, np.array([y]))
+    assert str(caught.value) == "enkf members became non-finite at step 5"
+
+
 def test_step_advances_bookkeeping():
     model = make_linear_ex2()
     ens = enkf_init(StateEstimate([1.0, 1.0], np.eye(2), 0), 100, seed=1)

@@ -275,6 +275,16 @@ def test_the_ensembles_draws_never_reach_the_rest_of_a_run(monkeypatch):
             assert with_enkf.tobytes() == alone.tobytes(), (name, field)
 
 
+def test_the_rest_of_a_run_never_reaches_the_ensemble():
+    sigma = ("ekf", "ukf", "eukfa", "eukfc")
+    with_sigma, alone = (
+        run_experiment(ExperimentConfig(model="lorenz", steps=60, seed=20240, ensemble=500, filters=filters))
+        for filters in (("enkf", *sigma), ("enkf",))
+    )
+    assert all(math.isfinite(rec.metrics["enkf"].trace) for rec in alone)
+    assert [repr(rec.metrics["enkf"]) for rec in with_sigma] == [repr(rec.metrics["enkf"]) for rec in alone]
+
+
 def _run_with_overflowing_output(monkeypatch, failing):
     monkeypatch.setattr(harness, "build_model", lambda cfg: (_overflowing_output_model(), np.zeros(1), np.eye(1)))
     records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, ensemble=100, filters=("ekf", failing)))

@@ -178,6 +178,15 @@ def test_run_advances_the_sigma_filters_in_one_stacked_call_per_step(monkeypatch
     assert calls == ["ekf_step", "ukf_step", "eukfa_step", "eukfc_step"] + [("ekf", *SIGMA_FILTERS)] * 19
 
 
+def test_run_steps_the_stacked_filters_over_the_whole_run_before_the_ensemble(monkeypatch):
+    calls = []
+    for name in ("stack_step", "ekf_step", "ukf_step", "eukfa_step", "eukfc_step", "enkf_step"):
+        step = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, step=step, name=name: calls.append(name) or step(*args))
+    run_experiment(ExperimentConfig(model="lorenz", steps=20, seed=7, ensemble=100, filters=("enkf", "ekf", *SIGMA_FILTERS)))
+    assert calls == ["ekf_step", "ukf_step", "eukfa_step", "eukfc_step"] + ["stack_step"] * 19 + ["enkf_step"] * 20
+
+
 def test_a_failing_stack_is_replayed_so_each_filter_fails_alone():
     # alpha 0.2 makes the center weight negative: ukf loses definiteness at step 40, both variants at 41.
     cfg = dict(model="linear-ex1", steps=60, seed=1, alpha=0.2)
