@@ -6,7 +6,9 @@ covariance of the predicted outputs plus the exact R.  The analysis draws
 no observation noise: the mean takes the Kalman update and the deviations
 the square-root update of Whitaker & Hamill (Mon. Wea. Rev. 130, 2002;
 Tippett et al., Mon. Wea. Rev. 131, 2003), whose sample covariance is the
-Kalman posterior P+ - K P_ez^T of the ensemble's own statistics.  That
+Kalman posterior P+ - K P_ez^T of the ensemble's own statistics; the step
+reports that formula as its posterior covariance, so it makes three passes
+over the members for the moments (prior, cross and output), not four.  That
 update is defined on the Cholesky factor of P_z which :func:`kf.kf_gain`
 makes for the gain and hands back, so P_z is factored once per step; with
 one output that factor is a square root and the deviation correction a
@@ -143,8 +145,25 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     ensemble's statistics, with no observation noise drawn.  The new members
     are formed in the array f returns, or in a C-ordered copy of it when it
     shares memory with ens.members (which is never written to), is read-only
-    or is not C-contiguous.  Non-finite members raise FilterDiverged, seen in
-    xbar and in the posterior mean and cov, not in a pass over the members.
+    or is not C-contiguous.
+
+    The reported posterior covariance is P+ - K P_ez^T, the form of
+    :func:`kf.kf_update`, formed from the l_x x l_x prior statistics instead of
+    a fourth pass over the members; the members' sample covariance equals
+    it to rounding.  Where the update contracts the covariance by orders of
+    magnitude, the difference cancels digits that a sum of squares of the
+    updated deviations would keep.
+
+    Non-finite members raise FilterDiverged, seen in xbar and in the
+    posterior mean and cov, not in a pass over the members.  The updated
+    deviations adev stay finite whenever prior_cov, P_z and the gain are
+    finite (P_z and P_ez are checked by :func:`kf_gain`, prior_cov through
+    cov): row i of xdev has sum of squares (N-1) P+_ii, so each entry is at
+    most sqrt((N-1) P+_ii); with one output the correction's entry is
+    k_i ydev_j with |k_i| <= |P_ez,i| / P_z, |P_ez,i| <= sqrt(P+_ii P_yy)
+    and |ydev_j| <= sqrt((N-1) P_yy), P_yy <= P_z, so it is bounded alike.
+    A member that overflows only when the mean is added back is caught by
+    the next step's xbar check.
     """
     k = ens.step
     n = ens.size
@@ -192,8 +211,8 @@ def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:
     # With one output each element of the product is one multiplication: the broadcast product has its bits, for less.
     correction = (np.multiply if l_y == 1 else np.matmul)(_sqrt_gain(model, factor, gain), ydev, out=scratch.state)
     adev = np.subtract(xdev, correction, out=xf)
-    cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
-    if not all_finite(mean, cov):  # a non-finite deviation makes its row's sum of squares non-finite
+    cov = symmetrize(prior_cov - gain @ p_ez.T)  # kf_update's form: the sample covariance of adev, to rounding
+    if not all_finite(mean, cov):  # a non-finite prior_cov makes cov non-finite; adev is then finite (docstring)
         raise FilterDiverged(f"enkf members became non-finite at step {k + 1}")
     members = np.add(adev, mean[:, None], out=xf)
     nxt = Ensemble(members=members, seed=ens.seed, step=k + 1)

@@ -72,7 +72,12 @@ KIND_TRUTH_OBS = 4
 
 
 class TruthDiverged(Exception):
-    """The simulated truth trajectory became non-finite."""
+    """The simulated truth trajectory or its measurements became non-finite."""
+
+
+# Overflow and invalid values in the truth and filter arithmetic are left to the finiteness checks, which raise
+# with the step and the cause; a numpy warning would only repeat them, without either.
+_FP_CHECKED = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 @dataclass
@@ -151,7 +156,10 @@ class FilterStepRecord:
 
 
 def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tuple[Array, Array]:
-    """Sample one noisy trajectory and its measurements for steps 0..horizon; g and the noise factors act outside the recursion."""
+    """Sample one noisy trajectory and its measurements for steps 0..horizon; g and the noise factors act outside the recursion.
+
+    TruthDiverged names the first step whose state, or else whose measurement, is not finite.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     stream = PhiloxCells()
@@ -160,14 +168,18 @@ def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tu
     process_noise = np.matmul(model.q_factor, w[..., None])[..., 0]  # per row, the bits of q_factor @ w[k]
     states = np.empty((horizon + 1, model.l_x))
     states[0] = np.asarray(x0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a divergence raises TruthDiverged below
+    with np.errstate(**_FP_CHECKED):
         for k in range(horizon + 1):
             x = states[k]
             if not all_finite(x):
                 raise TruthDiverged(f"truth state became non-finite at step {k}")
             if k < horizon:
                 states[k + 1] = step_dynamics(model, x) + process_noise[k]
-    return states, _outputs(model, states) + np.matmul(model.r_factor, v[..., None])[..., 0]
+        meas = _outputs(model, states) + np.matmul(model.r_factor, v[..., None])[..., 0]
+    if not all_finite(meas):
+        k = int(np.flatnonzero(~np.isfinite(meas).all(axis=1))[0])
+        raise TruthDiverged(f"truth measurement became non-finite at step {k}")
+    return states, meas
 
 
 def _outputs(model: SystemModel, xs: Array) -> Array:
@@ -237,46 +249,47 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     means, diagonals = np.full((*shape, model.l_x), np.nan), np.full((*shape, model.l_x), np.nan)
     alive = np.zeros(shape, dtype=bool)
     failures: dict[tuple[int, str], str] = {}
-    for live in [j for j, name in enumerate(names) if name != "enkf"], [j for j, name in enumerate(names) if name == "enkf"]:
-        carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
-        for k in range(1, cfg.steps + 1 if live else 1):
-            y = meas[k]
-            # Step 1 runs each filter's own public step: bench/spans.py hooks those by name, and bench/test_bench.py needs their spans.
-            if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):  # enkf's group never stacks
-                ests = [filter_state[j] for j in stack]
-                carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
-                stack_names, at = [names[j] for j in stack], _rows(stack)
-            solo = live
-            if carry is not None:
-                try:
-                    rec, factors = stack_step(model, stack_names, k - 1, *carry, y, cfg.alpha)
-                except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
-                    for j, mean, cov, factor in zip(stack, *carry):
-                        filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
-                    carry = None
-                else:
-                    carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), []
-                    alive[k - 1, at], means[k - 1, at], diagonals[k - 1, at] = True, carry[0], carry[1].diagonal(0, 1, 2)
-            for j in list(solo):
-                try:
-                    filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
-                except _STEP_ERRORS as exc:
-                    live.remove(j)
-                    failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
-                    continue
-                alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
-    traces = diagonals.sum(axis=-1)  # the bits of np.trace: one reduction per diagonal, as trace makes it
-    # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
-    outputs = np.full((*shape, model.l_y), np.nan)
-    outputs[alive] = _outputs(model, means[alive])
-    errors = states[1:, None] - means
-    enorms = np.sqrt(np.vecdot(errors, errors))  # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm
-    z = meas[1:, None] - outputs
-    zvals = z[..., 0] if model.l_y == 1 else np.sqrt(np.vecdot(z, z))
-    relerrs = np.full(shape, np.nan)
-    if "enkf" in names:  # relative to the ensemble trace; NaN where it is missing or zero
-        tr_enkf = traces[:, names.index("enkf"), None]
-        np.divide(np.abs(traces - tr_enkf), tr_enkf, out=relerrs, where=tr_enkf != 0)
+    with np.errstate(**_FP_CHECKED):  # a filter that overflows fails its finiteness check, with its error line
+        for live in [j for j, name in enumerate(names) if name != "enkf"], [j for j, name in enumerate(names) if name == "enkf"]:
+            carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
+            for k in range(1, cfg.steps + 1 if live else 1):
+                y = meas[k]
+                # Step 1 runs each filter's own public step: bench/spans.py hooks those by name, and bench/test_bench.py needs their spans.
+                if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):  # enkf's group never stacks
+                    ests = [filter_state[j] for j in stack]
+                    carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
+                    stack_names, at = [names[j] for j in stack], _rows(stack)
+                solo = live
+                if carry is not None:
+                    try:
+                        rec, factors = stack_step(model, stack_names, k - 1, *carry, y, cfg.alpha)
+                    except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
+                        for j, mean, cov, factor in zip(stack, *carry):
+                            filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
+                        carry = None
+                    else:
+                        carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), []
+                        alive[k - 1, at], means[k - 1, at], diagonals[k - 1, at] = True, carry[0], carry[1].diagonal(0, 1, 2)
+                for j in list(solo):
+                    try:
+                        filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
+                    except _STEP_ERRORS as exc:
+                        live.remove(j)
+                        failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
+                        continue
+                    alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
+        traces = diagonals.sum(axis=-1)  # the bits of np.trace: one reduction per diagonal, as trace makes it
+        # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
+        outputs = np.full((*shape, model.l_y), np.nan)
+        outputs[alive] = _outputs(model, means[alive])
+        errors = states[1:, None] - means
+        enorms = np.sqrt(np.vecdot(errors, errors))  # sqrt(v.v) is how np.linalg.norm computes a vector's 2-norm
+        z = meas[1:, None] - outputs
+        zvals = z[..., 0] if model.l_y == 1 else np.sqrt(np.vecdot(z, z))
+        relerrs = np.full(shape, np.nan)
+        if "enkf" in names:  # relative to the ensemble trace; NaN where it is missing or zero
+            tr_enkf = traces[:, names.index("enkf"), None]
+            np.divide(np.abs(traces - tr_enkf), tr_enkf, out=relerrs, where=tr_enkf != 0)
     rows = zip(traces.tolist(), relerrs.tolist(), zvals.tolist(), enorms.tolist(), (~alive).tolist())
     records = [FilterStepRecord(k, dict(zip(names, map(FilterMetrics, *row)))) for k, row in enumerate(rows, 1)]
     for (k, name), failure in failures.items():

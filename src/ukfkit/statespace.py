@@ -15,8 +15,13 @@ Column j of a batch result must depend on column j alone: the sigma-point
 filters of one step share a batch, side by side, and the EnKF passes all its
 members.  A column then has the same bits in a batch of any width when its
 arithmetic is elementwise, or exact, as in the built-in nonlinear models (f
-elementwise, Lorenz's formed in place in one fresh array; g a 0/1 selector
-row).  A general matrix product such as C @ x may round a column differently
+elementwise, Lorenz's formed in place in one fresh array; g the observed row
+of its input, as a view).  A g that returns a view of its input is allowed:
+its callers read its result before anything writes that input.  The view has
+the bits of the 0/1 product C @ x, the models' ``jac_g``, on finite states,
+except that it keeps a -0.0 which the product turns into +0.0; a non-finite
+entry in an unobserved row stays out of it, where the product would carry a
+NaN.  A general matrix product such as C @ x may round a column differently
 in a wider batch, so filters stacked on such a model agree with each filter
 run alone only to rounding.  A single state is not a batch of width 1 for
 vdp: its f and jac square a scalar x1 by libm pow (np.float64 ** 2, not
@@ -265,8 +270,9 @@ def _jacobian(model: SystemModel, x: Array, jac_fn, fn, rows: int, kind: str) ->
 def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
     """Euler-discretized Van der Pol oscillator observed in its first coordinate.
 
-    f(x) = [x1 + ts*x2, x2 + ts*(mu*(1 - x1^2)*x2 - x1)], C = [1 0],
-    with Q = 0.01*I and R = 1e-4 by default.
+    f(x) = [x1 + ts*x2, x2 + ts*(mu*(1 - x1^2)*x2 - x1)] and g(x) = C x
+    with C = [1 0], returned as a view of row x1; Q = 0.01*I and R = 1e-4
+    by default.
     """
     if ts <= 0:
         raise ValueError(f"step size must be positive, got {ts}")
@@ -289,7 +295,7 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
         l_x=2,
         l_y=1,
         f=f,
-        g=lambda x: c @ x,
+        g=lambda x: x[:1],  # the row C x selects, as a view
         Q=noise_cov(q, 2),
         R=noise_cov(r, 1),
         jac_f=jac,
@@ -308,8 +314,9 @@ def make_lorenz(
     """Forward-Euler Lorenz-63 model observed in its second coordinate.
 
     f(x) = x + ts * [sigma*(x2-x1), x1*(rho-x3)-x2, x1*x2 - beta*x3],
-    C = [0 1 0], Q = 0.01*I, R = 1e-4 by default.  The default parameters
-    put the system in its chaotic regime.
+    g(x) = C x with C = [0 1 0], returned as a view of row x2; Q = 0.01*I,
+    R = 1e-4 by default.  The default parameters put the system in its
+    chaotic regime.
     """
     if ts <= 0:
         raise ValueError(f"step size must be positive, got {ts}")
@@ -349,7 +356,7 @@ def make_lorenz(
         l_x=3,
         l_y=1,
         f=f,
-        g=lambda x: c @ x,
+        g=lambda x: x[1:2],  # the row C x selects, as a view
         Q=noise_cov(q, 3),
         R=noise_cov(r, 1),
         jac_f=jac,

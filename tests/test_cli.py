@@ -209,6 +209,39 @@ def test_truth_divergence_prints_its_error_and_no_numpy_warning(tmp_path, capsys
     assert not out.exists()
 
 
+def _run_scaled_random_walk(tmp_path, c):
+    """x_{k+1} = x_k + w_k observed as c x: the truth states stay finite, and c sets where the numbers overflow."""
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text(f"model = custom\na = 1\nc = {c}\nq = 1\nr = 1\n")
+    out = tmp_path / "walk.csv"
+    code = main(["run", "--config", str(cfg), "--filters", "enkf,ekf,ukf", "--ensemble", "100", "--steps", "50",
+                 "--seed", "1", "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_truth_measurement_is_named_with_its_step_and_no_numpy_warning(tmp_path, capsys):
+    # 1e308 x overflows once |x| > 1.8, first at step 9; the filters never run.
+    code, out = _run_scaled_random_walk(tmp_path, "1e308")
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: truth measurement became non-finite at step 9\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_filters_whose_covariances_overflow_print_their_errors_and_no_numpy_warning(tmp_path, capsys):
+    # 1e154 x stays finite, but its square does not: every filter's P_z overflows at step 1.
+    code, out = _run_scaled_random_walk(tmp_path, "1e154")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("wrote 50 steps x 3 filters")
+    reason = "produced a non-finite innovation or cross covariance at step 1"
+    assert captured.err.splitlines() == [
+        "error: filter(s) diverged before the end of the run: enkf, ekf, ukf",
+        *(f"error: {name} failed at step 1: FilterDiverged: {name} {reason}" for name in ("enkf", "ekf", "ukf")),
+    ]
+
+
 def test_diverged_filter_reports_step_and_reason(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code = main(["run", "--model", "linear-ex1", "--steps", "60", "--seed", "1", "--alpha", "0.2",

@@ -206,7 +206,10 @@ def test_step_advances_bookkeeping():
 
 
 def _serial_step(model, members, seed, k, y):
-    """One square-root EnKF step written out with inline draws, as one plain expression per quantity."""
+    """One square-root EnKF step written out with inline draws, as one plain expression per quantity.
+
+    Returns the new members, the step's record and, apart, the sample covariance of the updated deviations.
+    """
     n = members.shape[1]
     w = noise_factor(model.Q) @ sfc64_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
     xf = step_dynamics_batch(model, members) + w
@@ -224,9 +227,9 @@ def _serial_step(model, members, seed, k, y):
     factor = np.linalg.cholesky(p_z)
     sqrt_gain = solve_triangular(factor + noise_factor(model.R), (gain @ factor).T, lower=True, trans="T").T
     adev = xdev - sqrt_gain @ ydev
-    cov = symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
+    cov = symmetrize(prior_cov - gain @ p_ez.T)
     xa = adev + mean[:, None]
-    return xa, (xbar, prior_cov, gain, p_z, p_ez, mean, cov)
+    return xa, (xbar, prior_cov, gain, p_z, p_ez, mean, cov), symmetrize(np.einsum("ik,jk->ij", adev, adev) / denom)
 
 
 def _linear_4x2():
@@ -245,11 +248,13 @@ def test_steps_equal_a_serial_reference(make_model):
     ens = enkf_init(StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), 500, seed=17)
     members = ens.members
     for k in range(10):
-        members, expected = _serial_step(model, members, ens.seed, k, meas[k + 1])
+        members, expected, sample_cov = _serial_step(model, members, ens.seed, k, meas[k + 1])
         ens, rec = enkf_step(model, ens, meas[k + 1])
         assert np.array_equal(ens.members, members)
         for got, want in zip(_outputs(ens, rec)[1:], expected):
             assert np.array_equal(got, want)
+        # The reported P+ - K P_ez^T is the updated deviations' own sample covariance, to rounding.
+        assert np.linalg.norm(rec.posterior_cov - sample_cov) <= 1e-12 * np.linalg.norm(sample_cov)
 
 
 def _noise_free_outputs():
@@ -265,15 +270,17 @@ def test_members_carry_the_kalman_posterior_of_their_own_statistics(make_model):
     # sample moments are the Kalman update of its prior sample moments.
     model = make_model()
     n = 2000
+    _, meas = simulate_truth(model, np.ones(model.l_x), 20, seed=6)
     ens = enkf_init(StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0), n, seed=6)
-    ens, rec = enkf_step(model, ens, np.full(model.l_y, 0.3))
-    kalman = rec.prior_cov - rec.gain @ rec.cross_cov.T
-    assert np.linalg.norm(rec.posterior_cov - kalman) <= 1e-12 * np.linalg.norm(kalman)
-    sample_mean = ens.members.mean(axis=1)
-    dev = ens.members - sample_mean[:, None]
-    sample_cov = dev @ dev.T / (n - 1)
-    assert np.max(np.abs(sample_mean - rec.posterior_mean)) <= 1e-12 * max(1.0, np.max(np.abs(rec.posterior_mean)))
-    assert np.linalg.norm(sample_cov - rec.posterior_cov) <= 1e-12 * np.linalg.norm(rec.posterior_cov)
+    for k in range(1, 21):
+        ens, rec = enkf_step(model, ens, meas[k])
+        kalman = rec.prior_cov - rec.gain @ rec.cross_cov.T
+        assert np.linalg.norm(rec.posterior_cov - kalman) <= 1e-12 * np.linalg.norm(kalman)
+        sample_mean = ens.members.mean(axis=1)
+        dev = ens.members - sample_mean[:, None]
+        sample_cov = dev @ dev.T / (n - 1)
+        assert np.max(np.abs(sample_mean - rec.posterior_mean)) <= 1e-12 * max(1.0, np.max(np.abs(rec.posterior_mean)))
+        assert np.linalg.norm(sample_cov - rec.posterior_cov) <= 1e-12 * np.linalg.norm(rec.posterior_cov)
 
 
 def _identity_model():

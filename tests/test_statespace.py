@@ -60,6 +60,30 @@ def test_measure_built_ins():
     assert_allclose(measure(lorenz, [0.0, 0.0, 0.0]), [0.0], rtol=0)
 
 
+@pytest.mark.parametrize("width", [None, 1, 7, 22, 20000], ids=["single", "1", "7", "22", "20000"])
+@pytest.mark.parametrize("make_model", [make_lorenz, make_vdp], ids=["lorenz", "vdp"])
+def test_built_in_g_is_a_row_view_with_the_bits_of_c_times_x(make_model, width):
+    # Finite, nonzero states over the whole exponent range: the 0/1 product C x is exact, and so is the row.
+    model = make_model()
+    rng = np.random.default_rng(0 if width is None else width)
+    shape = (model.l_x,) if width is None else (model.l_x, width)
+    xs = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 2.0, shape) * 2.0 ** rng.integers(-1070, 1023, shape)
+    assert np.all(np.isfinite(xs)) and np.all(xs != 0.0)
+    c = jacobian_measurement(model, np.ones(model.l_x))
+    got = measure(model, xs) if width is None else measure_batch(model, xs)
+    assert np.shares_memory(got, xs)
+    assert got.shape == (c @ xs).shape and got.tobytes() == (c @ xs).tobytes()
+
+
+@pytest.mark.parametrize("make_model", [make_lorenz, make_vdp], ids=["lorenz", "vdp"])
+def test_built_in_g_keeps_a_negative_zero_that_c_times_x_makes_positive(make_model):
+    # The one finite difference from the product: 0 * x_i + (-0.0) sums to +0.0, the row keeps -0.0.
+    model = make_model()
+    c = jacobian_measurement(model, np.ones(model.l_x))
+    x = np.where(c[0] == 1.0, -0.0, 1.0)
+    assert np.signbit(measure(model, x)[0]) and not np.signbit((c @ x)[0])
+
+
 def test_noise_levels_of_built_ins():
     vdp = make_vdp()
     assert_allclose(vdp.Q, 0.01 * np.eye(2), rtol=0)

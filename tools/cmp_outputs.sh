@@ -8,9 +8,11 @@
 # the CSV files, stdout, stderr and exit code of each run with the other
 # tree's at the same count.  The path in a "wrote ... to PATH" line is
 # ignored.  Prints one line per command and count, and under a differing one
-# what differs: for a CSV file the header names of the columns holding any
-# differing value, for any other output its first diff lines.  Exits 1 if
-# anything differs, 0 when every output is identical.
+# what differs: for a CSV file the header name of each column holding any
+# differing value, with the largest relative difference |new - old| /
+# max(|new|, |old|) over its differing values after the colon (1 where one
+# side is 0, inf where a side is not a finite number), for any other output
+# its first diff lines.  Exits 1 if anything differs, 0 when every output is identical.
 set -u -o pipefail
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/ukfkit" ]; then
@@ -73,12 +75,27 @@ run_all() {  # run_all TREE SIDE THREADS
     done
 }
 
-csv_columns() {  # csv_columns OLD NEW: the names of the columns where NEW's values differ from OLD's
+csv_columns() {  # csv_columns OLD NEW: the columns where NEW's values differ from OLD's, each with its largest relative difference
     "$python" - "$1" "$2" <<'EOF_PY'
-import csv, sys
+import csv, math, sys
 old, new = (list(csv.reader(open(path, newline=""))) for path in sys.argv[1:])
 header = new[0] if new else []
-cols = [name for i, name in enumerate(header) if any(a[i:i + 1] != b[i:i + 1] for a, b in zip(old[1:], new[1:]))]
+
+def rel(a, b):  # |b - a| / max(|a|, |b|) of two differing fields; inf unless both are finite numbers
+    try:
+        a, b = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(b - a) / scale if scale else 0.0
+
+cols = []
+for i, name in enumerate(header):
+    diffs = [rel(a[i], b[i]) if a[i:i + 1] and b[i:i + 1] else math.inf for a, b in zip(old[1:], new[1:]) if a[i:i + 1] != b[i:i + 1]]
+    if diffs:
+        cols.append(f"{name}:{max(diffs):.2g}")
 notes = [] if old[:1] == new[:1] else ["header differs"]
 notes += [] if len(old) == len(new) else [f"{len(old) - 1} rows against {len(new) - 1}"]
 print("columns " + (" ".join(cols) or "(none)") + "".join(f"; {note}" for note in notes))
