@@ -27,7 +27,10 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    return np.array([[float(v) for v in row.split(",") if v.strip()] for row in text.split(";")])
+    rows = [[float(v) for v in row.split(",") if v.strip()] for row in text.split(";")]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"rows have different numbers of entries: {[len(row) for row in rows]}")
+    return np.array(rows)
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -70,7 +73,10 @@ def _config_from_args(args) -> ExperimentConfig:
         for key, text in raw.items():
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
-            merged[key] = _CONFIG_PARSERS[key](text)
+            try:
+                merged[key] = _CONFIG_PARSERS[key](text)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from exc
     for key in ("model", "steps", "seed", "alpha", "ensemble", "ts", "mu", "q", "r"):
         value = getattr(args, key, None)
         if value is not None:

@@ -44,7 +44,7 @@ from .statespace import (
     noise_factor,
     step_dynamics,
 )
-from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, _rows, stack_step, ukf_step
+from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, stack_step, ukf_step
 
 Array = np.ndarray
 
@@ -249,6 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     means, diagonals = np.full((*shape, model.l_x), np.nan), np.full((*shape, model.l_x), np.nan)
     alive = np.zeros(shape, dtype=bool)
     failures: dict[tuple[int, str], str] = {}
+    stacked = []  # per stack built: (its filters, the rows of its steps, their posterior (means, covs)), written after the loops
     with np.errstate(**_FP_CHECKED):  # a filter that overflows fails its finiteness check, with its error line
         for live in [j for j, name in enumerate(names) if name != "enkf"], [j for j, name in enumerate(names) if name == "enkf"]:
             carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
@@ -258,7 +259,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
                 if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):  # enkf's group never stacks
                     ests = [filter_state[j] for j in stack]
                     carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
-                    stack_names, at = [names[j] for j in stack], _rows(stack)
+                    stack_names, rows, posts = [names[j] for j in stack], [], []
+                    stacked.append((stack, rows, posts))
                 solo = live
                 if carry is not None:
                     try:
@@ -269,7 +271,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
                         carry = None
                     else:
                         carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), []
-                        alive[k - 1, at], means[k - 1, at], diagonals[k - 1, at] = True, carry[0], carry[1].diagonal(0, 1, 2)
+                        rows.append(k - 1)
+                        posts.append(carry[:2])
                 for j in list(solo):
                     try:
                         filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
@@ -278,6 +281,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
                         failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
                         continue
                     alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
+        for stack, rows, posts in stacked:
+            if rows:
+                at, (post_means, post_covs) = np.ix_(rows, stack), map(np.array, zip(*posts))
+                alive[at], means[at], diagonals[at] = True, post_means, post_covs.diagonal(0, 2, 3)
         traces = diagonals.sum(axis=-1)  # the bits of np.trace: one reduction per diagonal, as trace makes it
         # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
         outputs = np.full((*shape, model.l_y), np.nan)
@@ -483,19 +490,19 @@ def _check_equivalence(model: LinearSystem, est0: StateEstimate, report: Proposi
 
 
 def reproduce_config(example: int, seed: int = 0, ensemble: Optional[int] = None, steps: Optional[int] = None) -> ExperimentConfig:
-    """Canned configuration for the four benchmark experiments."""
+    """Canned configuration for the four benchmark experiments; `steps` and `ensemble` default only when None."""
     if example == 1:
         return ExperimentConfig(
-            model="linear-ex1", steps=steps or 1, seed=seed, filters=("kf", "ukf", "eukfa", "eukfc")
+            model="linear-ex1", steps=1 if steps is None else steps, seed=seed, filters=("kf", "ukf", "eukfa", "eukfc")
         )
     if example == 2:
-        return ExperimentConfig(model="linear-ex2", steps=steps or 100, seed=seed, filters=("kf", "ukf"))
+        return ExperimentConfig(model="linear-ex2", steps=100 if steps is None else steps, seed=seed, filters=("kf", "ukf"))
     if example in (3, 4):
         return ExperimentConfig(
             model="vdp" if example == 3 else "lorenz",
-            steps=steps or 5000,
+            steps=5000 if steps is None else steps,
             seed=seed,
-            ensemble=ensemble or 100_000,
+            ensemble=100_000 if ensemble is None else ensemble,
             filters=("enkf", "ekf", "ukf", "eukfa", "eukfc"),
         )
     raise ValueError(f"example must be 1..4, got {example}")

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FilterDiverged, all_finite, cholesky_solve, spd_sqrt_factor, symmetrize
+from .numerics import FilterDiverged, all_finite, cholesky_solve, spd_sqrt_factor, symmetric_part, symmetrize
 from .statespace import LinearSystem, StateEstimate
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KfStep:
     """All per-step filter quantities, shared by every filter in the package; a stacked step's, one slice per filter."""
 
@@ -98,17 +98,19 @@ def correct_stack(
     """Gain and update for a stack of filters consuming the step-k measurement y: (KfStep, chol(l_x P)) over the stack.
 
     Slice i of every array belongs to filter names[i].  The posterior factors
-    come from the SPD check; the next sigma-point step spreads with them.  A
-    bad y raises ValueError, a non-finite P_z, P_ez (:func:`kf_gain`) or
-    posterior FilterDiverged, and a P_z or posterior that is not SPD
-    NotPositiveDefinite, all naming filters and step.
+    come from the SPD check; the next sigma-point step spreads with them.  y
+    comes from outside and is checked here: one that is not finite with
+    shape (l_y,) raises ValueError.  The other arrays are the caller's own
+    and are not checked again, but a non-finite P_z, P_ez (:func:`kf_gain`)
+    or posterior raises FilterDiverged, and a P_z or posterior that is not
+    SPD NotPositiveDefinite, all naming filters and step.
     """
     label = "+".join(names)
     where = f"{label} step {k}"
     y = check_measurement(y, predicted_y.shape[1:], where)
     gain, _ = kf_gain(label, k, p_z, p_ez)
     mean, cov = kf_update(prior_mean, prior_cov, gain, p_ez, y, predicted_y)
-    cov = symmetrize(cov)
+    cov = symmetric_part(cov)
     if not all_finite(mean, cov):
         raise FilterDiverged(f"{label} produced a non-finite estimate at step {k}")
     factors = spd_sqrt_factor(mean.shape[1] * cov, where)
@@ -117,7 +119,7 @@ def correct_stack(
 
 def linearized_covs(a: Array, cov: Array, c: Array, q: Array) -> tuple[Array, Array, Array]:
     """(P+, C P+ C^T, P+ C^T) with P+ = A P A^T + Q, symmetrized, for Jacobians A and C; R is left for the caller to add."""
-    prior_cov = symmetrize(a @ cov @ a.T + q)
+    prior_cov = symmetric_part(a @ cov @ a.T + q)
     return prior_cov, c @ prior_cov @ c.T, prior_cov @ c.T
 
 

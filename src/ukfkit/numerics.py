@@ -54,6 +54,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return symmetric_part(m)
+
+
+def symmetric_part(m: np.ndarray) -> np.ndarray:
+    """:func:`symmetrize` without the checks, for a float stack of square matrices that the caller formed itself."""
     s = m + m.swapaxes(-1, -2)
     s *= 0.5
     return s
@@ -72,7 +77,7 @@ def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if m.shape[-1] == 1 and np.count_nonzero(m > 0) == m.size:
+    if m.shape[-1] == 1 and np.count_nonzero(m > 0.0) == m.size:
         return np.sqrt(m)  # a 1x1 potrf is one correctly rounded square root; 0, < 0 and NaN take LAPACK's path
     try:
         return np.linalg.cholesky(m)
@@ -119,7 +124,8 @@ def cholesky_solve(factor: np.ndarray, b: np.ndarray, where: str = "") -> np.nda
         raise ValueError(f"shapes of m {factor.shape} and b {b.shape} are incompatible ({where})")
     if factor.shape[-1] == 1:  # OpenBLAS's 1x1 dgesv: divide by L for one right-hand side (trsv), multiply by 1 / L for more (trsm)
         op, pivot = (np.divide, factor) if rhs.shape[-1] == 1 else (np.multiply, 1.0 / factor)
-        x = op(op(rhs, pivot), pivot)
+        x = op(rhs, pivot)
+        op(x, pivot, out=x)
     else:
         x = np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
     return x[..., 0] if vector else x

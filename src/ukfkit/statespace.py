@@ -340,17 +340,12 @@ def make_lorenz(
         np.add(x1, np.multiply(ts * sigma, np.subtract(x2, x1, out=o1), out=o1), out=o1)
         return out
 
-    eye = np.eye(3)
+    # I + ts * M entry by entry in Python floats, with the bits of the array expression; the constant entries once.
+    j00, j01, j02, j11, j22 = 1.0 + ts * -sigma, 0.0 + ts * sigma, 0.0 + ts * 0.0, 1.0 + ts * -1.0, 1.0 + ts * -beta
 
     def jac(x):
         x1, x2, x3 = np.asarray(x).tolist()  # Python floats build the array faster than numpy scalars
-        return eye + ts * np.array(
-            [
-                [-sigma, sigma, 0.0],
-                [rho - x3, -1.0, -x1],
-                [x2, x1, -beta],
-            ]
-        )
+        return np.array([[j00, j01, j02], [0.0 + ts * (rho - x3), j11, 0.0 + ts * -x1], [0.0 + ts * x2, 0.0 + ts * x1, j22]])
 
     return SystemModel(
         l_x=3,

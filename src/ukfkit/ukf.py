@@ -35,7 +35,7 @@ from dataclasses import fields
 import numpy as np
 
 from .kf import KfStep, correct_stack, linearized_covs
-from .numerics import FilterDiverged, all_finite, symmetrize
+from .numerics import FilterDiverged, all_finite, symmetric_part
 from .statespace import (
     LinearSystem,
     StateEstimate,
@@ -79,13 +79,6 @@ def _weights(alpha: float, l_x: int) -> Array:
     return _read_only(w)
 
 
-def _spread(center: Array, factor: Array, alpha: float) -> Array:
-    """Columns [c, c + p_i, c - p_i] with p_i the columns of alpha * factor, for each slice of a stack."""
-    p_sigma = alpha * factor
-    c = center[..., None]
-    return np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)
-
-
 def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: float, k: int, extra: Array):
     """Sigma points around each mean (s, l_x) spread by alpha times its factor (s, l_x, l_x), pushed through f and g.
 
@@ -101,13 +94,14 @@ def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: flo
     """
     w = ukf_weights(alpha, model.l_x)
     (s, l_x), m = means.shape, w.size
+    p_sigma, c = alpha * factors, means[..., None]
+    points = np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)  # [c, c + p_i, c - p_i], p_i the columns of alpha * factor
     linear = isinstance(model, LinearSystem)
     if linear:
-        xprop = np.matmul(model.A, _spread(means, factors, alpha))
+        xprop = np.matmul(model.A, points)
         fx = np.matmul(model.A, extra[..., None])[..., 0]
     else:
-        fx = _spread(means, factors, alpha).swapaxes(0, 1).reshape(l_x, s * m)
-        fx = step_dynamics_batch(model, np.concatenate((fx, extra.T), axis=1))
+        fx = step_dynamics_batch(model, np.concatenate((points.swapaxes(0, 1).reshape(l_x, s * m), extra.T), axis=1))
         xprop = fx[:, : s * m].reshape(l_x, s, m).swapaxes(0, 1)
     if not all_finite(xprop):
         raise FilterDiverged(f"sigma points became non-finite at step {k + 1}")
@@ -207,6 +201,19 @@ def _rows(rows: list[int]):
     return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(names: tuple):
+    """Where :func:`stack_step` finds each kind of slice of a stack `names`, worked out once per tuple; None unless
+    every name is one of STACK_FILTERS: the sigma-point rows, the kf and ekf slices and their rows, (row among the
+    sigma-point rows, slice) of each eukfa, the slices whose priors add Q (ukf, eukfc), and the eukfc slices."""
+    if not names or not _STACK_SET.issuperset(names):
+        return None
+    sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
+    lin = [i for i, name in enumerate(names) if name not in _SIGMA_SET]
+    eukfa = [(j, i) for j, i in enumerate(sigma) if names[i] == "eukfa"]
+    return _rows(sigma), lin, _rows(lin), eukfa, [i for i in sigma if names[i] != "eukfa"], [i for i in sigma if names[i] == "eukfc"]
+
+
 def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, factors: Array, y, alpha: float = 1.5) -> tuple[KfStep, Array]:
     """One predict/update cycle of a stack of filters at step k, as arrays, consuming the measurement at step k+1.
 
@@ -219,25 +226,31 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     Q C^T terms see one slice at a time; the rest runs as stacked numpy
     calls, with the bits of one-slice stacks when f and g keep a column's
     bits in any batch width (see :mod:`statespace`).  Returns
-    :func:`kf.correct_stack`'s stacked KfStep and posterior factors.  An
-    unknown name, a wrong shape, or an f, g or Jacobian that returns one,
-    raises ValueError naming filters and step.
+    :func:`kf.correct_stack`'s stacked KfStep and posterior factors.
+
+    What comes from outside is checked once, where it enters: the names and
+    the three arrays' shapes here, y in :func:`kf.correct_stack`, and each
+    output of f, g and the Jacobians as it is returned.  An unknown name, a
+    wrong shape, or an f, g or Jacobian that returns one, raises ValueError
+    naming filters and step.  The arrays the step forms itself are not
+    checked again, except by the finiteness and definiteness checks that
+    tell a diverged filter.  Where each kind of slice sits is worked out
+    once per names tuple, and a message is formed only when it is raised.
     """
     n, l_x, l_y = len(names), model.l_x, model.l_y
-    if not n or not _STACK_SET.issuperset(names) or means.shape != (n, l_x) or covs.shape != (n, l_x, l_x) or factors.shape != covs.shape:
+    plan = _plan(tuple(names))
+    if plan is None or means.shape != (n, l_x) or covs.shape != (n, l_x, l_x) or factors.shape != covs.shape:
         raise _stack_error(names, k, l_x)
-    sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
-    lin = [i for i, name in enumerate(names) if name not in _SIGMA_SET]
-    at, lin_at = _rows(sigma), _rows(lin)
+    at, lin, lin_at, eukfa, add_q, eukfc = plan
     prior_mean, predicted_y = np.empty((n, l_x)), np.empty((n, l_y))
     p_prior, p_z, p_ez = np.empty((n, l_x, l_x)), np.empty((n, l_y, l_y)), np.empty((n, l_x, l_y))
+    q = model.Q
     try:
         spread = factors[at]
-        if "eukfa" in names:
+        if eukfa:
             spread = spread.copy()
-            for j, i in enumerate(sigma):
-                if names[i] == "eukfa":
-                    spread[j] = _inflated_factor(model, means[i], factors[i], k)
+            for j, i in eukfa:
+                spread[j] = _inflated_factor(model, means[i], factors[i], k)
         prior_mean[at], predicted_y[at], xdev, ydev, w, prior_mean[lin_at], predicted_y[lin_at] = unscented_prior(model, means[at], spread, alpha, k, means[lin_at])
         wx = xdev * w
         p_prior[at] = wx @ xdev.swapaxes(-1, -2)
@@ -248,21 +261,19 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
                 a, c = model.A, model.C
             else:
                 a, c = jacobian_dynamics(model, means[i]), jacobian_measurement(model, prior_mean[i])
-            p_prior[i], p_z[i], p_ez[i] = linearized_covs(a, covs[i], c, model.Q)
-        for i in sigma:
-            # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
-            name = names[i]
-            if name != "eukfa":
-                p_prior[i] += model.Q
-            if name == "eukfc":
-                c = jacobian_measurement(model, prior_mean[i])
-                qct = model.Q @ c.T
-                p_z[i] += c @ qct
-                p_ez[i] += qct
+            p_prior[i], p_z[i], p_ez[i] = linearized_covs(a, covs[i], c, q)
+        # ukf adds Q to the prior; eukfa brings Q in through its sigma spread; eukfc adds Q and its C Q C^T, Q C^T terms.
+        for i in add_q:
+            p_prior[i] += q
+        for i in eukfc:
+            c = jacobian_measurement(model, prior_mean[i])
+            qct = q @ c.T
+            p_z[i] += c @ qct
+            p_ez[i] += qct
     except ValueError as exc:  # from the model's f, g or a Jacobian; correct_stack names its own
         raise ValueError(f"{'+'.join(names)} step {k + 1}: {exc}") from exc
     p_z += model.R
-    return correct_stack(names, k + 1, prior_mean, symmetrize(p_prior), symmetrize(p_z), p_ez, y, predicted_y)
+    return correct_stack(names, k + 1, prior_mean, symmetric_part(p_prior), symmetric_part(p_z), p_ez, y, predicted_y)
 
 
 def _step_one(name: str, model: SystemModel, est: StateEstimate, y, alpha: float = 1.5) -> tuple[StateEstimate, KfStep]:

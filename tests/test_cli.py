@@ -135,6 +135,23 @@ def test_non_finite_numbers_are_rejected_before_any_csv(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("steps = 1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("a = 1, x; 3, 4", "could not convert string to float: ' x'"),
+        ("a = 1, 2; 3", "rows have different numbers of entries: [2, 1]"),
+    ],
+    ids=["int", "float", "ragged"],
+)
+def test_config_value_errors_name_the_file_and_the_key(tmp_path, capsys, line, reason):
+    cfg_file = tmp_path / "bad-value.cfg"
+    cfg_file.write_text(f"model = custom\nc = 1, 0\n{line}\n")
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x.csv")]) == 1
+    key = line.split(" =")[0]
+    assert capsys.readouterr().err == f"error: {cfg_file}: {key}: {reason}\n"
+
+
 def test_custom_model_via_config(tmp_path):
     cfg_file = tmp_path / "custom.cfg"
     cfg_file.write_text(
@@ -170,6 +187,20 @@ def test_reproduce_example_2(tmp_path):
     trp_kf = [float(r[1]) for r in rows[2:]]
     trp_ukf = [float(r[5]) for r in rows[2:]]
     assert all(abs(a - b) > 1e-9 for a, b in zip(trp_kf, trp_ukf))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--example", "2", "--steps", "0"], "steps must be at least 1, got 0"),
+        (["--example", "3", "--steps", "2", "--ensemble", "0"], "ensemble size must be at least 2, got 0"),
+    ],
+    ids=["steps", "ensemble"],
+)
+def test_reproduce_rejects_zero_steps_and_zero_ensemble(tmp_path, capsys, flags, message):
+    assert main(["reproduce", *flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_reproduce_example_1_prints_traces(tmp_path, capsys):

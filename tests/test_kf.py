@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -22,7 +24,7 @@ from ukfkit.statespace import (
     measure,
     step_dynamics,
 )
-from ukfkit.ukf import ukf_step
+from ukfkit.ukf import stack_step, ukf_step
 
 # Hand-derived one-step quantities for the first benchmark system
 # (A = [[2.4, 2.1], [0, -0.7]], C = [-0.4, -0.9], Q = I, R = 1, P0 = I):
@@ -193,6 +195,16 @@ def test_joseph_form_consistency():
 LY2_SYSTEM = LinearSystem(
     A=np.array([[0.9, 0.2], [0.0, 0.7]]), C=np.eye(2), Q=0.1 * np.eye(2), R=0.2 * np.eye(2)
 )
+# The four stacked filters of a nonlinear run, as one stack_step call from one estimate in every slice.
+STACK = ("ekf", "ukf", "eukfa", "eukfc")
+STACK_LABEL = "+".join(STACK)
+
+
+def _stack_step(model, est, y):
+    arrays = [np.array([a] * len(STACK)) for a in (est.mean, est.cov, est.sigma_factor())]
+    return stack_step(model, STACK, est.step, *arrays, y)
+
+
 FILTER_STEPS = {
     "kf": lambda est, y: kf_step(LY2_SYSTEM, est, y),
     "ekf": lambda est, y: ekf_step(LY2_SYSTEM, est, y),
@@ -200,6 +212,7 @@ FILTER_STEPS = {
     "eukfa": lambda est, y: eukfa_step(LY2_SYSTEM, est, y),
     "eukfc": lambda est, y: eukfc_step(LY2_SYSTEM, est, y),
     "enkf": lambda est, y: enkf_step(LY2_SYSTEM, enkf_init(est, 10, 0), y),
+    STACK_LABEL: lambda est, y: _stack_step(LY2_SYSTEM, est, y),
 }
 
 
@@ -207,14 +220,15 @@ FILTER_STEPS = {
 @pytest.mark.parametrize("name", list(FILTER_STEPS))
 def test_bad_measurement_raises_value_error_naming_filter_and_step(name, y):
     est = StateEstimate(np.array([1.0, -1.0]), np.eye(2), 4)
-    with pytest.raises(ValueError, match=f"{name} step 5"):
+    message = f"{name} step 5: expected a finite measurement of shape (2,), got {np.asarray(y, dtype=float)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FILTER_STEPS[name](est, y)
 
 
 @pytest.mark.parametrize("name", list(FILTER_STEPS))
 def test_wrong_length_state_raises_value_error_naming_filter_and_step(name):
     est = StateEstimate(np.ones(3), np.eye(3), 4)
-    with pytest.raises(ValueError, match=f"^{name} step 5"):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} step 5"):
         FILTER_STEPS[name](est, np.zeros(2))
 
 
@@ -235,7 +249,7 @@ def test_kf_and_ekf_steps_check_a_state_only_where_a_jacobian_takes_it(monkeypat
 
 
 # What each step calls of a model besides f and g: kf and ekf both Jacobians, eukfa jac_f for its sigma
-# factor, eukfc jac_g for its C Q C^T and Q C^T terms.
+# factor, eukfc jac_g for its C Q C^T and Q C^T terms; and the columns of each one-call f and g batch.
 MODEL_PARTS = {
     "kf": ("f", "g", "jac_f", "jac_g"),
     "ekf": ("f", "g", "jac_f", "jac_g"),
@@ -243,7 +257,9 @@ MODEL_PARTS = {
     "eukfa": ("f", "g", "jac_f"),
     "eukfc": ("f", "g", "jac_g"),
     "enkf": ("f", "g"),
+    STACK_LABEL: ("f", "g", "jac_f", "jac_g"),
 }
+BATCH_WIDTH = {"kf": 1, "ekf": 1, "ukf": 5, "eukfa": 5, "eukfc": 5, "enkf": 10, STACK_LABEL: 3 * 5 + 1}
 
 
 @pytest.mark.parametrize("name, bad", [(name, bad) for name, parts in MODEL_PARTS.items() for bad in parts])
@@ -255,16 +271,26 @@ def test_every_step_names_itself_when_the_model_returns_the_wrong_shape(name, ba
     if name == "enkf":
         step, est = enkf_step, enkf_init(est, 10, 0)
     else:
-        step = {"kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name]
-    with pytest.raises(ValueError, match=r"^" + name + r" step 5: .*shape \(5,\)") as raised:
+        step = {"kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step, STACK_LABEL: _stack_step}[name]
+    width = BATCH_WIDTH[name]
+    reason = {
+        "f": f"batched f returned shape (5,), expected (2, {width})",
+        "g": f"batched g returned shape (5,), expected (1, {width})",
+        "jac_f": "dynamics Jacobian shape (5,), expected (2, 2)",
+        "jac_g": "measurement Jacobian shape (5,), expected (1, 2)",
+    }[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} step 5: {reason}')}$"):
         step(model, est, np.zeros(1))
-    assert str(raised.value).count("step 5") == 1
 
 
 def test_non_finite_posterior_raises_filter_diverged():
-    prior_mean = np.array([[np.inf, 0.0]])
-    with pytest.raises(FilterDiverged, match="kf .*step 3"):
-        correct_stack(("kf",), 3, prior_mean, np.eye(2)[None], np.eye(1)[None], np.zeros((1, 2, 1)), np.zeros(1), np.zeros((1, 1)))
+    for names in ("kf",), STACK:
+        n = len(names)
+        prior_mean = np.zeros((n, 2))
+        prior_mean[-1, 0] = np.inf
+        args = np.repeat(np.eye(2)[None], n, 0), np.ones((n, 1, 1)), np.zeros((n, 2, 1)), np.zeros(1), np.zeros((n, 1))
+        with pytest.raises(FilterDiverged, match=f"^{re.escape('+'.join(names))} produced a non-finite estimate at step 3$"):
+            correct_stack(names, 3, prior_mean, *args)
 
 
 def _textbook_step(model, est, y):

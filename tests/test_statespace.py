@@ -114,6 +114,18 @@ def test_lorenz_jacobian_hand_value():
     assert_allclose(jacobian_dynamics(model, [1.0, 1.0, 1.0]), expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("ts, sigma, rho, beta", [(TS, 10.0, 28.0, 8.0 / 3.0), (0.05, 7.5, 13.0, 0.3)], ids=["default", "other"])
+def test_lorenz_jacobian_has_the_bits_of_i_plus_ts_m(ts, sigma, rho, beta):
+    # The analytic Jacobian is formed entry by entry; it must keep the bits of the array expression I + ts * M.
+    model = make_lorenz(ts=ts, sigma=sigma, rho=rho, beta=beta)
+    rng = np.random.default_rng(5)
+    states = rng.choice([-1.0, 1.0], (2000, 3)) * rng.uniform(1.0, 2.0, (2000, 3)) * 2.0 ** rng.integers(-1070, 1000, (2000, 3))
+    for x in [*states, *(rng.standard_normal((200, 3)) * 20.0), np.zeros(3), -np.zeros(3)]:
+        x1, x2, x3 = x
+        want = np.eye(3) + ts * np.array([[-sigma, sigma, 0.0], [rho - x3, -1.0, -x1], [x2, x1, -beta]])
+        assert jacobian_dynamics(model, x).tobytes() == want.tobytes()
+
+
 def test_jacobian_fd_identity_and_affine():
     assert_allclose(jacobian_fd(lambda x: x, np.array([1.0, 2.0])), np.eye(2), rtol=1e-9)
     a = np.array([[1.0, 2.0], [3.0, -4.0]])
