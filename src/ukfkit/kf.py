@@ -98,12 +98,11 @@ def correct_stack(
     """Gain and update for a stack of filters consuming the step-k measurement y: (KfStep, chol(l_x P)) over the stack.
 
     Slice i of every array belongs to filter names[i].  The posterior factors
-    come from the SPD check; the next sigma-point step spreads with them.  y
-    comes from outside and is checked here: one that is not finite with
-    shape (l_y,) raises ValueError.  The other arrays are the caller's own
-    and are not checked again, but a non-finite P_z, P_ez (:func:`kf_gain`)
-    or posterior raises FilterDiverged, and a P_z or posterior that is not
-    SPD NotPositiveDefinite, all naming filters and step.
+    come from the SPD check; the next sigma-point step spreads with them.  Only
+    y comes from outside: one that is not finite of shape (l_y,) raises
+    ValueError.  A non-finite P_z, P_ez (:func:`kf_gain`) or posterior raises
+    FilterDiverged, and a P_z or posterior that is not SPD NotPositiveDefinite,
+    all naming filters and step; the caller's arrays are not checked again.
     """
     label = "+".join(names)
     where = f"{label} step {k}"

@@ -203,9 +203,8 @@ def _rows(rows: list[int]):
 
 @functools.lru_cache(maxsize=64)
 def _plan(names: tuple):
-    """Where :func:`stack_step` finds each kind of slice of a stack `names`, worked out once per tuple; None unless
-    every name is one of STACK_FILTERS: the sigma-point rows, the kf and ekf slices and their rows, (row among the
-    sigma-point rows, slice) of each eukfa, the slices whose priors add Q (ukf, eukfc), and the eukfc slices."""
+    """Once per tuple, where :func:`stack_step` finds each kind of slice (None unless all names are STACK_FILTERS): sigma-point
+    rows, kf and ekf slices and rows, (sigma-point row, slice) of each eukfa, slices whose priors add Q (ukf, eukfc), eukfc slices."""
     if not names or not _STACK_SET.issuperset(names):
         return None
     sigma = [i for i, name in enumerate(names) if name in _SIGMA_SET]
