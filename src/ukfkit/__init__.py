@@ -6,8 +6,7 @@ from .enkf import Ensemble, enkf_init, enkf_step
 from .eukf import SingularDynamicsJacobian, eukfa_sigma_scale, eukfa_step, eukfc_step
 from .harness import (
     ExperimentConfig,
-    FilterMetrics,
-    FilterStepRecord,
+    RunResult,
     TruthDiverged,
     example1_traces,
     export_csv,
@@ -41,11 +40,10 @@ __all__ = [
     "Ensemble",
     "ExperimentConfig",
     "FilterDiverged",
-    "FilterMetrics",
-    "FilterStepRecord",
     "KfStep",
     "LinearSystem",
     "NotPositiveDefinite",
+    "RunResult",
     "SingularDynamicsJacobian",
     "StateEstimate",
     "SystemModel",

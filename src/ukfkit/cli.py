@@ -92,17 +92,14 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _run_and_export(cfg: ExperimentConfig, out) -> int:
-    records = run_experiment(cfg)
-    export_csv(records, out)
-    last = records[-1]
-    dead = [name for name, m in last.metrics.items() if m.diverged]
-    print(f"wrote {len(records)} steps x {len(last.metrics)} filters to {out}")
+    result = run_experiment(cfg)
+    export_csv(result, out)
+    dead = [name for name, diverged in zip(result.names, result.diverged[-1].tolist()) if diverged]
+    print(f"wrote {len(result.diverged)} steps x {len(result.names)} filters to {out}")
     if dead:
         print(f"error: filter(s) diverged before the end of the run: {', '.join(dead)}", file=sys.stderr)
-        for rec in records:
-            for name, m in rec.metrics.items():
-                if m.failure:
-                    print(f"error: {name} failed at step {rec.step}: {m.failure}", file=sys.stderr)
+        for name, (k, failure) in result.failures.items():
+            print(f"error: {name} failed at step {k}: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -6,15 +6,15 @@ records the posterior covariance trace, the posterior output error
 z_{k|k} = y_k - g(x_hat_{k|k}), the posterior error norm against the
 simulated truth, and the trace error relative to the ensemble filter when
 one is running.  A filter that fails mid-run is flagged as diverged and
-reported as NaN from that step on, and its record at the failing step keeps
+reported as NaN from that step on, and the run keeps its failing step with
 the exception type and message; the other filters continue.  Two groups run
 one after the other over the whole run, so neither evicts the other's working
 set from the cache at each step: first the covariance-form filters, by their
 public steps (one-slice stacks) at step 1 and one :func:`ukf.stack_step` call
 per step on carried arrays from step 2, then enkf; the first group to meet an
 error that ends the run raises it.  Every g(mean), for z, is one call after
-the loops, every trace one sum of the stored diagonals; the records hold one
-:class:`FilterMetrics` per filter and step.  ``verify`` and the example-1
+the loops, every trace one sum of the stored diagonals; the run returns them
+as whole-run arrays in one :class:`RunResult`.  ``verify`` and the example-1
 traces step :func:`ukf.stack_step` on carried arrays and check after the loop.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -134,25 +134,23 @@ class ExperimentConfig:
             raise ValueError(f"the custom model needs a 2-d matrix a and a matrix c, got a={self.a!r}, c={self.c!r}")
 
 
-class FilterMetrics(NamedTuple):
-    """Per-filter scalars for one step; NaN once the filter has diverged.
+@dataclass(frozen=True)
+class RunResult:
+    """One run's outputs as whole-run (steps, filters) arrays: row k - 1 holds step k, column j filter names[j].
 
-    `failure` is "ExceptionType: message" at the step where the filter
-    failed, and empty at every other step.
+    `trace`, `relerr`, `output_error` and `error_norm` are the four CSV
+    values, NaN once the filter has failed, and `diverged` is True from its
+    failing step on.  `failures` maps each failed filter to its failing step
+    and "ExceptionType: message", ordered by step, then by FILTER_ORDER.
     """
 
-    trace: float
-    relerr: float
-    output_error: float
-    error_norm: float
-    diverged: bool
-    failure: str = ""
-
-
-@dataclass(frozen=True)
-class FilterStepRecord:
-    step: int
-    metrics: dict[str, FilterMetrics]
+    names: tuple[str, ...]
+    trace: Array
+    relerr: Array
+    output_error: Array
+    error_norm: Array
+    diverged: Array
+    failures: dict[str, tuple[int, str]]
 
 
 def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tuple[Array, Array]:
@@ -237,7 +235,7 @@ _STEP_ERRORS = (
 )
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run every selected filter over one shared truth and measurement sequence."""
     model, x0, p0 = build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
@@ -248,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
     shape = (cfg.steps, len(names))
     means, diagonals = np.full((*shape, model.l_x), np.nan), np.full((*shape, model.l_x), np.nan)
     alive = np.zeros(shape, dtype=bool)
-    failures: dict[tuple[int, str], str] = {}
+    failures: dict[str, tuple[int, str]] = {}
     stacked = []  # per stack built: (its filters, the rows of its steps, their posterior (means, covs)), written after the loops
     with np.errstate(**_FP_CHECKED):  # a filter that overflows fails its finiteness check, with its error line
         for live in [j for j, name in enumerate(names) if name != "enkf"], [j for j, name in enumerate(names) if name == "enkf"]:
@@ -278,7 +276,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
                         filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
                     except _STEP_ERRORS as exc:
                         live.remove(j)
-                        failures[k, names[j]] = f"{type(exc).__name__}: {exc}"
+                        failures[names[j]] = k, f"{type(exc).__name__}: {exc}"
                         continue
                     alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
         for stack, rows, posts in stacked:
@@ -297,34 +295,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[FilterStepRecord]:
         if "enkf" in names:  # relative to the ensemble trace; NaN where it is missing or zero
             tr_enkf = traces[:, names.index("enkf"), None]
             np.divide(np.abs(traces - tr_enkf), tr_enkf, out=relerrs, where=tr_enkf != 0)
-    rows = zip(traces.tolist(), relerrs.tolist(), zvals.tolist(), enorms.tolist(), (~alive).tolist())
-    records = [FilterStepRecord(k, dict(zip(names, map(FilterMetrics, *row)))) for k, row in enumerate(rows, 1)]
-    for (k, name), failure in failures.items():
-        records[k - 1].metrics[name] = records[k - 1].metrics[name]._replace(failure=failure)
-    return records
+    # The covariance-form group records its failures before enkf's; the stderr order is by step, then by FILTER_ORDER.
+    failures = dict(sorted(failures.items(), key=lambda item: (item[1][0], names.index(item[0]))))
+    return RunResult(names, traces, relerrs, zvals, enorms, ~alive, failures)
 
 
-def export_csv(records: list[FilterStepRecord], path) -> None:
-    """Write records as CSV: k, then trP/relerr/z/enorm per filter, 17 significant digits."""
-    if not records:
-        raise ValueError("no records to export")
-    names = [f for f in FILTER_ORDER if f in records[0].metrics]
-    if not names:
-        raise ValueError("records carry no filters")
-    header = ["k"]
-    for name in names:
-        header += [f"trP_{name}", f"relerr_{name}", f"z_{name}", f"enorm_{name}"]
-    # "%.17g" formats as format(value, ".17g") does; no field needs CSV quoting.
-    row = "%d" + ",%.17g,%.17g,%.17g,%.17g" * len(names) + "\n"
+def export_csv(result: RunResult, path) -> None:
+    """Write a run as CSV: k, then trP/relerr/z/enorm per filter in result.names order, 17 significant digits."""
+    steps = len(result.trace)
+    if not steps or not result.names:
+        raise ValueError(f"nothing to export: {steps} steps of {len(result.names)} filters")
+    header = ["k"] + [f"{column}_{name}" for name in result.names for column in ("trP", "relerr", "z", "enorm")]
+    table = np.empty((steps, 1 + 4 * len(result.names)))
+    table[:, 0] = np.arange(1, steps + 1)
+    table[:, 1:] = np.stack((result.trace, result.relerr, result.output_error, result.error_norm), axis=-1).reshape(steps, -1)
+    # One format for every row; "%.17g" formats as format(value, ".17g"), "%d" a whole float as its int; nothing needs quoting.
+    row = "%d" + ",%.17g,%.17g,%.17g,%.17g" * len(result.names) + "\n"
+    text = ",".join(header) + "\n" + (row * steps) % tuple(table.ravel().tolist())
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for rec in records:
-                values = [rec.step]
-                for name in names:
-                    m = rec.metrics[name]
-                    values += (m.trace, m.relerr, m.output_error, m.error_norm)
-                fh.write(row % tuple(values))
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"could not write results to {path}: {exc}") from exc
 

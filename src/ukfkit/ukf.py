@@ -169,6 +169,17 @@ def _linear_inverse_spread(model: LinearSystem) -> Array | None:
     return _read_only(_inverse_spread(model, model.A))
 
 
+def _output_noise(c: Array, q: Array) -> tuple[Array, Array]:
+    """C Q C^T and Q C^T, the terms eukfc adds to P_z and P_ez."""
+    qct = q @ c.T
+    return c @ qct, qct
+
+
+@functools.lru_cache(maxsize=16)
+def _linear_output_noise(model: LinearSystem) -> tuple[Array, Array]:
+    return tuple(map(_read_only, _output_noise(model.C, model.Q)))
+
+
 @functools.lru_cache(maxsize=16)
 def _q_factor_and_eye(model: SystemModel) -> Array:
     return _read_only(np.concatenate((model.q_factor, np.eye(model.l_x)), axis=1))
@@ -222,10 +233,10 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     points of every slice and the kf and ekf means in one call each
     (:func:`unscented_prior`); kf and ekf slices take their covariances from
     :func:`kf.linearized_covs`; eukfa's sigma factor and eukfc's C Q C^T and
-    Q C^T terms see one slice at a time; the rest runs as stacked numpy
-    calls, with the bits of one-slice stacks when f and g keep a column's
-    bits in any batch width (see :mod:`statespace`).  Returns
-    :func:`kf.correct_stack`'s stacked KfStep and posterior factors.
+    Q C^T terms (a LinearSystem's formed once) see one slice at a time; the
+    rest runs as stacked numpy calls, with the bits of one-slice stacks when
+    f and g keep a column's bits in any batch width (see :mod:`statespace`).
+    Returns :func:`kf.correct_stack`'s stacked KfStep and posterior factors.
 
     What comes from outside is checked once, where it enters: the names and
     the three arrays' shapes here, y in :func:`kf.correct_stack`, and each
@@ -265,9 +276,11 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
         for i in add_q:
             p_prior[i] += q
         for i in eukfc:
-            c = jacobian_measurement(model, prior_mean[i])
-            qct = q @ c.T
-            p_z[i] += c @ qct
+            if isinstance(model, LinearSystem):  # fixed, so formed once per model
+                cqct, qct = _linear_output_noise(model)
+            else:
+                cqct, qct = _output_noise(jacobian_measurement(model, prior_mean[i]), q)
+            p_z[i] += cqct
             p_ez[i] += qct
     except ValueError as exc:  # from the model's f, g or a Jacobian; correct_stack names its own
         raise ValueError(f"{'+'.join(names)} step {k + 1}: {exc}") from exc

@@ -85,9 +85,7 @@ def test_corrected_variants_equivalence_suite():
 
 def test_example2_divergence_curve():
     cfg = ExperimentConfig(model="linear-ex2", steps=100, seed=SEED, filters=("kf", "ukf"))
-    records = run_experiment(cfg)
-    tr_kf = np.array([r.metrics["kf"].trace for r in records])
-    tr_ukf = np.array([r.metrics["ukf"].trace for r in records])
+    tr_kf, tr_ukf = run_experiment(cfg).trace.T
     gaps = np.abs(tr_kf - tr_ukf)[1:]  # steps 2..100
     settled_kf = np.max(np.abs(np.diff(tr_kf[-6:]))) / tr_kf[-1]
     settled_ukf = np.max(np.abs(np.diff(tr_ukf[-6:]))) / tr_ukf[-1]
@@ -108,13 +106,13 @@ def _covariance_accuracy(model_id: str):
         ensemble=NONLINEAR_ENSEMBLE,
         filters=("enkf", "ekf", "ukf", "eukfa", "eukfc"),
     )
-    records = run_experiment(cfg)
-    tail = records[-1000:]
-    rel = {n: float(np.mean([r.metrics[n].relerr for r in tail])) for n in ("ekf", "ukf", "eukfa", "eukfc")}
-    tr_ekf = np.array([r.metrics["ekf"].trace for r in tail])
+    result = run_experiment(cfg)
+    relerr, trace = (dict(zip(result.names, a[-1000:].T)) for a in (result.relerr, result.trace))
+    rel = {n: float(np.mean(relerr[n])) for n in ("ekf", "ukf", "eukfa", "eukfc")}
+    tr_ekf = trace["ekf"]
     ekf_gap = {}
     for n in ("eukfa", "eukfc"):
-        tr = np.array([r.metrics[n].trace for r in tail])
+        tr = trace[n]
         ekf_gap[n] = float(np.mean(np.abs(tr - tr_ekf) / tr_ekf))
     return rel, ekf_gap
 

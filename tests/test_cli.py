@@ -283,6 +283,23 @@ def test_diverged_filter_reports_step_and_reason(tmp_path, capsys):
     assert err.count("failed at step") == 1
 
 
+def test_failures_are_listed_by_step_then_in_filter_order(tmp_path, capsys):
+    # eukfa and eukfc lose definiteness at step 40, ukf at 41, and enkf (listed first) runs on: stderr lists the
+    # failures by step, and within a step in FILTER_ORDER, not in the order the filter groups met them.
+    out = tmp_path / "f.csv"
+    code = main(["run", "--model", "linear-ex1", "--filters", "enkf,kf,ukf,eukfa,eukfc", "--alpha", "0.2", "--ensemble", "500",
+                 "--steps", "200", "--seed", "3", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 200 steps x 5 filters to {out}\n"
+    assert captured.err == (
+        "error: filter(s) diverged before the end of the run: ukf, eukfa, eukfc\n"
+        "error: eukfa failed at step 40: NotPositiveDefinite: matrix of dimension 2 is not positive definite (eukfa step 40)\n"
+        "error: eukfc failed at step 40: NotPositiveDefinite: matrix of dimension 2 is not positive definite (eukfc step 40)\n"
+        "error: ukf failed at step 41: NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 41)\n"
+    )
+
+
 def test_diverged_filter_exits_nonzero(tmp_path, capsys, monkeypatch):
     import ukfkit.harness as harness
 

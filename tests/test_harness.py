@@ -17,9 +17,8 @@ from ukfkit.eukf import eukfa_step, eukfc_step
 from ukfkit.harness import (
     CHECKS,
     ExperimentConfig,
-    FilterMetrics,
-    FilterStepRecord,
     PropositionReport,
+    RunResult,
     TruthDiverged,
     example1_traces,
     export_csv,
@@ -124,7 +123,7 @@ def test_config_validation():
         run_experiment(ExperimentConfig(**custom, p0=np.array([[1.0, 2.0], [2.0, 1.0]])))  # indefinite
     with pytest.raises(ValueError, match="p0"):
         run_experiment(ExperimentConfig(**custom, p0=np.ones(3)))  # diagonal of the wrong length
-    assert run_experiment(ExperimentConfig(**custom, p0=0.0))[-1].metrics["kf"].trace > 0.0  # all-zero p0 is allowed
+    assert run_experiment(ExperimentConfig(**custom, p0=0.0)).trace[-1, 0] > 0.0  # all-zero p0 is allowed; kf is column 0
     for model, key, value in [
         ("linear-ex1", "ts", 5.0),
         ("linear-ex2", "mu", 3.0),
@@ -140,39 +139,36 @@ def test_config_validation():
 
 def test_ex2_traces_differ_beyond_first_step():
     cfg = ExperimentConfig(model="linear-ex2", steps=100, seed=1, filters=("kf", "ukf"))
-    records = run_experiment(cfg)
-    assert len(records) == 100
-    for rec in records[1:]:
-        assert rec.metrics["ukf"].trace != pytest.approx(rec.metrics["kf"].trace, abs=1e-9)
+    result = run_experiment(cfg)
+    assert result.trace.shape == (100, 2)
+    tr_kf, tr_ukf = result.trace.T.tolist()
+    for kf, ukf in zip(tr_kf[1:], tr_ukf[1:]):
+        assert ukf != pytest.approx(kf, abs=1e-9)
 
 
 def test_experiment_records_are_reproducible():
     cfg = ExperimentConfig(model="linear-ex2", steps=30, seed=2, filters=("kf", "ukf"))
     rec1 = run_experiment(cfg)
     rec2 = run_experiment(cfg)
-    for a, b in zip(rec1, rec2):
-        for name in ("kf", "ukf"):
-            assert a.metrics[name].trace == b.metrics[name].trace
-            assert a.metrics[name].output_error == b.metrics[name].output_error
-            assert a.metrics[name].error_norm == b.metrics[name].error_norm
+    for field in ("trace", "output_error", "error_norm"):
+        assert getattr(rec1, field).tolist() == getattr(rec2, field).tolist()
 
 
 def test_corrected_variants_share_trace_columns_on_linear_model():
     cfg = ExperimentConfig(model="linear-ex2", steps=50, seed=3, filters=("eukfa", "eukfc"))
-    for rec in run_experiment(cfg):
-        a, c = rec.metrics["eukfa"].trace, rec.metrics["eukfc"].trace
+    for a, c in run_experiment(cfg).trace.tolist():
         assert abs(a - c) / c < 1e-9
 
 
 def test_relerr_definition_with_and_without_enkf():
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=4, ensemble=2000, filters=("enkf", "kf"))
-    for rec in run_experiment(cfg):
-        tr_enkf = rec.metrics["enkf"].trace
-        assert rec.metrics["enkf"].relerr == 0.0
-        assert rec.metrics["kf"].relerr == pytest.approx(abs(rec.metrics["kf"].trace - tr_enkf) / tr_enkf, rel=0)
+    result = run_experiment(cfg)
+    for (tr_enkf, tr_kf), (rel_enkf, rel_kf) in zip(result.trace.tolist(), result.relerr.tolist()):
+        assert rel_enkf == 0.0
+        assert rel_kf == pytest.approx(abs(tr_kf - tr_enkf) / tr_enkf, rel=0)
     cfg2 = ExperimentConfig(model="linear-ex2", steps=5, seed=4, filters=("kf",))
-    for rec in run_experiment(cfg2):
-        assert math.isnan(rec.metrics["kf"].relerr)
+    for (rel_kf,) in run_experiment(cfg2).relerr.tolist():
+        assert math.isnan(rel_kf)
 
 
 def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
@@ -192,15 +188,14 @@ def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
     for name in ("ukf_step", "stack_step"):
         monkeypatch.setattr(harness, name, flaky(getattr(harness, name)))
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=5, filters=("kf", "ukf"))
-    records = run_experiment(cfg)
-    for rec in records[:4]:
-        assert not rec.metrics["ukf"].diverged
-    assert records[4].metrics["ukf"].failure == "FilterDiverged: synthetic failure"
-    for rec in records[4:]:
-        assert rec.metrics["ukf"].diverged
-        assert math.isnan(rec.metrics["ukf"].trace)
-        assert not rec.metrics["kf"].diverged
-        assert math.isfinite(rec.metrics["kf"].trace)
+    result = run_experiment(cfg)
+    (kf_diverged, ukf_diverged), (tr_kf, tr_ukf) = result.diverged.T, result.trace.T
+    assert not ukf_diverged[:4].any()
+    assert result.failures == {"ukf": (5, "FilterDiverged: synthetic failure")}
+    assert ukf_diverged[4:].all()
+    assert np.isnan(tr_ukf[4:]).all()
+    assert not kf_diverged[4:].any()
+    assert np.isfinite(tr_kf[4:]).all()
 
 
 def test_an_ensemble_that_fails_mid_run_stops_while_the_stacked_filters_go_on(monkeypatch):
@@ -216,28 +211,26 @@ def test_an_ensemble_that_fails_mid_run_stops_while_the_stacked_filters_go_on(mo
 
     monkeypatch.setattr(harness, "enkf_step", failing)
     stacked = ("ekf", "ukf", "eukfa", "eukfc")
-    records = run_experiment(ExperimentConfig(model="lorenz", steps=8, seed=5, ensemble=200, filters=("enkf", *stacked)))
+    result = run_experiment(ExperimentConfig(model="lorenz", steps=8, seed=5, ensemble=200, filters=("enkf", *stacked)))
     assert stepped == [1, 2, 3, 4]  # never stepped again once it has failed
-    for rec in records:
-        enkf = rec.metrics["enkf"]
-        assert enkf.diverged == (rec.step >= 4)
-        assert math.isnan(enkf.trace) == (rec.step >= 4)
-        assert enkf.failure == ("FilterDiverged: synthetic ensemble failure" if rec.step == 4 else "")
-        for name in stacked:
-            metrics = rec.metrics[name]
-            assert not metrics.diverged and not metrics.failure
-            assert math.isfinite(metrics.trace) and math.isfinite(metrics.error_norm)
-            assert math.isnan(metrics.relerr) == (rec.step >= 4)
+    assert result.names == ("enkf", *stacked)
+    failed = np.arange(1, 9) >= 4  # per step
+    assert (result.diverged[:, 0] == failed).all()
+    assert (np.isnan(result.trace[:, 0]) == failed).all()
+    assert result.failures == {"enkf": (4, "FilterDiverged: synthetic ensemble failure")}
+    assert not result.diverged[:, 1:].any()
+    assert np.isfinite(result.trace[:, 1:]).all() and np.isfinite(result.error_norm[:, 1:]).all()
+    assert (np.isnan(result.relerr[:, 1:]) == failed[:, None]).all()
 
 
-def test_filter_metrics_is_an_immutable_record_with_the_dataclass_repr():
-    metrics = FilterMetrics(1.5, math.nan, -0.25, 2.0, False)
-    assert repr(metrics) == "FilterMetrics(trace=1.5, relerr=nan, output_error=-0.25, error_norm=2.0, diverged=False, failure='')"
-    assert FilterMetrics(trace=1.5, relerr=0.0, output_error=0.0, error_norm=0.0, diverged=True, failure="E: m").failure == "E: m"
-    with pytest.raises(AttributeError):
-        metrics.trace = 2.0
-    with pytest.raises(AttributeError):
-        metrics.failure = "x"
+_FIELDS = ("trace", "relerr", "output_error", "error_norm", "diverged")
+
+
+def _values(result: RunResult, name=None) -> str:
+    """repr of every filter's per-step values and the failures in order, or of filter `name`'s: equal reprs are equal bits, NaN as nan."""
+    at = slice(None) if name is None else result.names.index(name)
+    failures = list(result.failures.items()) if name is None else result.failures.get(name)
+    return repr(([getattr(result, field)[:, at].tolist() for field in _FIELDS], failures))
 
 
 def _overflowing_output_model():
@@ -266,12 +259,12 @@ def test_the_ensembles_draws_never_reach_the_rest_of_a_run(monkeypatch):
         run_experiment(ExperimentConfig(model="lorenz", steps=60, seed=20240, ensemble=500, filters=filters))
         for filters in (("enkf", *sigma), sigma)
     ]
-    assert all(np.isfinite(r.metrics["enkf"].trace) for r in runs[0])
+    assert np.isfinite(runs[0].trace[:, 0]).all()  # enkf
     (states, meas), (states_alone, meas_alone) = truths
     assert states.tobytes() == states_alone.tobytes() and meas.tobytes() == meas_alone.tobytes()
     for name in sigma:
         for field in ("trace", "output_error", "error_norm"):
-            with_enkf, alone = (np.array([getattr(r.metrics[name], field) for r in run]) for run in runs)
+            with_enkf, alone = (getattr(run, field)[:, run.names.index(name)] for run in runs)
             assert with_enkf.tobytes() == alone.tobytes(), (name, field)
 
 
@@ -281,19 +274,20 @@ def test_the_rest_of_a_run_never_reaches_the_ensemble():
         run_experiment(ExperimentConfig(model="lorenz", steps=60, seed=20240, ensemble=500, filters=filters))
         for filters in (("enkf", *sigma), ("enkf",))
     )
-    assert all(math.isfinite(rec.metrics["enkf"].trace) for rec in alone)
-    assert [repr(rec.metrics["enkf"]) for rec in with_sigma] == [repr(rec.metrics["enkf"]) for rec in alone]
+    assert np.isfinite(alone.trace).all()
+    assert _values(with_sigma, "enkf") == _values(alone, "enkf")
 
 
 def _run_with_overflowing_output(monkeypatch, failing):
     monkeypatch.setattr(harness, "build_model", lambda cfg: (_overflowing_output_model(), np.zeros(1), np.eye(1)))
-    records = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, ensemble=100, filters=("ekf", failing)))
-    assert records[0].metrics[failing].failure == (
-        f"FilterDiverged: {failing} produced a non-finite innovation or cross covariance at step 1"
-    )
-    assert all(rec.metrics[failing].diverged for rec in records)
-    assert not any(rec.metrics["ekf"].diverged for rec in records)
-    assert all(math.isfinite(rec.metrics["ekf"].trace) for rec in records)
+    result = run_experiment(ExperimentConfig(model="lorenz", steps=3, seed=0, ensemble=100, filters=("ekf", failing)))
+    assert result.failures == {
+        failing: (1, f"FilterDiverged: {failing} produced a non-finite innovation or cross covariance at step 1")
+    }
+    ekf, other = result.names.index("ekf"), result.names.index(failing)
+    assert result.diverged[:, other].all()
+    assert not result.diverged[:, ekf].any()
+    assert np.isfinite(result.trace[:, ekf]).all()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -323,77 +317,77 @@ def test_a_filter_that_fails_at_step_1_on_a_real_model_leaves_the_others_bits_al
         jac_g=lambda x: np.eye(1),
     )
     monkeypatch.setattr(harness, "build_model", lambda cfg: (model, np.ones(1), np.eye(1)))
-    records, alone = (
+    result, alone = (
         run_experiment(ExperimentConfig(model="lorenz", steps=20, seed=3, filters=filters)) for filters in (("ekf", "ukf"), ("ekf",))
     )
-    assert records[0].metrics["ukf"].failure == "FilterDiverged: sigma outputs became non-finite at step 1"
-    assert not any(rec.metrics["ekf"].diverged for rec in records)
-    assert [repr(rec.metrics["ekf"]) for rec in records] == [repr(rec.metrics["ekf"]) for rec in alone]
+    assert result.failures == {"ukf": (1, "FilterDiverged: sigma outputs became non-finite at step 1")}
+    assert not result.diverged[:, 0].any()  # ekf
+    assert _values(result, "ekf") == _values(alone, "ekf")
 
 
 def test_divergence_keeps_first_failing_step_and_reason():
     # alpha = 0.2 makes the center weight strongly negative; the UKF covariance
     # on the first benchmark system loses definiteness at step 40.
     cfg = ExperimentConfig(model="linear-ex1", steps=60, seed=1, alpha=0.2, filters=("kf", "ukf"))
-    records = run_experiment(cfg)
-    failed = [(rec.step, rec.metrics["ukf"].failure) for rec in records if rec.metrics["ukf"].failure]
-    assert failed == [(40, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 40)")]
-    assert not records[38].metrics["ukf"].diverged
-    assert all(rec.metrics["ukf"].diverged for rec in records[39:])
-    assert not any(rec.metrics["kf"].diverged or rec.metrics["kf"].failure for rec in records)
+    result = run_experiment(cfg)
+    assert result.failures == {"ukf": (40, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 40)")}
+    kf_diverged, ukf_diverged = result.diverged.T
+    assert not ukf_diverged[38]
+    assert ukf_diverged[39:].all()
+    assert not kf_diverged.any()
 
 
 def test_output_and_error_norms_are_bitwise_np_linalg_norm():
     a = np.array([[0.9, 0.2, 0, 0], [-0.2, 0.9, 0.1, 0], [0, 0, 0.7, 0.3], [0, 0, -0.3, 0.7]])
     c = np.array([[1, 0, 0.5, 0], [0, 0.4, 0, 1.0]])
     cfg = ExperimentConfig(model="custom", steps=40, seed=3, a=a, c=c, q=0.1, r=0.1, filters=("kf",))
-    records = run_experiment(cfg)
+    result = run_experiment(cfg)
     model, x0, p0 = harness.build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est = harness.StateEstimate(x0, p0, 0)
-    for k, rec in enumerate(records, 1):
+    for k, ((output_error,), (error_norm,)) in enumerate(zip(result.output_error.tolist(), result.error_norm.tolist()), 1):
         est, _ = kf_step(model, est, meas[k])
-        m = rec.metrics["kf"]
-        assert m.output_error == float(np.linalg.norm(meas[k] - c @ est.mean))
-        assert m.error_norm == float(np.linalg.norm(states[k] - est.mean))
+        assert output_error == float(np.linalg.norm(meas[k] - c @ est.mean))
+        assert error_norm == float(np.linalg.norm(states[k] - est.mean))
 
 
 _PUBLIC_STEPS = {"enkf": enkf_step, "kf": kf_step, "ekf": ekf_step, "ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}
 
 
-def _replayed_records(cfg):
-    """run_experiment's records worked out step by step: each filter stepped alone through its public step, each metric a Python float."""
+def _replayed_result(cfg) -> RunResult:
+    """run_experiment's result worked out step by step: each filter stepped alone through its public step, each metric a Python float."""
     model, x0, p0 = harness.build_model(cfg)
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est0 = harness.StateEstimate(x0, p0, 0)
     state = {name: harness.enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0 for name in cfg.filters}
     nan = float("nan")
-    records = []
+    rows, failures = [], {}  # per step, each filter's (trace, relerr, output_error, error_norm, diverged)
     for k in range(1, cfg.steps + 1):
         y = meas[k]
-        recs, failures = {}, {}
+        recs = {}
         for name in [name for name in cfg.filters if state[name] is not None]:
             try:
                 alpha = (cfg.alpha,) if name in SIGMA_FILTERS else ()
                 state[name], recs[name] = _PUBLIC_STEPS[name](model, state[name], y, *alpha)
             except harness._STEP_ERRORS as exc:
                 state[name] = None
-                failures[name] = f"{type(exc).__name__}: {exc}"
+                failures[name] = k, f"{type(exc).__name__}: {exc}"
         tr_enkf = float(recs["enkf"].posterior_cov.trace()) if "enkf" in recs else None
-        metrics = {}
+        row = []
         for name in cfg.filters:
             rec = recs.get(name)
             if rec is None:
-                metrics[name] = FilterMetrics(nan, nan, nan, nan, True, failures.get(name, ""))
+                row.append((nan, nan, nan, nan, True))
                 continue
             tr = float(rec.posterior_cov.trace())
             z = y - measure(model, rec.posterior_mean)
             e = states[k] - rec.posterior_mean
             zval = float(z[0]) if model.l_y == 1 else math.sqrt(z.dot(z))
             relerr = abs(tr - tr_enkf) / tr_enkf if tr_enkf is not None else nan
-            metrics[name] = FilterMetrics(tr, relerr, zval, math.sqrt(e.dot(e)), False)
-        records.append(FilterStepRecord(step=k, metrics=metrics))
-    return records
+            row.append((tr, relerr, zval, math.sqrt(e.dot(e)), False))
+        rows.append(row)
+    *values, diverged = (np.array([[column[i] for column in row] for row in rows]) for i in range(5))
+    return RunResult(cfg.filters, *values, diverged, failures)
 
 
 @pytest.mark.parametrize(
@@ -412,14 +406,14 @@ def _replayed_records(cfg):
 )
 def test_run_metrics_are_bitwise_a_per_step_replay(cfg):
     cfg = ExperimentConfig(**cfg)
-    assert [repr(rec) for rec in run_experiment(cfg)] == [repr(rec) for rec in _replayed_records(cfg)]
+    assert _values(run_experiment(cfg)) == _values(_replayed_result(cfg))
 
 
 def test_export_csv_schema_and_round_trip(tmp_path):
     cfg = ExperimentConfig(model="linear-ex2", steps=12, seed=6, filters=("kf", "ukf", "eukfc"))
-    records = run_experiment(cfg)
+    result = run_experiment(cfg)
     out = tmp_path / "results.csv"
-    export_csv(records, out)
+    export_csv(result, out)
 
     raw = out.read_bytes()
     assert b"\r" not in raw  # LF line endings only
@@ -432,31 +426,32 @@ def test_export_csv_schema_and_round_trip(tmp_path):
     assert header[1:5] == ["trP_kf", "relerr_kf", "z_kf", "enorm_kf"]
     assert header[5:9] == ["trP_ukf", "relerr_ukf", "z_ukf", "enorm_ukf"]
     assert len(data) == 12
-    for row, rec in zip(data, records):
-        assert int(row[0]) == rec.step
-        m = rec.metrics["kf"]
-        assert float(row[1]) == m.trace  # 17 significant digits round-trip exactly
+    kf = zip(result.trace[:, 0].tolist(), result.output_error[:, 0].tolist(), result.error_norm[:, 0].tolist())
+    for k, (row, (trace, output_error, error_norm)) in enumerate(zip(data, kf), 1):
+        assert int(row[0]) == k
+        assert float(row[1]) == trace  # 17 significant digits round-trip exactly
         assert math.isnan(float(row[2]))
-        assert float(row[3]) == m.output_error
-        assert float(row[4]) == m.error_norm
+        assert float(row[3]) == output_error
+        assert float(row[4]) == error_norm
 
 
-# Any double, NaN and +-inf included; `diverged` is not written to the CSV.
-_METRICS = st.builds(harness.FilterMetrics, st.floats(), st.floats(), st.floats(), st.floats(), st.just(False))
+# One filter's trace, relerr, output_error and error_norm at one step: any double, NaN and +-inf included.
+_METRICS = st.tuples(st.floats(), st.floats(), st.floats(), st.floats())
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.tuples(_METRICS, _METRICS), min_size=1, max_size=4))
 def test_export_csv_round_trips_every_value_bitwise(rows):
-    records = [harness.FilterStepRecord(k, {"kf": kf, "eukfc": eukfc}) for k, (kf, eukfc) in enumerate(rows)]
+    values = np.array(rows)  # (steps, filters, 4)
+    result = RunResult(("kf", "eukfc"), *np.moveaxis(values, -1, 0), np.zeros(values.shape[:2], dtype=bool), {})
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "results.csv"
-        export_csv(records, path)
+        export_csv(result, path)
         with open(path, newline="", encoding="utf-8") as fh:
             data = list(csv.reader(fh))[1:]
     assert len(data) == len(rows)
     for row, metrics in zip(data, rows):
-        written = [v for m in metrics for v in (m.trace, m.relerr, m.output_error, m.error_norm)]
+        written = [v for m in metrics for v in m]
         for text, value in zip(row[1:], written, strict=True):
             back = float(text)
             if math.isnan(value):
@@ -466,21 +461,21 @@ def test_export_csv_round_trips_every_value_bitwise(rows):
 
 
 def test_export_csv_rejects_empty_inputs(tmp_path):
+    no_steps, no_filters = np.empty((0, 1)), np.empty((1, 0))
     with pytest.raises(ValueError):
-        export_csv([], tmp_path / "x.csv")
-    bad = [harness.FilterStepRecord(step=1, metrics={})]
+        export_csv(RunResult(("kf",), *[no_steps] * 4, no_steps.astype(bool), {}), tmp_path / "x.csv")
     with pytest.raises(ValueError):
-        export_csv(bad, tmp_path / "y.csv")
+        export_csv(RunResult((), *[no_filters] * 4, no_filters.astype(bool), {}), tmp_path / "y.csv")
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "y.csv").exists()
 
 
 def test_export_csv_surfaces_io_errors(tmp_path):
     cfg = ExperimentConfig(model="linear-ex2", steps=2, seed=0, filters=("kf",))
-    records = run_experiment(cfg)
+    result = run_experiment(cfg)
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     with pytest.raises(OSError, match="out.csv"):
-        export_csv(records, missing)
+        export_csv(result, missing)
 
 
 def test_example1_traces_values():
@@ -647,7 +642,7 @@ def test_custom_linear_model_runs():
         q=0.2,
         r=0.5,
     )
-    records = run_experiment(cfg)
-    assert len(records) == 10
-    for rec in records:
-        assert abs(rec.metrics["eukfc"].trace - rec.metrics["kf"].trace) / rec.metrics["kf"].trace < 1e-9
+    result = run_experiment(cfg)
+    assert result.trace.shape == (10, 2)
+    for tr_kf, tr_eukfc in result.trace.tolist():
+        assert abs(tr_eukfc - tr_kf) / tr_kf < 1e-9

@@ -190,13 +190,15 @@ def test_run_steps_the_stacked_filters_over_the_whole_run_before_the_ensemble(mo
 def test_a_failing_stack_is_replayed_so_each_filter_fails_alone():
     # alpha 0.2 makes the center weight negative: ukf loses definiteness at step 40, both variants at 41.
     cfg = dict(model="linear-ex1", steps=60, seed=1, alpha=0.2)
-    records = run_experiment(ExperimentConfig(filters=("kf", "ukf", "eukfa", "eukfc"), **cfg))
-    failures = {name: (rec.step, rec.metrics[name].failure) for rec in records for name in SIGMA_FILTERS if rec.metrics[name].failure}
-    assert failures == {
+    result = run_experiment(ExperimentConfig(filters=("kf", "ukf", "eukfa", "eukfc"), **cfg))
+    assert result.failures == {
         "ukf": (40, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 40)"),
         "eukfa": (41, "NotPositiveDefinite: matrix of dimension 1 is not positive definite (eukfa step 41)"),
         "eukfc": (41, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (eukfc step 41)"),
     }
-    for name in ("kf", *SIGMA_FILTERS):
+    columns = ("trace", "relerr", "output_error", "error_norm", "diverged")
+    for j, name in enumerate(("kf", *SIGMA_FILTERS)):
         alone = run_experiment(ExperimentConfig(filters=(name,), **cfg))
-        assert [repr(rec.metrics[name]) for rec in records] == [repr(rec.metrics[name]) for rec in alone]
+        # repr compares the values bit for bit, NaN as nan.
+        assert repr([getattr(result, c)[:, j].tolist() for c in columns]) == repr([getattr(alone, c)[:, 0].tolist() for c in columns])
+        assert result.failures.get(name) == alone.failures.get(name)

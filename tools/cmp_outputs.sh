@@ -35,7 +35,9 @@ trap 'rm -rf "$work"' EXIT
 # writes no CSV, exits 1 and prints its one error line, so it covers a truth-failure run's stderr.
 # In the run after it ukf (alpha 0.2) loses definiteness at step 40 in the stacked call, is replayed
 # alone and fails while kf runs on and enkf runs its own loop, so it covers a mid-run stack failure
-# with the filter groups run one after the other.
+# with the filter groups run one after the other.  In the last run eukfa and eukfc fail at step 40
+# and ukf at 41 while enkf runs on, so it covers the order in which stderr lists the failures: by
+# step, then by filter order.
 printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
 printf '%s\n' "model = linear-ex2" "p0 = 0" "q = 0" >"$work/zero-start.cfg"
 commands=(
@@ -56,6 +58,7 @@ commands=(
     "run --config $work/zero-start.cfg --filters enkf,kf,ekf --ensemble 2000 --steps 50 --seed 7"
     "run --model lorenz --ts 0.05 --steps 100 --seed 1 --filters ekf,ukf"
     "run --model linear-ex1 --filters enkf,kf,ukf --alpha 0.2 --ensemble 2000 --steps 60 --seed 1"
+    "run --model linear-ex1 --filters enkf,kf,ukf,eukfa,eukfc --alpha 0.2 --ensemble 500 --steps 200 --seed 3"
 )
 
 run_all() {  # run_all TREE SIDE THREADS

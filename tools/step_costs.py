@@ -13,7 +13,10 @@ over all rounds:
   (ekf, ukf, eukfa, eukfc) stack, each at 1x, 4x, 16x and 64x its slices,
   every slice from one step-20 posterior;
 * the (kf, ukf, eukfa, eukfc) stack on the benchmark's linear-4x2 system;
-* ``enkf_step`` on Lorenz at 16 and at 20,000 members, stepped in a chain.
+* ``enkf_step`` on Lorenz at 16 and at 20,000 members, stepped in a chain;
+* ``simulate_truth``, ``run_experiment`` and ``export_csv`` (to a
+  temporary file) on the benchmark's sigma-lorenz and linear-4x2 runs, 300
+  steps at seed 7: what a call costs outside the stacked step.
 
 A step's time at 64x, divided by its slices, is what one more slice costs.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -33,6 +37,7 @@ HERE = Path(__file__).resolve().parents[1]
 ROUNDS = 12
 WIDTHS = (1, 4, 16, 64)
 STACKS = {"ukf": ("ukf",), "eukfa": ("eukfa",), "ekf+ukf+eukfa+eukfc": ("ekf", "ukf", "eukfa", "eukfc")}
+RUN_CALLS = ("simulate_truth", "run_experiment", "export_csv")
 
 
 def best_us(cases: dict, loop_s: float = 0.005, repeats: int = 3) -> dict:
@@ -58,7 +63,7 @@ def main(argv=None) -> int:
 
     from ukfkit.cli import _config_from_args
     from ukfkit.enkf import enkf_init, enkf_step
-    from ukfkit.harness import build_model, simulate_truth
+    from ukfkit.harness import build_model, export_csv, run_experiment, simulate_truth
     from ukfkit.statespace import StateEstimate, make_lorenz
     from ukfkit.ukf import stack_step
 
@@ -97,7 +102,19 @@ def main(argv=None) -> int:
             chain[0] = enkf_step(lorenz, chain[0], meas[1])[0]
 
         cases["enkf", members] = step
-    best = best_us(cases)
+    runs = {
+        "sigma-lorenz": argparse.Namespace(config=None, model="lorenz", filters=",".join(STACKS["ekf+ukf+eukfa+eukfc"])),
+        "linear-4x2": argparse.Namespace(config=str(HERE / "bench" / "linear-4x2.cfg"), filters=",".join(names)),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args in runs.items():
+            run_cfg = _config_from_args(argparse.Namespace(**vars(args), steps=300, seed=7))
+            model, x0, _ = build_model(run_cfg)
+            result, out = run_experiment(run_cfg), Path(tmp) / f"{label}.csv"
+            cases["simulate_truth", label] = lambda model=model, x0=x0, cfg=run_cfg: simulate_truth(model, x0, cfg.steps, cfg.seed)
+            cases["run_experiment", label] = lambda cfg=run_cfg: run_experiment(cfg)
+            cases["export_csv", label] = lambda result=result, out=out: export_csv(result, out)
+        best = best_us(cases)
 
     print(f"{'stack_step lorenz':<36}" + "".join(f"{f'{w}x':>10}" for w in WIDTHS) + f"{'per slice at 64x':>18}")
     for label, names in STACKS.items():
@@ -106,6 +123,9 @@ def main(argv=None) -> int:
     print(f"{'stack_step linear-4x2 kf+ukf+eukfa+eukfc':<46}{best['linear-4x2']:>8.1f}us")
     for members in (16, 20_000):
         print(f"{f'enkf_step lorenz N={members}':<46}{best['enkf', members]:>8.1f}us")
+    print(f"{'per call, 300 steps':<36}" + "".join(f"{label:>14}" for label in runs))
+    for call in RUN_CALLS:
+        print(f"  {call:<34}" + "".join(f"{best[call, label] / 1e3:>12.2f}ms" for label in runs))
     return 0
 
 
