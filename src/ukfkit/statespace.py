@@ -23,11 +23,9 @@ except that it keeps a -0.0 which the product turns into +0.0; a non-finite
 entry in an unobserved row stays out of it, where the product would carry a
 NaN.  A general matrix product such as C @ x may round a column differently
 in a wider batch, so filters stacked on such a model agree with each filter
-run alone only to rounding.  A single state is not a batch of width 1 for
-vdp: its f and jac square a scalar x1 by libm pow (np.float64 ** 2, not
-correctly rounded), while x1**2 on a batch row is np.square, one ulp apart in
-about 1 of 1200 normal draws, so vdp's truth and its filters may round x1**2
-differently.
+run alone only to rounding.  vdp squares x1 as x1 * x1, a correctly
+rounded product on a scalar and on a batch row alike, so its truth (single
+states) and its filters (batches) round x1^2 the same way.
 """
 
 from __future__ import annotations
@@ -280,14 +278,14 @@ def make_vdp(ts: float = 0.01, mu: float = 1.0, q=0.01, r=1e-4) -> SystemModel:
 
     def f(x):
         x1, x2 = x
-        return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1**2) * x2 - x1)])
+        return np.array([x1 + ts * x2, x2 + ts * (mu * (1.0 - x1 * x1) * x2 - x1)])
 
     def jac(x):
         x1, x2 = x
         return np.array(
             [
                 [1.0, ts],
-                [ts * (-2.0 * mu * x1 * x2 - 1.0), 1.0 + ts * mu * (1.0 - x1**2)],
+                [ts * (-2.0 * mu * x1 * x2 - 1.0), 1.0 + ts * mu * (1.0 - x1 * x1)],
             ]
         )
 

@@ -3,9 +3,20 @@ import threading
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from scipy import stats
 from scipy.linalg import solve_triangular
 
-from ukfkit.enkf import KIND_INIT, KIND_PROCESS, Ensemble, PhiloxCells, enkf_init, enkf_step, philox_stream, sfc64_stream
+from ukfkit.enkf import (
+    KIND_INIT,
+    KIND_PROCESS,
+    Ensemble,
+    PhiloxCells,
+    _process_noise,
+    enkf_init,
+    enkf_step,
+    philox_stream,
+    sfc64_stream,
+)
 from ukfkit.harness import random_detectable_system, simulate_truth
 from ukfkit.kf import kf_gain, kf_step
 from ukfkit.numerics import FilterDiverged, symmetrize
@@ -83,6 +94,55 @@ def test_sfc64_cells_are_keyed_by_seed_step_and_kind():
         direct = np.random.Generator(np.random.SFC64(np.random.SeedSequence([masked, 8 * 5 + KIND_PROCESS])))
         assert_array_equal(draws(seed, 5, KIND_PROCESS), direct.standard_normal(6))
     assert not np.array_equal(draws(2**63, 5, KIND_PROCESS), draws(0, 5, KIND_PROCESS))
+
+
+def _documented_noise(seed, step, m):
+    """The m process draws of cell (seed, step) by the documented formula: float32 Box-Muller of float32 uniforms."""
+    h = (m + 1) // 2
+    u = sfc64_stream(seed, step, KIND_PROCESS).random(2 * h, dtype=np.float32)
+    r = np.sqrt(-2 * np.log(1 - u[:h]))
+    theta = np.float32(2 * np.pi) * u[h:]
+    return np.concatenate([r.astype(float) * np.cos(theta), r.astype(float) * np.sin(theta)])[:m]
+
+
+def _draws(seed, step, m):
+    work = np.full((3, (m + 1) // 2), np.nan, dtype=np.float32)  # what the work array held must not matter
+    return _process_noise(seed, step, np.empty(m), work)
+
+
+@pytest.mark.parametrize("seed, step", [(7, 3), (20240, 1)])
+def test_process_noise_is_standard_normal(seed, step):
+    m = 1_200_003  # odd: the last sine is dropped
+    z = _draws(seed, step, m)
+    se = 1 / np.sqrt(m)  # each bound is 5 standard errors of the statistic under N(0, 1)
+    assert abs(z.mean()) < 5 * se
+    assert abs(z.var() - 1) < 5 * np.sqrt(2) * se
+    assert abs(stats.skew(z)) < 5 * np.sqrt(6) * se
+    assert abs(stats.kurtosis(z)) < 5 * np.sqrt(24) * se
+    assert stats.kstest(z, "norm").pvalue > 0.01
+    # The cosine and the sine of one uniform pair are independent normals.
+    h = (m + 1) // 2
+    assert abs(np.corrcoef(z[: h - 1], z[h:])[0, 1]) < 5 / np.sqrt(h)
+    assert np.max(np.abs(z)) <= np.sqrt(-2 * np.log(2.0**-24))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 60_000, 60_001])
+def test_process_noise_is_the_documented_formula(m):
+    assert _draws(5, 2, m).tobytes() == _documented_noise(5, 2, m).tobytes()
+    if m % 2:  # an odd count draws what the next even count draws, less its last sine
+        assert _draws(5, 2, m).tobytes() == _draws(5, 2, m + 1)[:m].tobytes()
+    # A shaped out is filled in C order.
+    out = np.empty((m, 1)) if m % 2 else np.empty((2, m // 2))
+    assert _process_noise(5, 2, out, np.empty((3, (m + 1) // 2), dtype=np.float32)) is out
+    assert out.tobytes() == _draws(5, 2, m).tobytes()
+
+
+def test_process_noise_cells_draw_their_own_bytes():
+    z = _draws(7, 3, 1001)
+    assert z.tobytes() == _draws(7, 3, 1001).tobytes()
+    assert z.tobytes() == _draws(2**64 + 7, 3, 1001).tobytes()  # seeds are masked to 64 bits
+    for seed, step in [(8, 3), (7, 4), (2**63 + 7, 3)]:
+        assert not np.array_equal(_draws(seed, step, 1001), z)
 
 
 def test_ensembles_stepped_alternately_draw_what_each_draws_alone():
@@ -211,7 +271,7 @@ def _serial_step(model, members, seed, k, y):
     Returns the new members, the step's record and, apart, the sample covariance of the updated deviations.
     """
     n = members.shape[1]
-    w = noise_factor(model.Q) @ sfc64_stream(seed, k + 1, KIND_PROCESS).standard_normal((model.l_x, n))
+    w = noise_factor(model.Q) @ _documented_noise(seed, k + 1, model.l_x * n).reshape(model.l_x, n)
     xf = step_dynamics_batch(model, members) + w
     yf = measure_batch(model, xf)
     xbar = xf.mean(axis=1)

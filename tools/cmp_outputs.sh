@@ -6,9 +6,12 @@
 # Runs every command below with this tree's src/ and with OTHER_TREE's src/,
 # once at each BLAS thread count in OPENBLAS_NUM_THREADS=1 and =2, and compares
 # the CSV files, stdout, stderr and exit code of each run with the other
-# tree's at the same count.  The path in a "wrote ... to PATH" line is
-# ignored.  Prints one line per command and count, and under a differing one
-# what differs: for a CSV file the header name of each column holding any
+# tree's at the same count, then each tree's runs at 1 thread with its own
+# runs at 2, so that a change that moves bits still shows that its outputs do
+# not depend on the thread count.  The path in a "wrote ... to PATH" line is
+# ignored.  Prints one line per command and count (tree against tree), then
+# one per tree ("this" or "other") and command (1 thread against 2), and
+# under a differing one what differs: for a CSV file the header name of each column holding any
 # differing value, with the largest relative difference |new - old| /
 # max(|new|, |old|) over its differing values after the colon (1 where one
 # side is 0, inf where a side is not a finite number), for any other output
@@ -37,7 +40,8 @@ trap 'rm -rf "$work"' EXIT
 # alone and fails while kf runs on and enkf runs its own loop, so it covers a mid-run stack failure
 # with the filter groups run one after the other.  In the last run eukfa and eukfc fail at step 40
 # and ukf at 41 while enkf runs on, so it covers the order in which stderr lists the failures: by
-# step, then by filter order.
+# step, then by filter order.  The one after it is the only EnKF run with an odd number of process
+# draws per step (3 x 1001), so the ensemble's sampler drops the last sine of each step.
 printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
 printf '%s\n' "model = linear-ex2" "p0 = 0" "q = 0" >"$work/zero-start.cfg"
 commands=(
@@ -59,6 +63,7 @@ commands=(
     "run --model lorenz --ts 0.05 --steps 100 --seed 1 --filters ekf,ukf"
     "run --model linear-ex1 --filters enkf,kf,ukf --alpha 0.2 --ensemble 2000 --steps 60 --seed 1"
     "run --model linear-ex1 --filters enkf,kf,ukf,eukfa,eukfc --alpha 0.2 --ensemble 500 --steps 200 --seed 3"
+    "run --model lorenz --filters enkf,ekf --ensemble 1001 --steps 200 --seed 5"
 )
 
 run_all() {  # run_all TREE SIDE THREADS
@@ -131,6 +136,19 @@ for t in "${threads[@]}"; do
         else
             echo "DIFFERENT threads=$t  $cmd"
             report "$work/other/$t/$i" "$work/this/$t/$i"
+            status=1
+        fi
+    done
+done
+for side in this other; do
+    i=0
+    for cmd in "${commands[@]}"; do
+        i=$((i + 1))
+        if diff -r "$work/$side/${threads[0]}/$i" "$work/$side/${threads[1]}/$i" >/dev/null 2>&1; then
+            echo "same      threads=${threads[0]}/${threads[1]}  tree=$side  $cmd"
+        else
+            echo "DIFFERENT threads=${threads[0]}/${threads[1]}  tree=$side  $cmd"
+            report "$work/$side/${threads[0]}/$i" "$work/$side/${threads[1]}/$i"
             status=1
         fi
     done

@@ -13,7 +13,10 @@ over all rounds:
   (ekf, ukf, eukfa, eukfc) stack, each at 1x, 4x, 16x and 64x its slices,
   every slice from one step-20 posterior;
 * the (kf, ukf, eukfa, eukfc) stack on the benchmark's linear-4x2 system;
-* ``enkf_step`` on Lorenz at 16 and at 20,000 members, stepped in a chain;
+* ``enkf_step`` on Lorenz at 16 and at 20,000 members, stepped in a chain,
+  and the step's process-noise draw alone at 20,000 members: the tree's
+  ``enkf._process_noise`` sampler where it has one, else SFC64's
+  ``standard_normal(out=)``;
 * ``simulate_truth``, ``run_experiment`` and ``export_csv`` (to a
   temporary file) on the benchmark's sigma-lorenz and linear-4x2 runs, 300
   steps at seed 7: what a call costs outside the stacked step.
@@ -62,6 +65,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from ukfkit.cli import _config_from_args
+    from ukfkit import enkf
     from ukfkit.enkf import enkf_init, enkf_step
     from ukfkit.harness import build_model, export_csv, run_experiment, simulate_truth
     from ukfkit.statespace import StateEstimate, make_lorenz
@@ -102,6 +106,13 @@ def main(argv=None) -> int:
             chain[0] = enkf_step(lorenz, chain[0], meas[1])[0]
 
         cases["enkf", members] = step
+    noise = np.empty((3, 20_000))
+    if hasattr(enkf, "_process_noise"):
+        sampler, work = "float32 Box-Muller", np.empty((3, noise.size // 2), dtype=np.float32)
+        cases["noise"] = lambda: enkf._process_noise(7, 1, noise, work)
+    else:
+        sampler = "standard_normal"
+        cases["noise"] = lambda: enkf.sfc64_stream(7, 1, enkf.KIND_PROCESS).standard_normal(noise.shape, out=noise)
     runs = {
         "sigma-lorenz": argparse.Namespace(config=None, model="lorenz", filters=",".join(STACKS["ekf+ukf+eukfa+eukfc"])),
         "linear-4x2": argparse.Namespace(config=str(HERE / "bench" / "linear-4x2.cfg"), filters=",".join(names)),
@@ -123,6 +134,7 @@ def main(argv=None) -> int:
     print(f"{'stack_step linear-4x2 kf+ukf+eukfa+eukfc':<46}{best['linear-4x2']:>8.1f}us")
     for members in (16, 20_000):
         print(f"{f'enkf_step lorenz N={members}':<46}{best['enkf', members]:>8.1f}us")
+    print(f"{f'  process noise N=20000, {sampler}':<46}{best['noise']:>8.1f}us")
     print(f"{'per call, 300 steps':<36}" + "".join(f"{label:>14}" for label in runs))
     for call in RUN_CALLS:
         print(f"  {call:<34}" + "".join(f"{best[call, label] / 1e3:>12.2f}ms" for label in runs))
