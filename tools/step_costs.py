@@ -64,8 +64,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
-    from ukfkit.cli import _config_from_args
     from ukfkit import enkf
+    from ukfkit.cli import _config_from_args
     from ukfkit.enkf import enkf_init, enkf_step
     from ukfkit.harness import build_model, export_csv, run_experiment, simulate_truth
     from ukfkit.statespace import StateEstimate, make_lorenz
