@@ -7,15 +7,13 @@ z_{k|k} = y_k - g(x_hat_{k|k}), the posterior error norm against the
 simulated truth, and the trace error relative to the ensemble filter when
 one is running.  A filter that fails mid-run is flagged as diverged and
 reported as NaN from that step on, and the run keeps its failing step with
-the exception type and message; the other filters continue.  Two groups run
-one after the other over the whole run, so neither evicts the other's working
-set from the cache at each step: first the covariance-form filters, by their
-public steps (one-slice stacks) at step 1 and one :func:`ukf.stack_step` call
-per step on carried arrays from step 2, then enkf; the first group to meet an
-error that ends the run raises it.  Every g(mean), for z, is one call after
-the loops, every trace one sum of the stored diagonals; the run returns them
-as whole-run arrays in one :class:`RunResult`.  ``verify`` and the example-1
-traces step :func:`ukf.stack_step` on carried arrays and check after the loop.
+the exception type and message; the other filters continue.  The
+covariance-form filters take their public steps at step 1, then one
+:func:`ukf.stack_step` call per step on carried arrays; a stack that fails is
+replayed as one-slice stacks, and the survivors run on as one stack.  enkf
+then runs its own loop, so neither evicts the other's working set from the
+cache.  Every g(mean) is one call after the loops, every trace one sum of the
+stored diagonals, all returned as whole-run arrays in one :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .statespace import (
     noise_factor,
     step_dynamics,
 )
-from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, stack_step, ukf_step
+from .ukf import SIGMA_FILTERS, SingularDynamicsJacobian, _rows, stack_step, ukf_step
 
 Array = np.ndarray
 
@@ -156,10 +154,12 @@ class RunResult:
 def simulate_truth(model: SystemModel, x0: Array, horizon: int, seed: int) -> tuple[Array, Array]:
     """Sample one noisy trajectory and its measurements for steps 0..horizon; g and the noise factors act outside the recursion.
 
-    TruthDiverged names the first step whose state, or else whose measurement, is not finite.
+    TruthDiverged names the first step whose state, or else whose measurement, is not finite; an x0 not of shape (l_x,) raises ValueError.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if np.shape(x0) != (model.l_x,):
+        raise ValueError(f"simulate_truth: x0 must have shape {(model.l_x,)}, got {np.shape(x0)}")
     stream = PhiloxCells()
     v = np.array([stream(seed, k, KIND_TRUTH_OBS).standard_normal(model.l_y) for k in range(horizon + 1)])
     w = np.array([stream(seed, k, KIND_TRUTH_PROCESS).standard_normal(model.l_x) for k in range(horizon)])
@@ -218,12 +218,12 @@ def build_model(cfg: ExperimentConfig) -> tuple[SystemModel, Array, Array]:
     return model, x0, p0
 
 
-def _advance(name: str, model: SystemModel, state, y: Array, alpha: float) -> tuple[object, KfStep]:
-    """One step of the named filter: its next state and the step's record."""
+def _advance(name: str, model: SystemModel, est: StateEstimate, y: Array, alpha: float) -> tuple[StateEstimate, KfStep]:
+    """One step of the named covariance-form filter by its public step: its next estimate and the step's record."""
     # Looked up per call, so a patched module-level step function is used.
     if name in SIGMA_FILTERS:
-        return {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name](model, state, y, alpha)
-    return {"enkf": enkf_step, "kf": kf_step, "ekf": ekf_step}[name](model, state, y)
+        return {"ukf": ukf_step, "eukfa": eukfa_step, "eukfc": eukfc_step}[name](model, est, y, alpha)
+    return {"kf": kf_step, "ekf": ekf_step}[name](model, est, y)
 
 
 _STEP_ERRORS = (
@@ -241,48 +241,50 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     states, meas = simulate_truth(model, x0, cfg.steps, cfg.seed)
     est0 = StateEstimate(x0, p0, 0)
     names = cfg.filters
-    filter_state = [enkf_init(est0, cfg.ensemble, cfg.seed) if name == "enkf" else est0 for name in names]
+    ensemble = enkf_init(est0, cfg.ensemble, cfg.seed) if "enkf" in names else None
     # Row k - 1 holds step k; a filter's entries stay NaN where it has failed.
     shape = (cfg.steps, len(names))
     means, diagonals = np.full((*shape, model.l_x), np.nan), np.full((*shape, model.l_x), np.nan)
-    alive = np.zeros(shape, dtype=bool)
     failures: dict[str, tuple[int, str]] = {}
-    stacked = []  # per stack built: (its filters, the rows of its steps, their posterior (means, covs)), written after the loops
+    stack = tuple(name for name in names if name != "enkf")
     with np.errstate(**_FP_CHECKED):  # a filter that overflows fails its finiteness check, with its error line
-        for live in [j for j, name in enumerate(names) if name != "enkf"], [j for j, name in enumerate(names) if name == "enkf"]:
-            carry = None  # the stacked filters' posterior (means, covs, factors chol(l_x P)) as arrays
-            for k in range(1, cfg.steps + 1 if live else 1):
-                y = meas[k]
-                # Step 1 runs each filter's own public step: bench/spans.py hooks those by name, and bench/test_bench.py needs their spans.
-                if k > 1 and carry is None and (stack := [j for j in live if names[j] != "enkf"]):  # enkf's group never stacks
-                    ests = [filter_state[j] for j in stack]
-                    carry = np.array([e.mean for e in ests]), np.array([e.cov for e in ests]), np.array([e.sigma_factor() for e in ests])
-                    stack_names, rows, posts = [names[j] for j in stack], [], []
-                    stacked.append((stack, rows, posts))
-                solo = live
-                if carry is not None:
+        for k in range(1, cfg.steps + 1 if stack else 1):
+            replay = k == 1
+            if not replay:
+                try:
+                    rec, factors = stack_step(model, stack, k - 1, *carry, meas[k], cfg.alpha)
+                except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
+                    replay = True
+                else:
+                    carry = rec.posterior_mean, rec.posterior_cov, factors  # the posterior means, covs and factors chol(l_x P)
+            if replay:
+                # Step 1 runs each filter's own public step: bench/spans.py hooks those by name, and
+                # bench/test_bench.py::test_every_traced_layer_that_exists_records_spans needs their spans.  A failed
+                # stack replays each filter as a one-slice stack on its own rows of the carry, which keeps its bits.
+                outs = {}
+                for i, name in enumerate(stack):
                     try:
-                        rec, factors = stack_step(model, stack_names, k - 1, *carry, y, cfg.alpha)
-                    except (*_STEP_ERRORS, ValueError):  # each filter is replayed alone below and names its own failure
-                        for j, mean, cov, factor in zip(stack, *carry):
-                            filter_state[j] = StateEstimate.with_factor(mean, cov, k - 1, factor)
-                        carry = None
-                    else:
-                        carry, solo = (rec.posterior_mean, rec.posterior_cov, factors), []
-                        rows.append(k - 1)
-                        posts.append(carry[:2])
-                for j in list(solo):
-                    try:
-                        filter_state[j], rec = _advance(names[j], model, filter_state[j], y, cfg.alpha)
+                        if k == 1:
+                            est = _advance(name, model, est0, meas[k], cfg.alpha)[0]
+                            outs[name] = est.mean[None], est.cov[None], est.sigma_factor()[None]
+                        else:
+                            rec, factors = stack_step(model, (name,), k - 1, *(a[i : i + 1] for a in carry), meas[k], cfg.alpha)
+                            outs[name] = rec.posterior_mean, rec.posterior_cov, factors
                     except _STEP_ERRORS as exc:
-                        live.remove(j)
-                        failures[names[j]] = k, f"{type(exc).__name__}: {exc}"
-                        continue
-                    alive[k - 1, j], means[k - 1, j], diagonals[k - 1, j] = True, rec.posterior_mean, rec.posterior_cov.diagonal()
-        for stack, rows, posts in stacked:
-            if rows:
-                at, (post_means, post_covs) = np.ix_(rows, stack), map(np.array, zip(*posts))
-                alive[at], means[at], diagonals[at] = True, post_means, post_covs.diagonal(0, 2, 3)
+                        failures[name] = k, f"{type(exc).__name__}: {exc}"
+                if not outs:
+                    break
+                stack, carry = tuple(outs), tuple(map(np.concatenate, zip(*outs.values())))  # the survivors run on as one stack
+                at = _rows(list(map(names.index, stack)))  # their columns, a slice unless a failure left a gap
+            means[k - 1, at], diagonals[k - 1, at] = carry[0], carry[1].diagonal(0, 1, 2)
+        for k in range(1, cfg.steps + 1 if "enkf" in names else 1):  # enkf's own loop, so neither evicts the other's working set
+            try:
+                ensemble, rec = enkf_step(model, ensemble, meas[k])
+            except _STEP_ERRORS as exc:
+                failures["enkf"] = k, f"{type(exc).__name__}: {exc}"
+                break
+            means[k - 1, 0], diagonals[k - 1, 0] = rec.posterior_mean, rec.posterior_cov.diagonal()  # enkf is first in FILTER_ORDER
+        alive = np.isfinite(diagonals[..., 0])  # every posterior recorded has passed its finiteness check
         traces = diagonals.sum(axis=-1)  # the bits of np.trace: one reduction per diagonal, as trace makes it
         # Whole-run metrics, g(mean) included; each element has the bits of the per-step Python float arithmetic on the same values.
         outputs = np.full((*shape, model.l_y), np.nan)

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -99,6 +100,13 @@ def test_truth_rejects_bad_horizon():
         simulate_truth(make_lorenz(), [1.0, 1.0, 1.0], 0, seed=0)
 
 
+def test_truth_rejects_an_initial_state_of_the_wrong_shape():
+    # Either would broadcast into every entry of the first state; both name the expected and the given shape.
+    for x0, shape in ((np.array([1.0]), "(1,)"), (5.0, "()")):
+        with pytest.raises(ValueError, match=re.escape(f"simulate_truth: x0 must have shape (3,), got {shape}")):
+            simulate_truth(make_lorenz(), x0, 3, 0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(model="nope", steps=10)
@@ -172,21 +180,21 @@ def test_relerr_definition_with_and_without_enkf():
 
 
 def test_filter_divergence_is_flagged_and_isolated(monkeypatch):
-    # Step 1 calls ukf_step, steps 2-4 the kf+ukf stack; the fifth call, the step-5 stack, fails, and so
-    # does ukf replayed alone, while kf replays and runs on.
+    # Step 1 calls ukf_step, steps 2-4 the kf+ukf stack.  From the fifth call on, every call that steps ukf fails:
+    # the step-5 stack and ukf's one-slice replay, while kf's one-slice replay runs and kf runs on.
     calls = {"n": 0}
 
-    def flaky(original):
+    def flaky(original, steps_ukf=lambda args: True):
         def step(*args):
             calls["n"] += 1
-            if calls["n"] >= 5:
+            if calls["n"] >= 5 and steps_ukf(args):
                 raise FilterDiverged("synthetic failure")
             return original(*args)
 
         return step
 
-    for name in ("ukf_step", "stack_step"):
-        monkeypatch.setattr(harness, name, flaky(getattr(harness, name)))
+    monkeypatch.setattr(harness, "ukf_step", flaky(harness.ukf_step))
+    monkeypatch.setattr(harness, "stack_step", flaky(harness.stack_step, lambda args: "ukf" in args[1]))
     cfg = ExperimentConfig(model="linear-ex2", steps=10, seed=5, filters=("kf", "ukf"))
     result = run_experiment(cfg)
     (kf_diverged, ukf_diverged), (tr_kf, tr_ukf) = result.diverged.T, result.trace.T

@@ -187,17 +187,39 @@ def test_run_steps_the_stacked_filters_over_the_whole_run_before_the_ensemble(mo
     assert calls == ["ekf_step", "ukf_step", "eukfa_step", "eukfc_step"] + ["stack_step"] * 19 + ["enkf_step"] * 20
 
 
+def test_a_failed_stack_replays_one_slice_stacks_and_its_survivors_run_on_as_one_stack(monkeypatch):
+    # alpha 0.2: the step-40 stack fails and so does ukf's one-slice replay; the step-41 stack of the other three
+    # fails and so do both variants' replays; kf then runs on alone.  No public step runs after step 1.
+    calls = []
+    for name in ("stack_step", "kf_step", "ekf_step", "ukf_step", "eukfa_step", "eukfc_step"):
+        step = getattr(harness, name)
+        label = (lambda args: tuple(args[1])) if name == "stack_step" else (lambda args, name=name: name)
+        monkeypatch.setattr(harness, name, lambda *args, step=step, label=label: calls.append(label(args)) or step(*args))
+    names, survivors = ("kf", *SIGMA_FILTERS), ("kf", "eukfa", "eukfc")
+    result = run_experiment(ExperimentConfig(model="linear-ex1", steps=60, seed=1, alpha=0.2, filters=names))
+    assert result.failures.keys() == {"ukf", "eukfa", "eukfc"}
+    assert calls == (
+        ["kf_step", "ukf_step", "eukfa_step", "eukfc_step"]
+        + [names] * 39
+        + [(name,) for name in names]
+        + [survivors]
+        + [(name,) for name in survivors]
+        + [("kf",)] * 19
+    )
+
+
 def test_a_failing_stack_is_replayed_so_each_filter_fails_alone():
     # alpha 0.2 makes the center weight negative: ukf loses definiteness at step 40, both variants at 41.
+    # kf and ekf survive both replays and run on as one stack formed from their replayed rows.
     cfg = dict(model="linear-ex1", steps=60, seed=1, alpha=0.2)
-    result = run_experiment(ExperimentConfig(filters=("kf", "ukf", "eukfa", "eukfc"), **cfg))
+    result = run_experiment(ExperimentConfig(filters=("kf", "ekf", *SIGMA_FILTERS), **cfg))
     assert result.failures == {
         "ukf": (40, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (ukf step 40)"),
         "eukfa": (41, "NotPositiveDefinite: matrix of dimension 1 is not positive definite (eukfa step 41)"),
         "eukfc": (41, "NotPositiveDefinite: matrix of dimension 2 is not positive definite (eukfc step 41)"),
     }
     columns = ("trace", "relerr", "output_error", "error_norm", "diverged")
-    for j, name in enumerate(("kf", *SIGMA_FILTERS)):
+    for j, name in enumerate(result.names):
         alone = run_experiment(ExperimentConfig(filters=(name,), **cfg))
         # repr compares the values bit for bit, NaN as nan.
         assert repr([getattr(result, c)[:, j].tolist() for c in columns]) == repr([getattr(alone, c)[:, 0].tolist() for c in columns])

@@ -34,14 +34,18 @@ trap 'rm -rf "$work"' EXIT
 # single right-hand side (l_x = l_y = 1).  The zero-start run begins every filter at P = 0 with
 # no process noise: kf and ekf fail at step 1 (an exact zero posterior is not SPD) and enkf
 # runs on, so it covers the zero initial factor of the kf and ekf slices and a step-1 failure.
-# The last command's Lorenz truth overflows (ts = 0.05) and turns non-finite at step 25: the run
-# writes no CSV, exits 1 and prints its one error line, so it covers a truth-failure run's stderr.
-# In the run after it ukf (alpha 0.2) loses definiteness at step 40 in the stacked call, is replayed
+# The ts = 0.05 Lorenz run's truth overflows and turns non-finite at step 25: the run writes no
+# CSV, exits 1 and prints its one error line, so it covers a truth-failure run's stderr.  In the
+# run after it ukf (alpha 0.2) loses definiteness at step 40 in the stacked call, is replayed
 # alone and fails while kf runs on and enkf runs its own loop, so it covers a mid-run stack failure
-# with the filter groups run one after the other.  In the last run eukfa and eukfc fail at step 40
-# and ukf at 41 while enkf runs on, so it covers the order in which stderr lists the failures: by
-# step, then by filter order.  The one after it is the only EnKF run with an odd number of process
-# draws per step (3 x 1001), so the ensemble's sampler drops the last sine of each step.
+# with the filter groups run one after the other.  In the run after that eukfa and eukfc fail at
+# step 40 and ukf at 41 while enkf runs on, so it covers the order in which stderr lists the
+# failures: by step, then by filter order.  The one after it is the only EnKF run with an odd
+# number of process draws per step (3 x 1001), so the ensemble's sampler drops the last sine of
+# each step.  The last command is the only one where more than one filter survives a replay:
+# eukfa and eukfc fail at step 43 and ukf at 44, and kf and ekf then run on for 256 steps as one
+# stack of their concatenated one-slice posteriors; the run exits 1.  Every other failed stack
+# leaves one survivor at most, so only this run steps a stack formed from replayed rows.
 printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
 printf '%s\n' "model = linear-ex2" "p0 = 0" "q = 0" >"$work/zero-start.cfg"
 commands=(
@@ -64,6 +68,7 @@ commands=(
     "run --model linear-ex1 --filters enkf,kf,ukf --alpha 0.2 --ensemble 2000 --steps 60 --seed 1"
     "run --model linear-ex1 --filters enkf,kf,ukf,eukfa,eukfc --alpha 0.2 --ensemble 500 --steps 200 --seed 3"
     "run --model lorenz --filters enkf,ekf --ensemble 1001 --steps 200 --seed 5"
+    "run --model linear-ex1 --filters kf,ekf,ukf,eukfa,eukfc --alpha 0.2 --steps 300 --seed 2"
 )
 
 run_all() {  # run_all TREE SIDE THREADS

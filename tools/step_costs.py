@@ -19,7 +19,12 @@ over all rounds:
   ``standard_normal(out=)``;
 * ``simulate_truth``, ``run_experiment`` and ``export_csv`` (to a
   temporary file) on the benchmark's sigma-lorenz and linear-4x2 runs, 300
-  steps at seed 7: what a call costs outside the stacked step.
+  steps at seed 7, and on the last command of ``tools/cmp_outputs.sh``
+  (ex1-replay: linear-ex1, all five covariance-form filters, alpha 0.2, 300
+  steps at seed 2), where a failed stack is replayed as one-slice stacks at
+  steps 43 and 44 and kf and ekf run on as one stack: what a call costs
+  outside the stacked step.  No benchmark workload has a filter fail, so
+  only the last run puts the replay path's cost on record.
 
 A step's time at 64x, divided by its slices, is what one more slice costs.
 """
@@ -114,12 +119,13 @@ def main(argv=None) -> int:
         sampler = "standard_normal"
         cases["noise"] = lambda: enkf.sfc64_stream(7, 1, enkf.KIND_PROCESS).standard_normal(noise.shape, out=noise)
     runs = {
-        "sigma-lorenz": argparse.Namespace(config=None, model="lorenz", filters=",".join(STACKS["ekf+ukf+eukfa+eukfc"])),
-        "linear-4x2": argparse.Namespace(config=str(HERE / "bench" / "linear-4x2.cfg"), filters=",".join(names)),
+        "sigma-lorenz": argparse.Namespace(config=None, model="lorenz", filters=",".join(STACKS["ekf+ukf+eukfa+eukfc"]), seed=7),
+        "linear-4x2": argparse.Namespace(config=str(HERE / "bench" / "linear-4x2.cfg"), filters=",".join(names), seed=7),
+        "ex1-replay": argparse.Namespace(config=None, model="linear-ex1", filters="kf,ekf,ukf,eukfa,eukfc", alpha=0.2, seed=2),
     }
     with tempfile.TemporaryDirectory() as tmp:
         for label, args in runs.items():
-            run_cfg = _config_from_args(argparse.Namespace(**vars(args), steps=300, seed=7))
+            run_cfg = _config_from_args(argparse.Namespace(**vars(args), steps=300))
             model, x0, _ = build_model(run_cfg)
             result, out = run_experiment(run_cfg), Path(tmp) / f"{label}.csv"
             cases["simulate_truth", label] = lambda model=model, x0=x0, cfg=run_cfg: simulate_truth(model, x0, cfg.steps, cfg.seed)
