@@ -34,7 +34,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat `key = value` file; blank lines and '#' comments are ignored."""
+    """Flat `key = value` file; blank lines and '#' comments are ignored, and a key may appear once."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -43,7 +43,10 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -334,7 +334,7 @@ def example1_traces(alpha: float = 1.5) -> dict[str, float]:
     return {"tr_kf": tr_kf, "tr_ukf": tr_ukf, "tr_at_ukf_gain": float(np.trace(p_at_ukf))}
 
 
-def _trajectory(model: SystemModel, names, est0: StateEstimate, alpha: float, steps: int, take=slice(None)) -> KfStep:
+def _trajectory(model: SystemModel, names, est0: StateEstimate, alpha: float | tuple, steps: int, take=slice(None)) -> KfStep:
     """`steps` steps of the stack `names` from est0, slice i from slice take[i]'s posterior: a KfStep of (steps, slices, ...) arrays.
 
     The measurements are zero: gains and covariances do not depend on them.
@@ -381,9 +381,10 @@ CHECKS = {
     "eukfa": ("eukf-a matches kf", "worst rel deviation", max, lambda v: v <= 1e-9),
     "eukfc": ("eukf-c matches kf", "worst rel deviation", max, lambda v: v <= 1e-9),
 }
-SUBOPTIMALITY_STEPS = 10  # matched UKF steps, and steps of the UKF's own trajectory
-EQUIVALENCE_STEPS = 50
-EQUIVALENCE_ALPHAS = (1.0, 1.5, 3.0)
+# verify's stack, one per system (see _check_system), its alphas, one per sigma-point slice, and its steps.
+VERIFY_NAMES = ("kf", "ukf", "ukf", "eukfa", "eukfa", "eukfa", "eukfc", "eukfc", "eukfc")
+VERIFY_ALPHAS = (1.5, 1.5, 1.0, 1.5, 3.0, 1.0, 1.5, 3.0)
+SUBOPTIMALITY_STEPS, VERIFY_STEPS = 10, 50
 
 
 @dataclass
@@ -413,24 +414,19 @@ class PropositionReport:
         return "\n".join([*lines, f"{'overall':<24}: {'PASS' if self.passed else 'FAIL'}"])
 
 
-def verify_propositions(
-    seed: int = 0, trials: int = 100, checks: tuple[str, ...] = ("suboptimality", "equivalence")
-) -> PropositionReport:
-    """Check the linear-system properties of every filter over random systems.
+def verify_propositions(seed: int = 0, trials: int = 100) -> PropositionReport:
+    """Check the linear-system properties of every filter over random systems, one stack per system.
 
-    The "suboptimality" checks: the UKF output covariances differ from the
+    The suboptimality checks: the UKF output covariances differ from the
     Kalman filter's by exactly C Q C^T and Q C^T when both start from the
     same posterior; the trace cost of the UKF gain is never below the
     Kalman gain's; and the two filters' own covariance trajectories
-    separate.  The "equivalence" checks: both corrected variants reproduce
+    separate.  The equivalence checks: both corrected variants reproduce
     the Kalman gain and posterior covariance at every step for every alpha.
-    Each check steps the Kalman filter as slice 0 of the stack it checks.
+    Each system steps one stack, which :func:`_check_system` reads.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    unknown = set(checks) - {"suboptimality", "equivalence"}
-    if unknown or not checks:
-        raise ValueError(f"checks must name suboptimality and/or equivalence, got {checks}")
     rng = np.random.default_rng(seed)
     report = PropositionReport()
     # The first benchmark system always runs as a fixed case, on top of the
@@ -440,44 +436,35 @@ def verify_propositions(
         model = random_detectable_system(rng)
         cases.append((model, StateEstimate(np.zeros(model.l_x), random_spd(rng, model.l_x), 0)))
     for model, est0 in cases:
-        if "suboptimality" in checks:
-            _check_suboptimality(model, est0, report)
-        if "equivalence" in checks:
-            _check_equivalence(model, est0, report)
+        _check_system(model, _trajectory(model, VERIFY_NAMES, est0, VERIFY_ALPHAS, VERIFY_STEPS, take=[0, 0, *range(2, 9)]), report)
     return report
 
 
-def _check_suboptimality(model: LinearSystem, est0: StateEstimate, report: PropositionReport) -> None:
-    """The UKF against the Kalman trajectory: one step from each Kalman posterior, and its own trajectory."""
-    c, q = model.C, model.Q
-    # Slice 1 is the UKF step from the Kalman posterior of slice 0; slice 2 continues the UKF's own trajectory.
-    rec = _trajectory(model, ("kf", "ukf", "ukf"), est0, 1.5, SUBOPTIMALITY_STEPS, take=[0, 0, 2])
-    p_z, p_ez = rec.innovation_cov, rec.cross_cov
+def _check_system(model: LinearSystem, rec: KfStep, report: PropositionReport) -> None:
+    """Fold one system's VERIFY_NAMES trajectory into the five checks: slice 0 is the Kalman filter, slice 1 the UKF
+    stepped from its posterior and slice 2 the UKF's own trajectory, read for SUBOPTIMALITY_STEPS steps; slices 3-8,
+    eukfa and eukfc at alpha 1, 1.5 and 3, are checked against slice 0 at every step."""
+    c, q, n = model.C, model.Q, SUBOPTIMALITY_STEPS
+    p_z, p_ez = rec.innovation_cov[:n], rec.cross_cov[:n]
     dev_z = np.abs(p_z[:, 1] + c @ q @ c.T - p_z[:, 0])
     dev_ez = np.abs(p_ez[:, 1] + q @ c.T - p_ez[:, 0])
     # The cost of the Kalman and of the matched UKF gain under the true innovation statistics, slice 0's.
-    costs = np.trace(evaluate_gain_cov(rec.prior_cov[:, :1], p_z[:, :1], p_ez[:, :1], rec.gain[:, :2]), axis1=-2, axis2=-1)
-    traces = np.trace(rec.posterior_cov, axis1=-2, axis2=-1)
+    costs = np.trace(evaluate_gain_cov(rec.prior_cov[:n, :1], p_z[:, :1], p_ez[:, :1], rec.gain[:n, :2]), axis1=-2, axis2=-1)
+    traces = np.trace(rec.posterior_cov[:n, :3], axis1=-2, axis2=-1)
     # np.max and np.min, unlike the builtins, carry a NaN through to the check.
     report.record("identity", float(np.maximum(np.max(dev_z), np.max(dev_ez))))
     report.record("inequality", float(np.min(costs[:, 1] - costs[:, 0])))
     # The separation claim only holds when Q is nonzero and visible through C; other systems are exempt.
     if q.any() and float(np.linalg.norm(c @ q)) > 0.0:
         report.record("distinctness", float(np.max(np.abs(traces[:, 0] - traces[:, 2]))))
-
-
-def _check_equivalence(model: LinearSystem, est0: StateEstimate, report: PropositionReport) -> None:
-    """Corrected variants against the Kalman trajectory, for every alpha: slices 1 and 2 against slice 0 of one stack."""
     devs = []
-    for alpha in EQUIVALENCE_ALPHAS:
-        rec = _trajectory(model, ("kf", "eukfa", "eukfc"), est0, alpha, EQUIVALENCE_STEPS)
-        for x in (rec.gain, rec.posterior_cov):  # the relative Frobenius deviation from slice 0
-            # np.linalg.norm's bits: sqrt(v.v) of the matrix raveled in memory order, which is column order for a
-            # gain (a transposed solve) and either order for a covariance, which is exactly symmetric.
-            cols = np.concatenate((x[:, :1], x[:, 1:] - x[:, :1]), axis=1).swapaxes(-1, -2).reshape(*x.shape[:2], -1)
-            norms = np.sqrt(np.vecdot(cols, cols))
-            devs.append(norms[:, 1:] / np.maximum(norms[:, :1], 1e-12))
-    for variant, worst in zip(("eukfa", "eukfc"), np.max(devs, axis=(0, 1)).tolist()):
+    for x in (rec.gain, rec.posterior_cov):  # slices 3-8's relative Frobenius deviation from slice 0
+        # np.linalg.norm's bits: sqrt(v.v) of the matrix raveled in memory order, which is column order for a
+        # gain (a transposed solve) and either order for a covariance, which is exactly symmetric.
+        cols = np.concatenate((x[:, :1], x[:, 3:] - x[:, :1]), axis=1).swapaxes(-1, -2).reshape(len(x), 7, -1)
+        norms = np.sqrt(np.vecdot(cols, cols))
+        devs.append(norms[:, 1:] / np.maximum(norms[:, :1], 1e-12))
+    for variant, worst in zip(("eukfa", "eukfc"), np.max(np.reshape(devs, (-1, 2, 3)), axis=(0, 2)).tolist()):
         report.record(variant, worst)
 
 

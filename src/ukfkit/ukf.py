@@ -13,10 +13,11 @@ eukfc steps is a one-slice call of it on an estimate.  The stack takes kf
 and ekf slices, whose covariances come from :func:`kf.linearized_covs`, so
 that one call per time step advances every covariance-form filter of a run,
 and a caller that steps many (a run, ``verify``) carries the arrays from
-step to step.  :func:`unscented_prior` is its one spread/propagate/centre
-step: it builds the sigma points from each slice's factor, pushes
-those of every slice, and the kf and ekf means of a SystemModel, through f
-and g in one call each, and subtracts the weighted means.  The filters
+step to step, at one alpha or one per sigma-point slice (``verify``'s alphas).
+:func:`unscented_prior` is its one spread/propagate/centre step: it builds
+the sigma points from each slice's factor, pushes those of every slice, and
+the kf and ekf means of a SystemModel, through f and g in one call each, and
+subtracts the weighted means.  The filters
 differ only in the sigma factor and where Q enters the covariances, which
 are weighted outer products of the propagated deviations, with R added to
 the output covariance.
@@ -61,40 +62,45 @@ class SingularDynamicsJacobian(Exception):
 
 
 def ukf_weights(alpha: float, l_x: int) -> Array:
-    """Weight vector [w0, w1 .. w_{2 l_x}] for a given alpha and state dimension.
-
-    The vector is computed once per (alpha, l_x) and is read-only.
-    """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    """Weight vector [w0, w1 .. w_{2 l_x}] for a float alpha and state dimension, computed once per pair and read-only."""
     if l_x < 1:
         raise ValueError(f"state dimension must be at least 1, got {l_x}")
-    return _weights(float(alpha), int(l_x))
+    return _weights(float(alpha), int(l_x))[0]
 
 
 @functools.lru_cache(maxsize=256)
-def _weights(alpha: float, l_x: int) -> Array:
+def _weights(alpha: float | tuple, l_x: int) -> tuple[Array, Array, float | Array]:
+    """Once per (alpha, l_x), alpha checked: the row weights (m,), column weights (m, 1) and spread scale alpha of a float;
+    of a tuple, one alpha per sigma-point slice, the (s, 1, m), (s, m, 1) and (s, 1, 1) stacks of its entries' own."""
+    if isinstance(alpha, tuple):
+        rows = _read_only(np.array([_weights(a, l_x)[0] for a in alpha]).reshape(len(alpha), 1, 2 * l_x + 1))
+        return rows, rows.swapaxes(-1, -2), _read_only(np.array(alpha, dtype=float).reshape(-1, 1, 1))
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     w = np.full(2 * l_x + 1, 1.0 / (2.0 * alpha**2 * l_x))
     w[0] = (alpha**2 - 1.0) / alpha**2
-    return _read_only(w)
+    return _read_only(w), w[:, None], float(alpha)
 
 
-def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: float, k: int, extra: Array):
+def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: float | tuple, k: int, extra: Array):
     """Sigma points around each mean (s, l_x) spread by alpha times its factor (s, l_x, l_x), pushed through f and g.
 
     A factor S has S S^T = l_x times the sigma scale, as est.sigma_factor()
     for est.cov.  Returns the stacked (prior means, predicted outputs, state
-    deviations, output deviations), the weights, and f(x) (e, l_x) and
-    g(f(x)) (e, l_y) of each state x of `extra` (e, l_x).  FilterDiverged
-    names step k + 1 when f or g is non-finite at a sigma point.  f and g
+    deviations, output deviations), the row weights, and f(x) (e, l_x) and
+    g(f(x)) (e, l_y) of each state x of `extra` (e, l_x).  alpha is a float or
+    one value per slice (ValueError if not).  FilterDiverged names step
+    k + 1 when f or g is non-finite at a sigma point.  f and g
     take one call each for the whole stack: the sigma points side by side as
     (l, s m) columns, then the extra states.  A LinearSystem takes stacked
     matmuls by A and by C instead, which, unlike one wide product, round each
     slice as a product over that slice alone.
     """
-    w = ukf_weights(alpha, model.l_x)
-    (s, l_x), m = means.shape, w.size
-    p_sigma, c = alpha * factors, means[..., None]
+    w, wcol, scale = _weights(alpha, model.l_x)
+    (s, l_x), m = means.shape, w.shape[-1]
+    if w.ndim > 1 and len(w) != s:
+        raise ValueError(f"alpha has {len(w)} values for {s} sigma-point slices")
+    p_sigma, c = scale * factors, means[..., None]
     points = np.concatenate((c, c + p_sigma, c - p_sigma), axis=-1)  # [c, c + p_i, c - p_i], p_i the columns of alpha * factor
     linear = isinstance(model, LinearSystem)
     if linear:
@@ -114,7 +120,7 @@ def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: flo
         fx, gx = fx[:, s * m :].T, gx[:, s * m :].T  # the extra states' columns
     if not all_finite(yprop):
         raise FilterDiverged(f"sigma outputs became non-finite at step {k + 1}")
-    prior_mean, predicted_y = xprop @ w, yprop @ w
+    prior_mean, predicted_y = (xprop @ wcol)[..., 0], (yprop @ wcol)[..., 0]
     return prior_mean, predicted_y, xprop - prior_mean[..., None], yprop - predicted_y[..., None], w, fx, gx
 
 
@@ -224,13 +230,14 @@ def _plan(names: tuple):
     return _rows(sigma), lin, _rows(lin), eukfa, [i for i in sigma if names[i] != "eukfa"], [i for i in sigma if names[i] == "eukfc"]
 
 
-def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, factors: Array, y, alpha: float = 1.5) -> tuple[KfStep, Array]:
+def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, factors: Array, y, alpha: float | tuple = 1.5) -> tuple[KfStep, Array]:
     """One predict/update cycle of a stack of filters at step k, as arrays, consuming the measurement at step k+1.
 
     Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and order)
     from the posterior means[i] (l_x,), covs[i] and factors[i] = chol(l_x
-    covs[i]), which sigma-point slices spread with.  f and g see the sigma
-    points of every slice and the kf and ekf means in one call each
+    covs[i]), which sigma-point slices spread with at alpha, a float or a
+    tuple of one value per sigma-point slice.  f and g see the sigma points
+    of every slice and the kf and ekf means in one call each
     (:func:`unscented_prior`); kf and ekf slices take their covariances from
     :func:`kf.linearized_covs`; eukfa's sigma factor and eukfc's C Q C^T and
     Q C^T terms (a LinearSystem's formed once) see one slice at a time; the
@@ -239,11 +246,12 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     Returns :func:`kf.correct_stack`'s stacked KfStep and posterior factors.
 
     What comes from outside is checked once, where it enters: the names and
-    the three arrays' shapes here, y in :func:`kf.correct_stack`, and each
+    the three arrays' shapes here, alpha once per (alpha, l_x) and a tuple's
+    length in :func:`unscented_prior`, y in :func:`kf.correct_stack`, and each
     output of f, g and the Jacobians as it is returned.  An unknown name, a
-    wrong shape, or an f, g or Jacobian that returns one, raises ValueError
-    naming filters and step.  The arrays the step forms itself are not
-    checked again, except by the finiteness and definiteness checks that
+    wrong shape or alpha, or an f, g or Jacobian that returns one, raises
+    ValueError naming filters and step.  The arrays the step forms itself are
+    not checked again, except by the finiteness and definiteness checks that
     tell a diverged filter.  Where each kind of slice sits is worked out
     once per names tuple, and a message is formed only when it is raised.
     """
@@ -282,7 +290,7 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
                 cqct, qct = _output_noise(jacobian_measurement(model, prior_mean[i]), q)
             p_z[i] += cqct
             p_ez[i] += qct
-    except ValueError as exc:  # from the model's f, g or a Jacobian; correct_stack names its own
+    except ValueError as exc:  # from alpha, the model's f, g or a Jacobian; correct_stack names its own
         raise ValueError(f"{'+'.join(names)} step {k + 1}: {exc}") from exc
     p_z += model.R
     return correct_stack(names, k + 1, prior_mean, symmetric_part(p_prior), symmetric_part(p_z), p_ez, y, predicted_y)

@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from ukfkit.harness import (
     ExperimentConfig,
@@ -52,10 +53,16 @@ def test_example1_regression():
     )
 
 
-def test_ukf_suboptimality_property_suite():
+@pytest.fixture(scope="module")
+def verify_report():
+    """The full `verify` report at SEED over 100 random systems, and the seconds it took: both suites read it."""
     start = time.perf_counter()
-    report = verify_propositions(seed=SEED, trials=100, checks=("suboptimality",))
-    elapsed = time.perf_counter() - start
+    report = verify_propositions(seed=SEED, trials=100)
+    return report, time.perf_counter() - start
+
+
+def test_ukf_suboptimality_property_suite(verify_report):
+    report, elapsed = verify_report
     ok = (
         report.failures["identity"] == 0
         and report.failures["inequality"] == 0
@@ -71,10 +78,8 @@ def test_ukf_suboptimality_property_suite():
     )
 
 
-def test_corrected_variants_equivalence_suite():
-    start = time.perf_counter()
-    report = verify_propositions(seed=SEED, trials=100, checks=("equivalence",))
-    elapsed = time.perf_counter() - start
+def test_corrected_variants_equivalence_suite(verify_report):
+    report, elapsed = verify_report
     ok = report.failures["eukfa"] == 0 and report.failures["eukfc"] == 0 and elapsed < 30.0
     _criterion(
         "eukf-a/eukf-c match kf over 50 steps and alpha in {1, 1.5, 3}",

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import os
+import re
 import tempfile
 
 import pytest
@@ -88,6 +89,18 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "key = value" in capsys.readouterr().err
+
+
+def test_config_file_rejects_a_duplicated_key(tmp_path, capsys):
+    # A second `q` line once overrode the first and the run went on silently with q = 1.
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("model = linear-ex1\nq = 0.1\n# a comment\nQ = 1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg_file))}:4: duplicate key 'q'$"):
+        load_config_file(cfg_file)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg_file), "--steps", "3", "--out", str(out)]) == 1
+    assert f"{cfg_file}:4: duplicate key 'q'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_rejects_input_matrix_key(tmp_path, capsys):

@@ -555,15 +555,6 @@ def test_verify_reports_each_variants_own_worst_deviation(seed_34013_report):
     assert f"{report.worst['eukfc']:.3e}" in next(line for line in lines if line.startswith("eukf-c"))
 
 
-def test_verify_propositions_check_selection():
-    sub = verify_propositions(seed=11, trials=3, checks=("suboptimality",))
-    assert sub.passed and sub.worst["eukfa"] == sub.worst["eukfc"] == 0.0
-    eq = verify_propositions(seed=11, trials=3, checks=("equivalence",))
-    assert eq.passed and eq.worst["identity"] == 0.0
-    with pytest.raises(ValueError):
-        verify_propositions(trials=1, checks=("nope",))
-
-
 def test_verify_counts_each_check_over_the_systems_it_ran():
     # linear-ex1 runs on top of the three random systems, so every check covers four.
     lines = verify_propositions(seed=11, trials=3).summary().splitlines()
@@ -608,25 +599,24 @@ def test_check_table_folds_each_worst_value_from_its_start():
 
 
 def test_verify_steps_one_kalman_trajectory_per_system(monkeypatch):
-    # 4 systems (linear-ex1 plus 3 random ones); each check steps its own Kalman trajectory as slice 0 of
-    # the stack it checks, with no kf_step call: 10 kf+ukf+ukf steps for the suboptimality checks, and
-    # 50 kf+eukfa+eukfc steps per alpha for the equivalence checks, each one stack_step call on arrays.
-    calls = dict.fromkeys(("kf_step", "stack_step"), 0)
+    # 4 systems (linear-ex1 plus 3 random ones); each system steps one 50-step stack whose slice 0 is the Kalman
+    # trajectory, with no kf_step call: kf, ukf twice and eukfa and eukfc at each alpha, one stack_step call a step.
+    calls, stacks = dict.fromkeys(("kf_step", "stack_step"), 0), set()
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harness, name)):
             calls[_name] += 1
+            if _name == "stack_step":
+                stacks.add((args[1], args[-1]))  # the names and the alpha of the stack
             return _real(*args)
 
         monkeypatch.setattr(harness, name, counted)
-    expected = {
-        ("suboptimality", "equivalence"): (0, 4 * (10 + 3 * 50)),
-        ("suboptimality",): (0, 4 * 10),
-        ("equivalence",): (0, 4 * 3 * 50),
-    }
-    for checks, counts in expected.items():
-        calls.update(kf_step=0, stack_step=0)
-        assert verify_propositions(seed=11, trials=3, checks=checks).passed
-        assert (calls["kf_step"], calls["stack_step"]) == counts, checks
+    assert verify_propositions(seed=11, trials=3).passed
+    assert (calls["kf_step"], calls["stack_step"]) == (0, 4 * 50)
+    # Each sigma-point slice takes its own alpha: the UKF at 1.5 twice, each corrected variant at 1, 1.5 and 3.
+    (names, alpha), = stacks
+    assert names[0] == "kf" and sorted(zip(names[1:], alpha)) == [
+        ("eukfa", 1.0), ("eukfa", 1.5), ("eukfa", 3.0), ("eukfc", 1.0), ("eukfc", 1.5), ("eukfc", 3.0), ("ukf", 1.5), ("ukf", 1.5)
+    ]
 
 
 def test_reproduce_config_defaults():

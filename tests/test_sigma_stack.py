@@ -1,5 +1,6 @@
 """The stacked filter step: each slice is bitwise the filter stepped on its own."""
 
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -32,14 +33,19 @@ def _stacked(est, n):
 
 
 def _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha):
-    """len(meas) - 1 steps of the stack `names` against each filter stepped alone, from the same est0."""
+    """len(meas) - 1 steps of the stack `names` against each filter stepped alone, from the same est0.
+
+    alpha is a float, or a tuple of one value per sigma-point slice, each of which steps its filter alone.
+    """
     carry = _stacked(est0, len(names))
     alone = [est0] * len(names)
+    per_slice = iter(alpha) if isinstance(alpha, tuple) else itertools.repeat(alpha)
+    alphas = [next(per_slice) if name in SIGMA_FILTERS else alpha for name in names]
     for k in range(1, len(meas)):
         rec, factors = stack_step(model, names, k - 1, *carry, meas[k], alpha)
         assert rec.posterior_mean.shape == (len(names), model.l_x)
         for i, name in enumerate(names):
-            alone[i], alone_rec = ONE_AT_A_TIME[name](model, alone[i], meas[k], alpha)
+            alone[i], alone_rec = ONE_AT_A_TIME[name](model, alone[i], meas[k], alphas[i])
             assert alone[i].step == k
             assert_array_equal(rec.posterior_mean[i], alone[i].mean)
             assert_array_equal(rec.posterior_cov[i], alone[i].cov)
@@ -54,13 +60,18 @@ def _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha):
     seed=st.integers(0, 2**63 - 1),
     alpha=st.floats(1.0, 5.0),
     names=st.lists(st.sampled_from(STACK_FILTERS), min_size=1, max_size=5).map(tuple),
+    slice_alphas=st.none() | st.lists(st.floats(1.0, 5.0), min_size=5, max_size=5),
 )
-@example(seed=1, alpha=1.5, names=("ekf", "kf", "ekf"))  # a stack with no sigma-point slice
-def test_stack_is_bitwise_one_filter_at_a_time_property(seed, alpha, names):
+@example(seed=1, alpha=1.5, names=("ekf", "kf", "ekf"), slice_alphas=None)  # a stack with no sigma-point slice
+@example(seed=2, alpha=1.5, names=("ukf", "kf", "eukfa", "eukfc", "ukf"), slice_alphas=[1.0, 1.5, 3.0, 1.5, 5.0])
+def test_stack_is_bitwise_one_filter_at_a_time_property(seed, alpha, names, slice_alphas):
+    # With slice_alphas, alpha is one value per sigma-point slice, as `verify` steps its alphas.
     rng = np.random.default_rng(seed)
     model = random_detectable_system(rng)
     est0 = StateEstimate(rng.standard_normal(model.l_x), random_spd(rng, model.l_x), 0)
     meas = rng.standard_normal((11, model.l_y))
+    if slice_alphas is not None:
+        alpha = tuple(slice_alphas[: sum(name in SIGMA_FILTERS for name in names)])
     _assert_stack_steps_bitwise_one_at_a_time(model, names, est0, meas, alpha)
 
 
@@ -91,6 +102,20 @@ def test_the_array_core_rejects_arrays_of_the_wrong_shape():
             stack_step(model, ("ukf", "eukfc"), 4, *args, np.ones(1))
     with pytest.raises(ValueError, match="enkf"):
         stack_step(model, ("ukf", "enkf"), 4, x, p, p, np.ones(1))
+
+
+def test_a_per_slice_alpha_needs_one_finite_positive_value_per_sigma_point_slice():
+    model = make_lorenz()
+    names = ("ekf", "ukf", "eukfc")  # two sigma-point slices
+    carry = _stacked(StateEstimate(np.ones(3), np.eye(3), 4), 3)
+    for alpha in [(), (1.5,), (1.5, 1.5, 1.5)]:
+        with pytest.raises(ValueError, match=rf"^ekf\+ukf\+eukfc step 5: alpha has {len(alpha)} values for 2 sigma-point slices$"):
+            stack_step(model, names, 4, *carry, np.ones(1), alpha)
+    for alpha in [(1.5, np.nan), (np.inf, 1.5), (0.0, 1.5), (1.5, -1.0)]:
+        with pytest.raises(ValueError, match=r"^ekf\+ukf\+eukfc step 5: alpha must be positive and finite, got "):
+            stack_step(model, names, 4, *carry, np.ones(1), alpha)
+    with pytest.raises(ValueError, match=r"^ekf\+ekf step 5: alpha has 1 values for 0 sigma-point slices$"):
+        stack_step(model, ("ekf", "ekf"), 4, *(a[:2] for a in carry), np.ones(1), (1.5,))
 
 
 def _counted(fn, calls, label):

@@ -24,7 +24,10 @@ over all rounds:
   steps at seed 2), where a failed stack is replayed as one-slice stacks at
   steps 43 and 44 and kf and ekf run on as one stack: what a call costs
   outside the stacked step.  No benchmark workload has a filter fail, so
-  only the last run puts the replay path's cost on record.
+  only the last run puts the replay path's cost on record;
+* ``verify_propositions(seed=0, trials=100)``, what ``ukfkit verify`` runs,
+  as the smallest of VERIFY_REPEATS calls after the rounds: a call takes
+  seconds, too long for a round.
 
 A step's time at 64x, divided by its slices, is what one more slice costs.
 """
@@ -46,6 +49,7 @@ ROUNDS = 12
 WIDTHS = (1, 4, 16, 64)
 STACKS = {"ukf": ("ukf",), "eukfa": ("eukfa",), "ekf+ukf+eukfa+eukfc": ("ekf", "ukf", "eukfa", "eukfc")}
 RUN_CALLS = ("simulate_truth", "run_experiment", "export_csv")
+VERIFY_REPEATS = 3
 
 
 def best_us(cases: dict, loop_s: float = 0.005, repeats: int = 3) -> dict:
@@ -72,7 +76,7 @@ def main(argv=None) -> int:
     from ukfkit import enkf
     from ukfkit.cli import _config_from_args
     from ukfkit.enkf import enkf_init, enkf_step
-    from ukfkit.harness import build_model, export_csv, run_experiment, simulate_truth
+    from ukfkit.harness import build_model, export_csv, run_experiment, simulate_truth, verify_propositions
     from ukfkit.statespace import StateEstimate, make_lorenz
     from ukfkit.ukf import stack_step
 
@@ -132,6 +136,7 @@ def main(argv=None) -> int:
             cases["run_experiment", label] = lambda cfg=run_cfg: run_experiment(cfg)
             cases["export_csv", label] = lambda result=result, out=out: export_csv(result, out)
         best = best_us(cases)
+    verify_s = min(timeit.repeat(lambda: verify_propositions(seed=0, trials=100), number=1, repeat=VERIFY_REPEATS))
 
     print(f"{'stack_step lorenz':<36}" + "".join(f"{f'{w}x':>10}" for w in WIDTHS) + f"{'per slice at 64x':>18}")
     for label, names in STACKS.items():
@@ -144,6 +149,7 @@ def main(argv=None) -> int:
     print(f"{'per call, 300 steps':<36}" + "".join(f"{label:>14}" for label in runs))
     for call in RUN_CALLS:
         print(f"  {call:<34}" + "".join(f"{best[call, label] / 1e3:>12.2f}ms" for label in runs))
+    print(f"{'verify_propositions seed=0 trials=100':<46}{verify_s * 1e3:>8.1f}ms")
     return 0
 
 
