@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kf import KfStep, check_measurement, kf_gain
-from .numerics import FilterDiverged, all_finite, symmetrize
+from .numerics import FilterDiverged, all_finite, solve, symmetrize
 from .statespace import StateEstimate, SystemModel, measure_batch, noise_factor, step_dynamics_batch
 
 Array = np.ndarray
@@ -176,7 +176,7 @@ def _sqrt_gain(model: SystemModel, factor: Array, gain: Array) -> Array:
     ensemble with sample covariance P+ - K P_ez^T, for any square roots
     L L^T = P_z and L_R L_R^T = R; with R = 0 it is K.
     """
-    return np.linalg.solve((factor + model.r_factor).T, (gain @ factor).T).T  # (L + L_R)^T X^T = (K L)^T
+    return solve((factor + model.r_factor).T, (gain @ factor).T).T  # (L + L_R)^T X^T = (K L)^T
 
 
 def enkf_step(model: SystemModel, ens: Ensemble, y) -> tuple[Ensemble, KfStep]:

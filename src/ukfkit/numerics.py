@@ -7,19 +7,21 @@ fails gets one retry with a trace-scaled diagonal jitter; anything worse
 raises :class:`NotPositiveDefinite` instead of being silently repaired,
 because a covariance that far gone usually means the filter has diverged.
 
-The factorizations and solves are ``numpy.linalg`` calls, so numpy is the
-only runtime dependency.  At order one (P_z with one output) a factor is
-``np.sqrt`` and a solve divides for one right-hand side and multiplies by
-the reciprocal for more, as OpenBLAS's ``potrf`` and ``dgesv`` do, so the
-bits are LAPACK's when numpy links OpenBLAS, as its Linux and Windows
-wheels do; the tests pin them, so a BLAS that rounds otherwise (Accelerate,
-MKL) fails them instead of moving output bits.  :func:`spd_sqrt_factor` and
-:func:`solve_spd` read only the lower triangle of M, as LAPACK does, so M
-must be exactly symmetric; they do not symmetrize it again.  Callers that
-hold a user-supplied matrix symmetrize it first.  :func:`solve_spd` keeps
-the finiteness check; :func:`cholesky_solve` skips it: the filters' one
-caller, :func:`kf.kf_gain`, raises FilterDiverged on a non-finite P_z or
-P_ez before it factors P_z and solves for the gain.
+The factorizations and solves (:func:`cholesky`, :func:`solve`,
+:func:`qr_raw`) call numpy.linalg's LAPACK gufuncs without its Python
+wrappers, with its bits and errors, so numpy is the only runtime dependency.
+At order one (P_z with one output) a factor is ``np.sqrt`` and a solve
+divides for one right-hand side and multiplies by the reciprocal for more,
+as OpenBLAS's ``potrf`` and ``dgesv`` do, so the bits are LAPACK's when
+numpy links OpenBLAS, as its Linux and Windows wheels do; the tests pin
+them, so a BLAS that rounds otherwise (Accelerate, MKL) fails them instead
+of moving output bits.  :func:`spd_sqrt_factor` and :func:`solve_spd` read
+only the lower triangle of M, as LAPACK does, so M must be exactly
+symmetric; they do not symmetrize it again.  Callers that hold a
+user-supplied matrix symmetrize it first.  :func:`solve_spd` keeps the
+finiteness check; :func:`cholesky_solve` skips it: the filters' one caller,
+:func:`kf.kf_gain`, raises FilterDiverged on a non-finite P_z or P_ez
+before it factors P_z and solves for the gain.
 
 The helpers take a leading stack axis, one matrix per filter of a stacked
 step, and run each operation as one numpy call over the stack.  A slice of a
@@ -31,6 +33,7 @@ uses depends on the layout, and so do the last bits of its result.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # private to numpy; tests/test_imports.py names the four gufuncs used here
 
 
 class NotPositiveDefinite(Exception):
@@ -39,6 +42,30 @@ class NotPositiveDefinite(Exception):
 
 class FilterDiverged(Exception):
     """A filter produced non-finite states or outputs."""
+
+
+# As numpy.linalg: LinAlgError iff a gufunc failed (NaN-filled, FP invalid set), other flags ignored; a decorator is the cheapest errstate.
+@np.errstate(all="ignore", invalid="raise")
+def _lapack(gufunc, error: str, *operands: np.ndarray) -> np.ndarray:
+    try:
+        return gufunc(*operands, signature="dd->d" if len(operands) == 2 else "d->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError(error) from None
+
+
+def cholesky(m: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(m) for a float stack (..., n, n): its lower factors, or LinAlgError if one is not SPD."""
+    return _lapack(_umath_linalg.cholesky_lo, "Matrix is not positive definite", m)
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) by LU for stacks (..., n, n) and (..., n, k) or vectors (..., n); LinAlgError at a zero pivot."""
+    return _lapack(_umath_linalg.solve1 if b.ndim == a.ndim - 1 else _umath_linalg.solve, "Singular matrix", a, b)
+
+
+def qr_raw(a: np.ndarray) -> np.ndarray:
+    """np.linalg.qr(a, mode="raw")'s tau for a float stack (..., m, n), its R written over a; dgeqrf never fails, so no errstate."""
+    return _umath_linalg.qr_r_raw(a, signature="d->d")
 
 
 def all_finite(*arrays: np.ndarray) -> bool:
@@ -80,20 +107,16 @@ def spd_sqrt_factor(m: np.ndarray, where: str = "") -> np.ndarray:
     if m.shape[-1] == 1 and np.count_nonzero(m > 0.0) == m.size:
         return np.sqrt(m)  # a 1x1 potrf is one correctly rounded square root; 0, < 0 and NaN take LAPACK's path
     try:
-        return np.linalg.cholesky(m)
+        return cholesky(m)
     except np.linalg.LinAlgError:
-        pass
-    if m.ndim > 2:
-        return np.array([spd_sqrt_factor(s, where) for s in m])
+        if m.ndim > 2:
+            return np.array([spd_sqrt_factor(s, where) for s in m])
     n = m.shape[0]
-    jitter = 1e-12 * np.trace(m) / n
     try:
-        return np.linalg.cholesky(m + jitter * np.eye(n))
+        return cholesky(m + 1e-12 * np.trace(m) / n * np.eye(n))
     except np.linalg.LinAlgError:
         suffix = f" ({where})" if where else ""
-        raise NotPositiveDefinite(
-            f"matrix of dimension {n} is not positive definite{suffix}"
-        ) from None
+        raise NotPositiveDefinite(f"matrix of dimension {n} is not positive definite{suffix}") from None
 
 
 def solve_spd(m: np.ndarray, b: np.ndarray, where: str = "") -> np.ndarray:
@@ -113,7 +136,7 @@ def cholesky_solve(factor: np.ndarray, b: np.ndarray, where: str = "") -> np.nda
     """X with L L^T X = B for a lower Cholesky factor L, by two solves, without finiteness checks.
 
     A stack L (s, n, n) is solved with B (s, n, k), or with vectors B (s, n),
-    in one ``np.linalg.solve`` call per factor.  The solve with L^T, an upper
+    in one :func:`solve` call per factor.  The solve with L^T, an upper
     triangle, pivots nowhere and gives the bits of a triangular solve; the
     solve with L pivots by rows, which for n >= 2 can move the last bits
     against a triangular solve, never for n = 1.
@@ -122,12 +145,12 @@ def cholesky_solve(factor: np.ndarray, b: np.ndarray, where: str = "") -> np.nda
     rhs = b[..., None] if vector else b
     if rhs.shape[:-1] != factor.shape[:-1]:
         raise ValueError(f"shapes of m {factor.shape} and b {b.shape} are incompatible ({where})")
-    if factor.shape[-1] == 1:  # OpenBLAS's 1x1 dgesv: divide by L for one right-hand side (trsv), multiply by 1 / L for more (trsm)
-        op, pivot = (np.divide, factor) if rhs.shape[-1] == 1 else (np.multiply, 1.0 / factor)
-        x = op(rhs, pivot)
-        op(x, pivot, out=x)
-    else:
-        x = np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
+    if factor.shape[-1] > 1:
+        return solve(factor.swapaxes(-1, -2), solve(factor, b))
+    # OpenBLAS's 1x1 dgesv: divide by L for one right-hand side (trsv), multiply by 1 / L for more (trsm)
+    op, pivot = (np.divide, factor) if rhs.shape[-1] == 1 else (np.multiply, 1.0 / factor)
+    x = op(rhs, pivot)
+    op(x, pivot, out=x)
     return x[..., 0] if vector else x
 
 

@@ -36,7 +36,7 @@ from dataclasses import fields
 import numpy as np
 
 from .kf import KfStep, correct_stack, linearized_covs
-from .numerics import FilterDiverged, all_finite, symmetric_part
+from .numerics import FilterDiverged, all_finite, qr_raw, solve, symmetric_part
 from .statespace import (
     LinearSystem,
     StateEstimate,
@@ -89,14 +89,20 @@ def unscented_prior(model: SystemModel, means: Array, factors: Array, alpha: flo
     for est.cov.  Returns the stacked (prior means, predicted outputs, state
     deviations, output deviations), the row weights, and f(x) (e, l_x) and
     g(f(x)) (e, l_y) of each state x of `extra` (e, l_x).  alpha is a float or
-    one value per slice (ValueError if not).  FilterDiverged names step
-    k + 1 when f or g is non-finite at a sigma point.  f and g
+    one value per slice in a tuple, list or array (ValueError if not).
+    FilterDiverged names step k + 1 when f or g is non-finite at a sigma point.  f and g
     take one call each for the whole stack: the sigma points side by side as
     (l, s m) columns, then the extra states.  A LinearSystem takes stacked
     matmuls by A and by C instead, which, unlike one wide product, round each
     slice as a product over that slice alone.
     """
-    w, wcol, scale = _weights(alpha, model.l_x)
+    try:
+        w, wcol, scale = _weights(alpha, model.l_x)
+    except TypeError:  # unhashable (a list, an array) or not a number: a 0-d array is read as a float, a 1-d one as a tuple
+        a = np.asarray(alpha, dtype=float)
+        if a.ndim > 1:
+            raise ValueError(f"alpha must be a number or one per sigma-point slice, got shape {a.shape}") from None
+        w, wcol, scale = _weights(tuple(a.tolist()) if a.ndim else float(a), model.l_x)
     (s, l_x), m = means.shape, w.shape[-1]
     if w.ndim > 1 and len(w) != s:
         raise ValueError(f"alpha has {len(w)} values for {s} sigma-point slices")
@@ -142,16 +148,12 @@ def eukfa_sigma_scale(model: SystemModel, est: StateEstimate) -> Array:
 
 def _inflated_factor(model: SystemModel, mean: Array, factor: Array, k: int) -> Array:
     """:func:`eukfa_sigma_scale` from the step-k posterior mean and its factor chol(l_x P)."""
-    if isinstance(model, LinearSystem):
-        spread = _linear_inverse_spread(model)
-    else:
-        spread = _inverse_spread(model, jacobian_dynamics(model, mean))
+    spread = _linear_inverse_spread(model) if isinstance(model, LinearSystem) else _inverse_spread(model, jacobian_dynamics(model, mean))
     if spread is None:
         raise SingularDynamicsJacobian(f"dynamics Jacobian at step {k} is numerically singular")
-    n = model.l_x
-    # The raw QR is LAPACK's output transposed: R^T is the lower triangle of its first n columns.
-    rt = np.linalg.qr(np.concatenate((factor, spread), axis=1).T, mode="raw")[0][:, :n]
-    return rt * np.copysign(_lower_ones(n), rt.diagonal())  # the lower triangle, column j times sign(R_jj)
+    raw = np.concatenate((factor, spread), axis=1)
+    qr_raw(raw.T)  # R overwrites the upper triangle of raw.T's first n rows, so R^T is the lower triangle of raw[:, :n]
+    return raw[:, : model.l_x] * np.copysign(_lower_ones(model.l_x), raw.diagonal())  # column j of R^T times sign(R_jj)
 
 
 def _inverse_spread(model: SystemModel, a: Array) -> Array | None:
@@ -163,7 +165,7 @@ def _inverse_spread(model: SystemModel, a: Array) -> Array | None:
     """
     n = model.l_x
     try:
-        x = np.linalg.solve(a, _q_factor_and_eye(model))
+        x = solve(a, _q_factor_and_eye(model))
     except np.linalg.LinAlgError:  # an exact zero pivot
         return None
     norms = np.abs(np.concatenate((a, x[:, n:]))).reshape(2, n, n).sum(axis=1).max(axis=1)  # ||A||_1, ||A^{-1}||_1
@@ -236,7 +238,7 @@ def stack_step(model: SystemModel, names, k: int, means: Array, covs: Array, fac
     Slice i runs filter names[i] (one of STACK_FILTERS, in any mix and order)
     from the posterior means[i] (l_x,), covs[i] and factors[i] = chol(l_x
     covs[i]), which sigma-point slices spread with at alpha, a float or a
-    tuple of one value per sigma-point slice.  f and g see the sigma points
+    tuple (list, array) of one value per sigma-point slice.  f and g see the sigma points
     of every slice and the kf and ekf means in one call each
     (:func:`unscented_prior`); kf and ekf slices take their covariances from
     :func:`kf.linearized_covs`; eukfa's sigma factor and eukfc's C Q C^T and

@@ -70,13 +70,11 @@ def test_sigma_scale_rejects_singular_jacobian_of_a_nonlinear_model(a):
         eukfa_step(model, est, np.zeros(1))
 
 
-def test_linear_model_inverts_its_dynamics_once_with_the_bits_of_the_per_step_path(monkeypatch):
+def test_linear_model_inverts_its_dynamics_once_with_the_bits_of_the_per_step_path(count_lapack):
     linear = random_detectable_system(np.random.default_rng(5), l_x=3, l_y=1)
     nonlinear = SystemModel(l_x=3, l_y=1, f=linear.f, g=linear.g, Q=linear.Q, R=linear.R, jac_f=linear.jac_f, jac_g=linear.jac_g)
     est = StateEstimate(np.ones(3), random_spd(np.random.default_rng(6), 3), 0)
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    solves = count_lapack()["solve"]
     factors = [eukfa_sigma_scale(linear, est) for _ in range(3)]
     assert len(solves) == 1
     factors += [eukfa_sigma_scale(nonlinear, est) for _ in range(3)]

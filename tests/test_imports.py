@@ -69,6 +69,17 @@ def test_no_source_imports_scipy():
     assert [hit for hit in imported if hit[1].split(".")[0] == "scipy"] == []
 
 
+def test_numpy_still_has_the_four_private_gufuncs_of_the_lapack_layer():
+    # numerics calls these directly; a numpy that renames them must fail here, not be routed around.
+    from numpy.linalg._umath_linalg import cholesky_lo, qr_r_raw, solve, solve1
+
+    from ukfkit import numerics
+
+    assert numerics._umath_linalg.__name__ == "numpy.linalg._umath_linalg"
+    assert [f.signature for f in (cholesky_lo, solve, solve1, qr_r_raw)] == ["(m,m)->(m,m)", "(m,m),(m,n)->(m,n)", "(m,m),(m)->(m)", "(m,n)->(p)"]
+    assert all("d->d" in f.types or "dd->d" in f.types for f in (cholesky_lo, solve, solve1, qr_r_raw))
+
+
 # Runs in a fresh interpreter, since this test process has scipy loaded.
 NO_SCIPY_CODE = """
 import sys

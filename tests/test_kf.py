@@ -332,7 +332,7 @@ def test_kf_and_ekf_steps_are_bitwise_the_textbook_kalman_step(make, step):
         assert_array_equal(rec.posterior_cov, ref.cov)
 
 
-# LAPACK calls in a step after the first, as (np.linalg.cholesky, np.linalg.solve) by the number of outputs.
+# LAPACK calls in a step after the first, as (cholesky, solve) calls of numerics' LAPACK layer by the number of outputs.
 # Cholesky: P_z once, in kf_gain, whose factor the EnKF's square-root update reuses; and l_x P once, in the
 # posterior's SPD check, whose factor the next sigma-point step reuses.  Solve: two for the gain, and one
 # for the EnKF's square-root gain.  A 1x1 P_z takes neither in kf_gain: its factor is a square root and its
@@ -349,16 +349,13 @@ def _linear_4x2():
 
 @pytest.mark.parametrize("make_model", [make_lorenz, _linear_4x2], ids=["lorenz-3x1", "linear-4x2"])
 @pytest.mark.parametrize("step", list(LAPACK_BUDGET[1]), ids=lambda step: step.__name__)
-def test_second_step_keeps_to_its_cholesky_budget(monkeypatch, make_model, step):
+def test_second_step_keeps_to_its_cholesky_budget(count_lapack, make_model, step):
     model = make_model()
     _, meas = simulate_truth(model, np.ones(model.l_x), 2, seed=4)
     state = StateEstimate(np.ones(model.l_x), np.eye(model.l_x), 0)
     if step is enkf_step:
         state = enkf_init(state, 50, seed=0)
     state, _ = step(model, state, meas[1])
-    calls = {"cholesky": [], "solve": []}
-    cholesky, solve = np.linalg.cholesky, np.linalg.solve
-    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls["cholesky"].append(m.shape) or cholesky(m))
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls["solve"].append(a.shape) or solve(a, b))
+    calls = count_lapack()
     step(model, state, meas[2])
     assert (len(calls["cholesky"]), len(calls["solve"])) == LAPACK_BUDGET[model.l_y][step], calls

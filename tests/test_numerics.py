@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,19 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import lu, solve_triangular
 
-from ukfkit.numerics import NotPositiveDefinite, cholesky_solve, rcond_check, solve_spd, spd_sqrt_factor, symmetrize
+from ukfkit.eukf import SingularDynamicsJacobian, eukfa_sigma_scale
+from ukfkit.numerics import (
+    NotPositiveDefinite,
+    cholesky,
+    cholesky_solve,
+    qr_raw,
+    rcond_check,
+    solve,
+    solve_spd,
+    spd_sqrt_factor,
+    symmetrize,
+)
+from ukfkit.statespace import StateEstimate, SystemModel
 
 
 def _random_spd(rng, n):
@@ -243,6 +256,72 @@ def test_cholesky_solve_meets_the_backward_error_bound_of_its_two_solves(system)
     d1, d2 = _gamma(3 * n) * _ge_growth(factor), _gamma(3 * n) * _ge_growth(factor.T)
     bound = (np.abs(low) @ d2 + d1 @ np.abs(low.T) + d1 @ d2) @ np.abs(xs)
     assert (np.abs(residual) <= bound).all()
+
+
+# Random stacks of each order 1..5, and the stacked step's shapes on the benchmark's workloads: the
+# posterior factors of four 3-state and of four 4-state slices, and one 2x2 P_z.
+_LAYER_SHAPES = [(s, n, n) for n in range(1, 6) for s in (1, 3)] + [(4, 3, 3), (4, 4, 4), (1, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", _LAYER_SHAPES, ids=str)
+def test_lapack_layer_gives_the_bits_of_numpy_linalg(shape):
+    rng = np.random.default_rng(shape)
+    s, n, _ = shape
+    m = np.array([_random_spd(rng, n) for _ in range(s)])
+    b, vectors = rng.standard_normal((s, n, 3)), rng.standard_normal((s, n))
+    factor = cholesky(m)
+    assert_array_equal(factor, np.linalg.cholesky(m))
+    assert_array_equal(solve(m, b), np.linalg.solve(m, b))
+    assert_array_equal(solve(m, vectors), np.linalg.solve(m, vectors[..., None])[..., 0])
+    lt = factor.swapaxes(-1, -2)
+    assert_array_equal(solve(lt, solve(factor, b)), np.linalg.solve(lt, np.linalg.solve(factor, b)))
+    assert_array_equal(cholesky_solve(factor, vectors), np.linalg.solve(lt, np.linalg.solve(factor, vectors[..., None]))[..., 0])
+
+
+# eukfa's (2n, n) QR on Lorenz (n = 3) and on linear-4x2 (n = 4), and other stacks.
+@pytest.mark.parametrize("shape", [(1, 6, 3), (1, 8, 4), (3, 2, 1), (2, 10, 5), (1, 3, 3)], ids=str)
+def test_lapack_layer_qr_is_numpy_raw_qr_in_place(shape):
+    a = np.random.default_rng(shape).standard_normal(shape)
+    q, tau = np.linalg.qr(a, mode="raw")
+    raw = a.copy()
+    assert_array_equal(qr_raw(raw), tau)
+    assert_array_equal(raw, q.swapaxes(-1, -2))
+    # A transposed view, as eukfa factors [chol(l_x P) | spread]^T, is overwritten through the view.
+    wide = a.swapaxes(-1, -2).copy()
+    assert_array_equal(qr_raw(wide.swapaxes(-1, -2)), tau)
+    assert_array_equal(wide, q)
+
+
+def test_lapack_layer_raises_numpy_linalg_errors_and_passes_non_finite_input_through():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
+            cholesky(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            cholesky_solve(np.diag([1.0, 0.0]), np.ones(2))
+        nan = np.array([[1.0, 0.0], [np.nan, 1.0]])
+        assert_array_equal(solve(nan, np.ones((2, 1))), np.linalg.solve(nan, np.ones((2, 1))))
+        assert_array_equal(cholesky(np.array([[np.inf]])), np.linalg.cholesky(np.array([[np.inf]])))
+        with np.errstate(invalid="ignore"):  # the harness's setting
+            with pytest.raises(np.linalg.LinAlgError):
+                cholesky(np.diag([1.0, -1.0]))
+
+
+def test_failed_factor_and_singular_jacobian_raise_their_errors_without_a_warning():
+    # Outside any errstate, numpy's default warns on the invalid flag a failed gufunc sets; none may escape.
+    indefinite = np.array([np.eye(3), np.diag([1.0, 1.0, -1.0]), 2 * np.eye(3)])
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    model = SystemModel(l_x=2, l_y=1, f=lambda x: a @ x, g=lambda x: x[:1], Q=np.eye(2), R=np.eye(1), jac_f=lambda x: a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match=r"^matrix of dimension 3 is not positive definite \(ukf\+eukfa step 2\)$"):
+            spd_sqrt_factor(indefinite, where="ukf+eukfa step 2")
+        with pytest.raises(SingularDynamicsJacobian, match=r"^dynamics Jacobian at step 4 is numerically singular$"):
+            eukfa_sigma_scale(model, StateEstimate(np.zeros(2), np.eye(2), 4))
+        # The jitter retry still rescues a semidefinite slice of a stack, and leaves the others their own bits.
+        semi = np.array([np.eye(2), np.ones((2, 2)), 4 * np.eye(2)])
+        factors = spd_sqrt_factor(semi)
+        assert_array_equal(factors[[0, 2]], np.linalg.cholesky(semi[[0, 2]]))
 
 
 def test_rcond_check():

@@ -118,6 +118,23 @@ def test_a_per_slice_alpha_needs_one_finite_positive_value_per_sigma_point_slice
         stack_step(model, ("ekf", "ekf"), 4, *(a[:2] for a in carry), np.ones(1), (1.5,))
 
 
+def test_an_alpha_list_or_array_steps_as_its_float_or_tuple():
+    model = make_lorenz()
+    names = ("ekf", "ukf", "eukfc")
+    carry = _stacked(StateEstimate(np.ones(3), np.eye(3), 4), 3)
+    y = np.array([0.5])
+    for alpha, same in [([1.5, 2.0], (1.5, 2.0)), (np.array(1.5), 1.5), (np.array([1.5, 2.0]), (1.5, 2.0)), ((np.array(1.5), 2.0), (1.5, 2.0))]:
+        rec, factors = stack_step(model, names, 4, *carry, y, alpha)
+        expected, expected_factors = stack_step(model, names, 4, *carry, y, same)
+        assert_array_equal(rec.posterior_cov, expected.posterior_cov)
+        assert_array_equal(factors, expected_factors)
+    for alpha, message in [(np.full((2, 1), 1.5), "alpha must be a number or one per sigma-point slice, got shape \\(2, 1\\)"),
+                           ([1.5], "alpha has 1 values for 2 sigma-point slices"), (np.array([1.5, -1.0]), "alpha must be positive and finite"),
+                           ("wide", "could not convert string to float")]:
+        with pytest.raises(ValueError, match=rf"^ekf\+ukf\+eukfc step 5: {message}"):
+            stack_step(model, names, 4, *carry, y, alpha)
+
+
 def _counted(fn, calls, label):
     def counted(x):
         calls.append(label)

@@ -25,6 +25,14 @@ over all rounds:
   steps 43 and 44 and kf and ekf run on as one stack: what a call costs
   outside the stacked step.  No benchmark workload has a filter fail, so
   only the last run puts the replay path's cost on record;
+* each routine of ``numerics``' LAPACK layer (``cholesky``, the two
+  ``solve`` calls of ``cholesky_solve``, ``solve``, ``qr_raw``) against its
+  ``numpy.linalg`` wrapper, at the shapes the benchmark's sigma-lorenz and
+  linear-4x2 stacked steps give it: the posterior factors of four 3-state
+  and four 4-state slices, the four 2x2 P_z of linear-4x2 and its gain's
+  solves, eukfa's Jacobian solve on Lorenz, and eukfa's (2n, n) QR at n = 3
+  and 4, each QR on a fresh copy, as np.linalg.qr makes one; a tree
+  without the layer prints only the wrapper's time;
 * ``verify_propositions(seed=0, trials=100)``, what ``ukfkit verify`` runs,
   as the smallest of VERIFY_REPEATS calls after the rounds: a call takes
   seconds, too long for a round.
@@ -73,11 +81,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
-    from ukfkit import enkf
+    from ukfkit import enkf, numerics
     from ukfkit.cli import _config_from_args
     from ukfkit.enkf import enkf_init, enkf_step
     from ukfkit.harness import build_model, export_csv, run_experiment, simulate_truth, verify_propositions
-    from ukfkit.statespace import StateEstimate, make_lorenz
+    from ukfkit.statespace import StateEstimate, jacobian_dynamics, make_lorenz
     from ukfkit.ukf import stack_step
 
     assert "scipy" not in sys.modules, "ukfkit imported scipy"
@@ -122,6 +130,35 @@ def main(argv=None) -> int:
     else:
         sampler = "standard_normal"
         cases["noise"] = lambda: enkf.sfc64_stream(7, 1, enkf.KIND_PROCESS).standard_normal(noise.shape, out=noise)
+    rng = np.random.default_rng(7)
+
+    def spd(s, n):
+        g = rng.standard_normal((s, n, n))
+        return g @ g.swapaxes(-1, -2) + np.eye(n)
+
+    layer = hasattr(numerics, "qr_raw")
+    lapack = {}  # label: (layer call, numpy.linalg call); the first is timed only where the tree has the layer
+    for s, n in ((4, 3), (4, 2), (4, 4)):
+        m = spd(s, n)
+        lapack[f"cholesky ({s},{n},{n})"] = lambda m=m: numerics.cholesky(m), lambda m=m: np.linalg.cholesky(m)
+    low, b = np.linalg.cholesky(spd(4, 2)), rng.standard_normal((4, 2, 4))
+    lt = low.swapaxes(-1, -2)
+    lapack["solve pair (4,2,2) (4,2,4)"] = (
+        lambda: numerics.solve(lt, numerics.solve(low, b)),
+        lambda: np.linalg.solve(lt, np.linalg.solve(low, b)),
+    )
+    a, qe = jacobian_dynamics(lorenz, np.ones(3)), rng.standard_normal((3, 6))
+    lapack["solve (3,3) (3,6)"] = lambda: numerics.solve(a, qe), lambda: np.linalg.solve(a, qe)
+    for n in (3, 4):
+        wide = rng.standard_normal((n, 2 * n))
+        lapack[f"qr_raw ({2 * n},{n})"] = (
+            lambda wide=wide: numerics.qr_raw(wide.copy().T),
+            lambda wide=wide: np.linalg.qr(wide.T, mode="raw"),
+        )
+    for label, (ours, theirs) in lapack.items():
+        cases["numpy.linalg", label] = theirs
+        if layer:
+            cases["layer", label] = ours
     runs = {
         "sigma-lorenz": argparse.Namespace(config=None, model="lorenz", filters=",".join(STACKS["ekf+ukf+eukfa+eukfc"]), seed=7),
         "linear-4x2": argparse.Namespace(config=str(HERE / "bench" / "linear-4x2.cfg"), filters=",".join(names), seed=7),
@@ -149,6 +186,10 @@ def main(argv=None) -> int:
     print(f"{'per call, 300 steps':<36}" + "".join(f"{label:>14}" for label in runs))
     for call in RUN_CALLS:
         print(f"  {call:<34}" + "".join(f"{best[call, label] / 1e3:>12.2f}ms" for label in runs))
+    print(f"{'LAPACK layer, per call':<36}{'layer':>10}{'numpy.linalg':>14}")
+    for label in lapack:
+        ours = f"{best['layer', label]:>8.2f}us" if layer else f"{'-':>10}"
+        print(f"  {label:<34}{ours}{best['numpy.linalg', label]:>12.2f}us")
     print(f"{'verify_propositions seed=0 trials=100':<46}{verify_s * 1e3:>8.1f}ms")
     return 0
 
