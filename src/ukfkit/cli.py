@@ -35,8 +35,12 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def load_config_file(path) -> dict[str, str]:
     """Flat `key = value` file; blank lines and '#' comments are ignored, and a key may appear once."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -66,6 +70,9 @@ _CONFIG_PARSERS = {
     "a": _parse_matrix,
     "c": _parse_matrix,
 }
+# Every key but the arrays is also a `run` flag, parsed by the same function.
+_RUN_FLAGS = [key for key in _CONFIG_PARSERS if key not in ("x0", "p0", "a", "c")]
+_FLAG_OPTIONS = {"model": {"choices": MODELS}, "filters": {"help": f"comma list from: {','.join(FILTER_ORDER)}"}}
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -80,16 +87,9 @@ def _config_from_args(args) -> ExperimentConfig:
                 merged[key] = _CONFIG_PARSERS[key](text)
             except ValueError as exc:
                 raise ValueError(f"{args.config}: {key}: {exc}") from exc
-    for key in ("model", "steps", "seed", "alpha", "ensemble", "ts", "mu", "q", "r"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if args.filters is not None:
-        merged["filters"] = tuple(args.filters.split(","))
-    merged.setdefault("model", None)
+    merged.update((key, getattr(args, key)) for key in _RUN_FLAGS if getattr(args, key, None) is not None)
     merged.setdefault("steps", 100)
-    merged.setdefault("seed", 0)
-    if merged["model"] is None:
+    if merged.get("model") is None:
         raise ValueError("a model must be given via --model or the config file")
     return ExperimentConfig(**merged)
 
@@ -112,17 +112,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment and export a CSV")
-    run_p.add_argument("--model", choices=MODELS)
-    run_p.add_argument("--steps", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--alpha", type=float)
-    run_p.add_argument("--ensemble", type=int)
-    run_p.add_argument("--filters", help=f"comma list from: {','.join(FILTER_ORDER)}")
+    for key in _RUN_FLAGS:
+        run_p.add_argument(f"--{key}", type=_CONFIG_PARSERS[key], **_FLAG_OPTIONS.get(key, {}))
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--ts", type=float)
-    run_p.add_argument("--mu", type=float)
-    run_p.add_argument("--q", type=float)
-    run_p.add_argument("--r", type=float)
     run_p.add_argument("--config", help="flat key=value config file; flags override it")
 
     verify_p = sub.add_parser("verify", help="check the linear-system filter properties")

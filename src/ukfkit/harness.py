@@ -427,6 +427,8 @@ def verify_propositions(seed: int = 0, trials: int = 100) -> PropositionReport:
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     report = PropositionReport()
     # The first benchmark system always runs as a fixed case, on top of the

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import os
 import re
 import tempfile
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ukfkit import cli
 from ukfkit.cli import _CONFIG_PARSERS, _config_from_args, load_config_file, main
+from ukfkit.harness import ExperimentConfig
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -62,7 +65,25 @@ def test_run_requires_model(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
-def test_config_file_merging(tmp_path):
+# One valid value for each run flag, then a different one for a config file to hold.
+_FLAG_VALUES = {
+    "model": ("lorenz", "linear-ex2"),
+    "steps": ("8", "15"),
+    "seed": ("-3", "4"),
+    "alpha": ("2.5", "1"),
+    "ensemble": ("50", "60"),
+    "filters": ("ekf,ukf", "enkf"),
+    "ts": ("0.02", "0.05"),
+    "mu": ("2", "1.5"),
+    "q": ("0.2", "0.3"),
+    "r": ("0.4", "0.1"),
+}
+
+
+@pytest.mark.parametrize("key", _FLAG_VALUES)
+def test_config_file_merging(tmp_path, capsys, monkeypatch, key):
+    assert list(_CONFIG_PARSERS) == [field.name for field in dataclasses.fields(ExperimentConfig)]
+    assert list(_FLAG_VALUES) == [k for k in _CONFIG_PARSERS if k not in ("x0", "p0", "a", "c")]
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         "# comment line\n"
@@ -82,6 +103,31 @@ def test_config_file_merging(tmp_path):
     with open(out, newline="") as fh:
         assert len(list(csv.reader(fh))) == 9
 
+    built = []
+    monkeypatch.setattr(cli, "_run_and_export", lambda cfg, out: built.append(cfg) or 0)
+
+    def config(lines, *flags):
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+        assert main(["run", "--config", str(cfg_file), *flags, "--out", str(out)]) == 0
+        return built.pop()
+
+    base = [(k, v) for k, v in (("model", "vdp"), ("filters", "ukf")) if k != key]
+    value, other = _FLAG_VALUES[key]
+    from_flag = config(base, f"--{key}", value)
+    assert getattr(from_flag, key) == _CONFIG_PARSERS[key](value)
+    assert config([*base, (key, value)]) == from_flag
+    assert config([*base, (key, other)], f"--{key}", value) == from_flag
+
+    # The arrays are file-only.  `--a` and `--c` are argparse's abbreviations of `--alpha` and `--config`.
+    for name in ("x0", "p0"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--model", "vdp", f"--{name}", "1", "--out", str(out)])
+        assert exit_.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--out", "--config", *(f"--{k}" for k in _FLAG_VALUES)}
+
 
 def test_config_file_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
@@ -89,6 +135,13 @@ def test_config_file_rejects_garbage(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "key = value" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_is_named_with_the_offset_of_its_bad_byte(tmp_path, capsys):
+    cfg_file = tmp_path / "latin1.cfg"
+    cfg_file.write_bytes("model = linear-ex1\n# r\u00e9glage\n".encode("latin-1"))
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_file}: not UTF-8: byte 0xe9 at offset 22\n"
 
 
 def test_config_file_rejects_a_duplicated_key(tmp_path, capsys):
@@ -187,6 +240,16 @@ def test_verify_command(capsys):
     assert main(["verify", "--trials", "4", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "overall" in out and "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--trials", "0"], "trials must be at least 1, got 0"), (["--seed", "-1"], "seed must be non-negative, got -1")],
+    ids=["trials", "seed"],
+)
+def test_verify_names_a_bad_trials_or_seed(capsys, flags, message):
+    assert main(["verify", *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_reproduce_example_2(tmp_path):

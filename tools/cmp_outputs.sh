@@ -29,7 +29,7 @@ threads=(1 2)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Both trees read this tree's copy of the linear-4x2 config and the two configs written below,
+# Both trees read this tree's copy of the linear-4x2 config and the three configs written below,
 # so they get the same input.  The one-state run is the only command whose gain solves have a
 # single right-hand side (l_x = l_y = 1).  The zero-start run begins every filter at P = 0 with
 # no process noise: kf and ekf fail at step 1 (an exact zero posterior is not SPD) and enkf
@@ -42,15 +42,19 @@ trap 'rm -rf "$work"' EXIT
 # step 40 and ukf at 41 while enkf runs on, so it covers the order in which stderr lists the
 # failures: by step, then by filter order.  The one after it is the only EnKF run with an odd
 # number of process draws per step (3 x 1001), so the ensemble's sampler drops the last sine of
-# each step.  The last command is the only one where more than one filter survives a replay:
+# each step.  The command after it is the only one where more than one filter survives a replay:
 # eukfa and eukfc fail at step 43 and ukf at 44, and kf and ekf then run on for 256 steps as one
 # stack of their concatenated one-slice posteriors; the run exits 1.  Every other failed stack
-# leaves one survivor at most, so only this run steps a stack formed from replayed rows.  The three
+# leaves one survivor at most, so only this run steps a stack formed from replayed rows.  The first three
 # verify commands step every system's checks as one stack with one alpha per sigma-point slice: seed
 # 0 is the default, seed 34013 has an ill-conditioned A (cond(A) ~ 6.6e3), and seed 20240 is the
 # seed of the acceptance suites in tests/test_acceptance.py, whose report gates the paper's claim.
+# The last three commands cover the command line itself: flags that override keys the linear-4x2
+# file sets (q and r), a config file that is not UTF-8 (its 0xe9 is Latin-1), and a negative
+# verify seed; the last two exit 1 with one error line.
 printf '%s\n' "model = custom" "a = 0.95" "c = 1" "q = 0.1" "r = 0.1" >"$work/one-state.cfg"
 printf '%s\n' "model = linear-ex2" "p0 = 0" "q = 0" >"$work/zero-start.cfg"
+printf 'model = linear-ex1\n# r\351glage\n' >"$work/not-utf8.cfg"
 commands=(
     "run --model lorenz --filters ekf,ukf,eukfa,eukfc --steps 2000 --seed 7"
     "run --model vdp --filters ekf,ukf,eukfa,eukfc --steps 2000 --seed 7"
@@ -73,6 +77,9 @@ commands=(
     "run --model linear-ex1 --filters enkf,kf,ukf,eukfa,eukfc --alpha 0.2 --ensemble 500 --steps 200 --seed 3"
     "run --model lorenz --filters enkf,ekf --ensemble 1001 --steps 200 --seed 5"
     "run --model linear-ex1 --filters kf,ekf,ukf,eukfa,eukfc --alpha 0.2 --steps 300 --seed 2"
+    "run --config $here/bench/linear-4x2.cfg --q 0.5 --r 0.2 --filters kf,ukf,eukfa,eukfc --steps 50 --seed 3"
+    "run --config $work/not-utf8.cfg --steps 5"
+    "verify --trials 2 --seed -1"
 )
 
 run_all() {  # run_all TREE SIDE THREADS
